@@ -10,18 +10,23 @@ Two graph families are supported:
 Both are 2d-regular once edge multiplicities are counted: a generator g = n/2
 (or a torus side l = 2) contributes a doubled edge, and a torus side l = 1
 contributes a self loop that cancels out of the Laplacian.  The closed-form
-eigenvalues fix this convention, and the integer Laplacian built here matches
-it so that the matrix-tree count and the eigenvalue product agree.
+eigenvalues fix this convention, and the exact counts follow it, so that the
+matrix-tree count and the eigenvalue product agree.
 
-Spanning-tree counts are exact arbitrary-precision integers obtained by
-fraction-free (Bareiss) elimination of the reduced integer Laplacian.
+Spanning-tree counts are exact arbitrary-precision integers.  For a circulant
+the product of the nonzero eigenvalues is a resultant of the symbol polynomial
+with z^n - 1: O(log n) products of polynomials of degree 2 g_max - 2 and one
+determinant of that size.  For a torus, the Chebyshev identity
+prod_k (x + 4 sin^2(pi k / L)) = 2 T_L(1 + x/2) - 2 over the largest side L
+leaves one determinant of the size of the other sides' vertex count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -248,7 +253,7 @@ def circulant_to_lattice(spec: CirculantSpec) -> LatticeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Integer Laplacians and exact tree counts
+# Exact tree counts
 # ---------------------------------------------------------------------------
 
 
@@ -257,66 +262,6 @@ class TreeCount:
     """Exact spanning-tree count."""
 
     value: int
-
-
-def multigraph_edges(spec: GraphSpec) -> list[tuple[int, int]]:
-    """Edge list (with multiplicity, no self loops) of the 2d-regular multigraph.
-
-    Vertices are numbered 0..V-1 (torus vertices in the same mixed-radix
-    order as torus_spectrum).  Doubled edges appear twice; a torus side of
-    length 1 yields only self loops for that dimension, which are dropped.
-    """
-    edges: list[tuple[int, int]] = []
-    if isinstance(spec, CirculantSpec):
-        n = spec.n
-        for v in range(n):
-            for g in spec.generators:
-                w = (v + g) % n
-                if w != v:
-                    edges.append((min(v, w), max(v, w)))
-                # g == n/2 reaches the same vertex from both sides; the
-                # single pass over +g already sees each doubled edge twice
-                # (once from each endpoint), so nothing extra is needed.
-        return edges
-    sides = spec.sides
-    strides = []
-    acc = 1
-    for l in reversed(sides):
-        strides.append(acc)
-        acc *= l
-    strides.reverse()
-    total = spec.vertex_count
-    for v in range(total):
-        coords = []
-        rest = v
-        for stride, l in zip(strides, sides):
-            coords.append((rest // stride) % l)
-        for i, l in enumerate(sides):
-            if l == 1:
-                continue  # self loop, drops out of the Laplacian
-            w = v + ((coords[i] + 1) % l - coords[i]) * strides[i]
-            if w != v:
-                # l >= 3: each edge appears once (from its +e_i endpoint).
-                # l == 2: +e_i and -e_i coincide, and the loop visits the same
-                # unordered edge from both endpoints, which is the doubling.
-                edges.append((min(v, w), max(v, w)))
-    return edges
-
-
-def laplacian_matrix(spec: GraphSpec, cap: int = DEFAULT_DETERMINANT_CAP) -> list[list[int]]:
-    """Dense integer Laplacian L = D - A of the multigraph."""
-    total = spec.vertex_count
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} vertices exceed the dense-Laplacian cap {cap}"
-        )
-    L = [[0] * total for _ in range(total)]
-    for u, v in multigraph_edges(spec):
-        L[u][u] += 1
-        L[v][v] += 1
-        L[u][v] -= 1
-        L[v][u] -= 1
-    return L
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:
@@ -347,15 +292,143 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _reduced_laplacian_det(spec: GraphSpec, delete: int = 0,
-                           cap: int = DEFAULT_DETERMINANT_CAP) -> int:
-    L = laplacian_matrix(spec, cap=cap)
-    reduced = [
-        [L[i][j] for j in range(len(L)) if j != delete]
-        for i in range(len(L))
-        if i != delete
-    ]
-    return _bareiss_determinant(reduced)
+def _symbol_poly(gens: Sequence[int]) -> list[int]:
+    """Integer coefficients (highest degree first) of z^g (2d - sum (z^g_i + z^-g_i))."""
+    gens = tuple(int(g) for g in gens)
+    g_max = max(gens)
+    coeffs = [0] * (2 * g_max + 1)
+    coeffs[g_max] = 2 * len(gens)
+    for g in gens:
+        coeffs[g_max + g] -= 1
+        coeffs[g_max - g] -= 1
+    return coeffs[::-1]
+
+
+def _deflate_once_at_one(coeffs: list[int]) -> list[int]:
+    """Exact synthetic division by (z - 1); the remainder must vanish."""
+    out = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        out.append(c + out[-1])
+    remainder = coeffs[-1] + out[-1]
+    if remainder != 0:
+        raise ValueError(f"(z-1) is not a factor; remainder {remainder}")
+    return out
+
+
+def _reduce(p: list[int], monic: list[int]) -> list[int]:
+    """p mod (y^D + sum_i monic[i] y^i), D = len(monic); coefficients lowest first."""
+    D = len(monic)
+    for k in range(len(p) - 1, D - 1, -1):
+        c = p[k]
+        if c:
+            base = k - D
+            for i, m in enumerate(monic):
+                p[base + i] -= c * m
+    return p[:D] + [0] * (D - len(p))
+
+
+def _power_of_y(n: int, monic: list[int]) -> list[int]:
+    """y^n mod the monic polynomial, by square-and-multiply."""
+    result = _reduce([1], monic)
+    for bit in bin(n)[2:]:
+        square = [0] * max(2 * len(result) - 1, 0)
+        for i, a in enumerate(result):
+            if a:
+                for j, b in enumerate(result):
+                    square[i + j] += a * b
+        result = _reduce(square, monic)
+        if bit == "1":
+            result = _reduce([0] + result, monic)
+    return result
+
+
+def _circulant_tree_count(spec: CirculantSpec) -> int:
+    """tau = n |lc|^n |prod_rho (rho^n - 1)| / |Q(1)| over the roots rho of Q.
+
+    Q is the symbol polynomial with its double root at z = 1 divided out, of
+    degree D = 2 g_max - 2 and leading coefficient lc = -(multiplicity of
+    g_max).  The eigenvalues are |P(omega^j)| = |omega^j - 1|^2 |Q(omega^j)|,
+    and prod_{j != 0} |omega^j - 1| = n.  The root product is the resultant
+    det(M - lc^n I), where M multiplies by y^n in Z[y] modulo the monic
+    integer polynomial lc^{D-1} Q(y / lc), whose roots are lc rho.
+    """
+    n = spec.n
+    # a step g in (n/2, n) is the step n - g taken backwards: the same edges,
+    # and a symbol polynomial of degree 2(n - g) instead of 2g
+    gens = [min(g, n - g) for g in spec.generators]
+    q = _deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens)))[::-1]
+    D = len(q) - 1
+    lc = q[D]
+    monic = [q[i] * lc ** (D - 1 - i) for i in range(D)]
+    power = lc ** n
+    # row k of the transpose of M - lc^n I is y^{n+k} mod the monic form
+    rows = []
+    column = _power_of_y(n, monic)
+    for k in range(D):
+        rows.append([c - power if i == k else c for i, c in enumerate(column)])
+        column = _reduce([0] + column, monic)
+    numerator = n * abs(lc) ** n * abs(_bareiss_determinant(rows))
+    denominator = abs(lc) ** (n * D) * abs(sum(q))  # Q(1) = -sum g^2
+    tau, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise GraphSpecError(f"resultant of {spec} is not divisible by {denominator}")
+    return tau
+
+
+def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    columns = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in x]
+
+
+def _plus_identity(x: list[list[int]], c: int) -> list[list[int]]:
+    return [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x)]
+
+
+def _block_laplacian(sides: Sequence[int]) -> list[list[int]]:
+    """Laplacian of the torus on ``sides``: the Kronecker sum of 2I - S - S^T.
+
+    S is the cyclic shift on Z/l, so a side 1 contributes 0 (its self loop
+    drops out) and a side 2 the doubled edge 2I - 2S.
+    """
+    x = [[0]]
+    for l in sides:
+        cycle = [[(2 if i == j else 0) - (j == (i + 1) % l) - (i == (j + 1) % l)
+                  for j in range(l)] for i in range(l)]
+        a = len(x)
+        x = [[(x[u][v] if i == j else 0) + (cycle[i][j] if u == v else 0)
+              for v in range(a) for j in range(l)]
+             for u in range(a) for i in range(l)]
+    return x
+
+
+def _torus_tree_count(spec: TorusSpec) -> int:
+    """tau = L det(f_L(L_A) + J) / a^2, with L the largest side.
+
+    L_A is the a x a Laplacian of the other sides (the A-block).  By the
+    Chebyshev identity prod_k (x + 4 sin^2(pi k / L)) = 2 T_L(1 + x/2) - 2 =
+    f_L(x), the torus eigenvalues with A-block part mu multiply to f_L(mu);
+    f_L(0) = 0, the cycle alone gives L^2, and adding J (all ones) replaces
+    the zero mode of f_L(L_A) by a.  W_k = 2 T_k(1 + L_A / 2) obeys
+    W_{k+1} = (2I + L_A) W_k - W_{k-1}, evaluated by Lucas doubling.
+    """
+    sides = sorted(spec.sides)
+    L = sides.pop()
+    a = math.prod(sides)
+    step = _plus_identity(_block_laplacian(sides), 2)
+    w, w_next = _plus_identity([[0] * a for _ in range(a)], 2), step
+    for bit in bin(L)[2:]:
+        # (W_k, W_{k+1}) -> (W_{2k}, W_{2k+1}) or (W_{2k+1}, W_{2k+2})
+        cross = [[u - s for u, s in zip(urow, srow)]
+                 for urow, srow in zip(_matmul(w, w_next), step)]
+        if bit == "1":
+            w, w_next = cross, _plus_identity(_matmul(w_next, w_next), -2)
+        else:
+            w, w_next = _plus_identity(_matmul(w, w), -2), cross
+    f_plus_j = [[v + 1 for v in row] for row in _plus_identity(w, -2)]
+    tau, remainder = divmod(L * _bareiss_determinant(f_plus_j), a * a)
+    if remainder:
+        raise GraphSpecError(f"determinant of {spec} is not divisible by {a * a}")
+    return tau
 
 
 def _is_connected(spec: GraphSpec) -> bool:
@@ -366,14 +439,22 @@ def _is_connected(spec: GraphSpec) -> bool:
 
 def spanning_tree_count_exact(spec: GraphSpec,
                               cap: int = DEFAULT_DETERMINANT_CAP) -> TreeCount:
-    """Matrix-tree count: determinant of the Laplacian with vertex 0 deleted.
+    """Matrix-tree count, exact over arbitrary-precision integers.
 
-    Exact over arbitrary-precision integers.  Vertex 0 is always the deleted
-    one (the value is deletion-invariant; determinism is the point).
+    A circulant is counted from the resultant of its symbol polynomial with
+    z^n - 1, a torus from a Chebyshev polynomial of the Laplacian of all but
+    its largest side; no V x V matrix is formed.  Raises GraphSpecError for a
+    disconnected graph and EnumerationCapError above ``cap`` vertices.
     """
     if not _is_connected(spec):
         raise GraphSpecError(f"graph {spec} is disconnected")
-    det = _reduced_laplacian_det(spec, delete=0, cap=cap)
-    if det <= 0:
-        raise GraphSpecError(f"reduced Laplacian determinant {det} is not positive")
-    return TreeCount(value=det)
+    total = spec.vertex_count
+    if total > cap:
+        raise EnumerationCapError(f"{total} vertices exceed the tree-count cap {cap}")
+    if isinstance(spec, CirculantSpec):
+        tau = _circulant_tree_count(spec)
+    else:
+        tau = _torus_tree_count(spec)
+    if tau <= 0:
+        raise GraphSpecError(f"tree count {tau} of {spec} is not positive")
+    return TreeCount(value=tau)

@@ -22,7 +22,12 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .graphs import CirculantSpec, spanning_tree_count_exact
+from .graphs import (
+    CirculantSpec,
+    _deflate_once_at_one,
+    _symbol_poly,
+    spanning_tree_count_exact,
+)
 
 __all__ = [
     "lead_term_circulant_hp",
@@ -36,29 +41,6 @@ __all__ = [
     "ConjectureVerdict",
     "verify_conjecture",
 ]
-
-
-def _symbol_poly(gens: Sequence[int]) -> list[int]:
-    """Integer coefficients (highest degree first) of z^g (2d - sum (z^g_i + z^-g_i))."""
-    gens = tuple(int(g) for g in gens)
-    g_max = max(gens)
-    coeffs = [0] * (2 * g_max + 1)
-    coeffs[g_max] = 2 * len(gens)
-    for g in gens:
-        coeffs[g_max + g] -= 1
-        coeffs[g_max - g] -= 1
-    return coeffs[::-1]
-
-
-def _deflate_once_at_one(coeffs: list[int]) -> list[int]:
-    """Exact synthetic division by (z - 1); the remainder must vanish."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1])
-    remainder = coeffs[-1] + out[-1]
-    if remainder != 0:
-        raise ValueError(f"(z-1) is not a factor; remainder {remainder}")
-    return out
 
 
 def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:

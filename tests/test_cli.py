@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
 from spantor import cli
 from spantor.cli import estimate_alpha
+
+from oracles import fibonacci
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -34,6 +37,22 @@ def test_count_circulant(capsys):
     assert rc == 0 and out.strip() == "1183"
     rc, out = run_cli(capsys, "count", "--circulant", "4", "1")
     assert rc == 0 and out.strip() == "4"
+
+
+def test_count_circulant_with_100000_vertices(capsys):
+    # the count has 41802 digits, past str()'s default 4300-digit limit
+    n = 100_000
+    t0 = time.perf_counter()
+    rc, out = run_cli(capsys, "count", "--circulant", str(n), "1,2")
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert elapsed < 2.0
+    digits = out.strip()
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == n * fibonacci(n) ** 2
 
 
 def test_count_torus(capsys):

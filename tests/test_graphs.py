@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spantor import graphs
 from spantor.graphs import (
     CirculantSpec,
     TorusSpec,
@@ -14,11 +17,16 @@ from spantor.graphs import (
     spanning_tree_count_exact,
     log_det_star,
     circulant_to_lattice,
-    laplacian_matrix,
-    _reduced_laplacian_det,
 )
 
-from oracles import fibonacci, brute_force_tree_count, dense_spectrum, quotient_graph_spectrum
+from oracles import (
+    brute_force_tree_count,
+    dense_spectrum,
+    dense_tree_count,
+    fibonacci,
+    laplacian_matrix,
+    quotient_graph_spectrum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +138,139 @@ def test_fibonacci_law():
             == n * fibonacci(n) ** 2
 
 
+@pytest.mark.parametrize("n", [10**4, 10**5])
+def test_fibonacci_law_large(n):
+    assert spanning_tree_count_exact(CirculantSpec(n, (1, 2)), cap=n).value \
+        == n * fibonacci(n) ** 2
+
+
 @pytest.mark.parametrize("spec", [
     CirculantSpec(60, (1, 2)),
     CirculantSpec(101, (1, 3)),
     TorusSpec((7, 9)),
     TorusSpec((2, 3, 5)),
+    CirculantSpec(10**4, (1, 3)),
+    TorusSpec((7, 50)),
 ])
 def test_matrix_tree_consistency(spec):
     if isinstance(spec, CirculantSpec):
         sp = circulant_spectrum(spec)
     else:
         sp = torus_spectrum(spec)
-    tau = spanning_tree_count_exact(spec).value
+    tau = spanning_tree_count_exact(spec, cap=spec.vertex_count).value
     ratio = math.exp(log_det_star(sp) - math.log(tau)) / spec.vertex_count
     assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
+def test_duplicate_largest_generator():
+    # the deflated symbol polynomial has leading coefficient -2 or -3: not monic
+    for gens in [(1, 2, 2), (1, 3, 3), (1, 2, 2, 2), (1, 1, 3, 3)]:
+        for n in range(max(gens) + 1, 26):
+            spec = CirculantSpec(n, gens)
+            assert spanning_tree_count_exact(spec).value == dense_tree_count(spec), (n, gens)
+
+
+def test_doubled_cycle():
+    # Gamma = (1, 1): the deflated symbol polynomial is the constant -2 (degree 0)
+    for n in list(range(3, 20)) + [1000]:
+        assert spanning_tree_count_exact(CirculantSpec(n, (1, 1))).value == n * 2 ** (n - 1)
+    for n in range(3, 12):
+        assert dense_tree_count(CirculantSpec(n, (1, 1))) == n * 2 ** (n - 1)
+
+
+def test_half_turn_generator():
+    # g = n/2 reaches the opposite vertex from both sides: a doubled edge
+    for n in range(4, 31, 2):
+        for gens in [(1, n // 2), (1, 2, n // 2)]:
+            spec = CirculantSpec(n, gens)
+            assert spanning_tree_count_exact(spec).value == dense_tree_count(spec), (n, gens)
+
+
+def test_mirrored_generators():
+    for n in range(5, 25):
+        for g in range(n // 2 + 1, n):
+            spec = CirculantSpec(n, (1, g))
+            tau = spanning_tree_count_exact(spec).value
+            assert tau == dense_tree_count(spec), (n, g)
+            assert tau == spanning_tree_count_exact(CirculantSpec(n, (1, n - g))).value
+
+
+def _unvalidated_circulant(n, gens):
+    """A CirculantSpec that skips validation, which rejects generator sets without 1."""
+    spec = object.__new__(CirculantSpec)
+    object.__setattr__(spec, "n", n)
+    object.__setattr__(spec, "generators", tuple(gens))
+    return spec
+
+
+def test_disconnected_circulant_raises_before_algebra(monkeypatch):
+    def no_algebra(*args):
+        raise AssertionError("algebra ran on a disconnected graph")
+
+    monkeypatch.setattr(graphs, "_symbol_poly", no_algebra)
+    monkeypatch.setattr(graphs, "_circulant_tree_count", no_algebra)
+    for n, gens in [(6, (2, 4)), (9, (3,)), (10**6, (2, 6, 10))]:
+        with pytest.raises(GraphSpecError, match="disconnected"):
+            spanning_tree_count_exact(_unvalidated_circulant(n, gens), cap=n)
+
+
+def test_torus_sides_one_and_two_in_any_order():
+    for sides in [(1, 2, 3), (2, 2, 2), (1, 1, 5), (2, 1, 7), (3, 13, 3), (2, 9), (1, 6, 2)]:
+        counts = {spanning_tree_count_exact(TorusSpec(order)).value
+                  for order in set(itertools.permutations(sides))}
+        assert counts == {dense_tree_count(TorusSpec(sides))}, sides
+
+
+def test_single_vertex_torus():
+    for sides in [(1,), (1, 1), (1, 1, 1)]:
+        assert spanning_tree_count_exact(TorusSpec(sides)).value == 1
+
+
+@st.composite
+def _circulants(draw):
+    n = draw(st.integers(3, 60))
+    extra = draw(st.lists(st.integers(1, n - 1), max_size=3))
+    return CirculantSpec(n, (1,) + tuple(sorted(extra)))
+
+
+@st.composite
+def _tori(draw):
+    sides = []
+    while len(sides) < 4 and (not sides or draw(st.booleans())):
+        sides.append(draw(st.integers(1, min(8, 200 // math.prod(sides)))))
+    return TorusSpec(tuple(sides))
+
+
+@st.composite
+def _disconnected_circulants(draw):
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 60 // m))
+    gens = draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=4))
+    return _unvalidated_circulant(m * k, sorted(m * g for g in gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circulants())
+def test_circulant_count_matches_dense_oracle(spec):
+    assert spanning_tree_count_exact(spec).value == dense_tree_count(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tori())
+def test_torus_count_matches_dense_oracle(spec):
+    assert spanning_tree_count_exact(spec).value == dense_tree_count(spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_disconnected_circulants())
+def test_disconnected_draws_raise(spec):
+    with pytest.raises(GraphSpecError):
+        spanning_tree_count_exact(spec)
+
+
 def test_deletion_invariance():
     spec = CirculantSpec(9, (1, 3))
-    dets = {_reduced_laplacian_det(spec, delete=k) for k in range(9)}
+    dets = {dense_tree_count(spec, delete=k) for k in range(9)}
     assert len(dets) == 1
 
 
