@@ -198,7 +198,7 @@ def _an_value(rule: str, const: int, n: int) -> int:
 
 def _compare_row_circulant(n, gens, args) -> dict:
     params = "gens=" + ",".join(str(g) for g in gens)
-    vertices = n
+    spec = CirculantSpec(n, gens)
     if args.precision:
         dps = args.precision
         lead = hp.lead_term_circulant_hp(gens, dps)
@@ -216,7 +216,7 @@ def _compare_row_circulant(n, gens, args) -> dict:
                "predicted_log_det": rep.predicted_log_det,
                "residual": rep.residual}
     row.update(family="circulant", n=n, params=params)
-    row["tree_count"] = _tree_count_or_blank(CirculantSpec(n, gens), vertices, args)
+    row["tree_count"] = _tree_count_or_blank(spec, n, args)
     return row
 
 
@@ -228,12 +228,18 @@ def _compare_row_torus_constant(n, alpha, beta, args) -> dict:
     if args.precision:
         if len(beta) != 1:
             raise UsageError("--precision supports torus-constant only with one growing side")
-        dps = args.precision
-        residual = hp.torus_constant_residual_hp(n, alpha, beta, dps)
-        exact = hp.log_det_star_torus_hp(tuple(alpha) + (beta[0] * n,), dps)
-        row = {"exact_log_det": float(exact),
-               "predicted_log_det": float(exact - residual),
-               "residual": float(residual)}
+        # the same precisions as torus_constant_residual_hp, with the log
+        # det* evaluated once and only within the vertex cap
+        dps = args.precision + 10
+        predicted = hp.torus_constant_predicted_hp(n, alpha, beta, dps)
+        exact = residual = None
+        if vertices <= args.max_vertices:
+            exact = hp.log_det_star_torus_hp(tuple(alpha) + (beta[0] * n,), dps)
+            with mp.workdps(dps):
+                residual = exact - predicted
+        row = {"exact_log_det": None if exact is None else float(exact),
+               "predicted_log_det": float(predicted),
+               "residual": None if residual is None else float(residual)}
     else:
         rep = predict_torus_constant(n, alpha, beta, cap=args.max_vertices, tol=args.tol)
         row = {"exact_log_det": rep.exact_log_det,
@@ -292,7 +298,9 @@ def cmd_compare(args, sink, out) -> int:
             build = lambda n: _compare_row_torus_sublinear(
                 n, alpha, beta, args.an_rule, args.an_value, args)
 
-    if args.jobs > 1:
+    # mpmath's working precision is one process-wide setting that every
+    # workdps block sets and restores, so --precision rows run one at a time
+    if args.jobs > 1 and not args.precision:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(build, ns))
     else:

@@ -10,14 +10,23 @@ polynomial z^g (2d - sum_gamma (z^gamma + z^-gamma)): by Jensen's formula
 that equals log 4 + int_0^1 log(sum_gamma sin^2(pi gamma w)) dw, so it is the
 same closed-form route the float module integrates, but computable to any
 precision from polynomial roots after exact deflation of the double root at
-z = 1.  A tanh-sinh evaluation of the log-sin integral is provided as an
-independent cross-check route.
+z = 1.  It is cached per (generators, dps), since every row of a table and
+every n of a residual sweep shares it.
+
+log det* is the log of the product of the nonzero Laplacian eigenvalues.  Each
+eigenvalue is a sum of sin^2 values that are symmetric under k -> l - k, so
+only half the spectrum is evaluated, from a half table of sin^2(pi k / l),
+with mirrored eigenvalues counted by multiplicity.  The eigenvalues are
+multiplied into one mpf, whose exponent cannot overflow, and a single log is
+taken at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
@@ -31,10 +40,10 @@ from .graphs import (
 
 __all__ = [
     "lead_term_circulant_hp",
-    "lead_term_circulant_hp_quad",
     "log_det_star_circulant_hp",
     "log_det_star_torus_hp",
     "circulant_residual_hp",
+    "torus_constant_predicted_hp",
     "torus_constant_residual_hp",
     "conjecture_tau_hp",
     "conjecture_surd_identities",
@@ -48,8 +57,14 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
 
     The symbol polynomial has a double root at z = 1 (removed exactly) and no
     other unit-circle roots for a generator set containing 1; its leading
-    coefficient is minus the multiplicity of the largest generator.
+    coefficient is minus the multiplicity of the largest generator.  The value
+    is cached per (generators, dps), since every row of a table shares it.
     """
+    return _lead_term_circulant_hp_cached(tuple(int(g) for g in gens), int(dps))
+
+
+@lru_cache(maxsize=None)
+def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
     coeffs = _deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens)))
     with mp.workdps(dps + 20):
         roots = mp.polyroots([mp.mpf(c) for c in coeffs],
@@ -64,54 +79,60 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
         return +total
 
 
-def lead_term_circulant_hp_quad(gens: Sequence[int], dps: int) -> mp.mpf:
-    """Cross-check route: tanh-sinh quadrature of log 4 + int_0^1 log(sum sin^2).
+def _sin2_half_table(l: int) -> list:
+    """sin^2(pi k / l) for k = 0..floor(l/2) at the working precision.
 
-    The integration is split at the oscillation scale of the largest
-    generator so each panel is free of interior structure; the log endpoint
-    singularities sit at panel boundaries where tanh-sinh converges
-    exponentially.
+    sin^2(pi k / l) = sin^2(pi (l - k) / l), so index min(k, l - k) of this
+    table covers every residue k mod l.
     """
-    gens = tuple(int(g) for g in gens)
-    with mp.workdps(dps + 10):
-        def integrand(w):
-            return mp.log(mp.fsum(mp.sinpi(g * w) ** 2 for g in gens))
-
-        g_max = max(gens)
-        points = [mp.mpf(j) / (2 * g_max) for j in range(2 * g_max + 1)]
-        val = mp.quad(integrand, points)
-        return +(mp.log(4) + val)
+    return [mp.sinpi(mp.mpf(k) / l) ** 2 for k in range(l // 2 + 1)]
 
 
 def log_det_star_circulant_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
-    """Sum of log(4 sum_g sin^2(pi g j / n)) over j = 1..n-1 at dps digits."""
+    """Sum of log(4 sum_g sin^2(pi g j / n)) over j = 1..n-1 at dps digits.
+
+    lambda_j = lambda_{n-j}, so only j = 1..floor(n/2) are evaluated and all
+    but j = n/2 count twice.  The eigenvalues are multiplied into one mpf,
+    whose exponent cannot overflow, the factor 4^(n-1) is applied as a binary
+    shift, and a single log is taken; the product's relative rounding error
+    is at most about n 2^-prec, the order of a sum of n - 1 rounded logs.
+    """
     gens = tuple(int(g) for g in gens)
     with mp.workdps(dps + 10):
-        total = mp.mpf(0)
-        for j in range(1, n):
-            lam = 4 * mp.fsum(mp.sinpi(mp.mpf((g * j) % n) / n) ** 2 for g in gens)
-            total += mp.log(lam)
-        return +total
+        sin2 = _sin2_half_table(n)
+        paired = single = mp.mpf(1)
+        for j in range(1, n // 2 + 1):
+            lam = mp.fsum(sin2[min(r, n - r)] for r in ((g * j) % n for g in gens))
+            if 2 * j == n:
+                single = lam
+            else:
+                paired *= lam
+        return +mp.log(mp.ldexp(paired * paired * single, 2 * (n - 1)))
 
 
 def log_det_star_torus_hp(sides: Sequence[int], dps: int) -> mp.mpf:
-    """Exact-spectrum log det* of the diagonal discrete torus at dps digits."""
+    """Exact-spectrum log det* of the diagonal discrete torus at dps digits.
+
+    A mode (k_1, ..., k_d) has eigenvalue 4 sum_i sin^2(pi k_i / l_i), which
+    depends on each k_i only through min(k_i, l_i - k_i).  The product runs
+    over those half-range modes, skipping the zero mode; a mode with e
+    coordinates strictly inside (0, l_i/2) stands for 2^e modes, so it goes
+    into the e-th partial product, which is raised to the power 2^e at the
+    end.  As for the circulant, one log is taken of the whole product.
+    """
     sides = tuple(int(s) for s in sides)
     with mp.workdps(dps + 10):
-        # per-side eigenvalue parts 4 sin^2(pi m / l)
-        parts = [[4 * mp.sinpi(mp.mpf(m) / l) ** 2 for m in range(l)] for l in sides]
-        total = mp.mpf(0)
-        idx = [0] * len(sides)
-        count = math.prod(sides)
-        for flat in range(count):
-            rest = flat
-            lam = mp.mpf(0)
-            for i in range(len(sides) - 1, -1, -1):
-                lam += parts[i][rest % sides[i]]
-                rest //= sides[i]
-            if flat != 0:
-                total += mp.log(lam)
-        return +total
+        halves = [[(s, int(0 < 2 * k < l)) for k, s in enumerate(_sin2_half_table(l))]
+                  for l in sides]
+        products = [mp.mpf(1)] * (len(sides) + 1)
+        modes = itertools.product(*halves)
+        next(modes)  # the zero mode
+        for mode in modes:
+            products[sum(e for _, e in mode)] *= mp.fsum(s for s, _ in mode)
+        total = mp.mpf(1)
+        for e, partial in enumerate(products):
+            total *= partial ** (2 ** e)
+        return +mp.log(mp.ldexp(total, 2 * (math.prod(sides) - 1)))
 
 
 def circulant_residual_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
@@ -124,9 +145,9 @@ def circulant_residual_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
         return +(logdet - n * lead - 2 * mp.log(n) + mp.log(c_gamma))
 
 
-def torus_constant_residual_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
-                               dps: int) -> mp.mpf:
-    """Asymptotic-law residual for diag(alpha, beta*n) with a single growing side.
+def torus_constant_predicted_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
+                                dps: int) -> mp.mpf:
+    """Predicted log det* of diag(alpha, beta*n) with a single growing side.
 
     Restricted to d-p = 1, where the per-mode lead integrals have the exact
     arccosh closed form and zeta'_{R/beta Z}(0) = -2 log beta.
@@ -136,14 +157,22 @@ def torus_constant_residual_hp(n: int, alpha: Sequence[int], beta: Sequence[int]
     if len(beta) != 1:
         raise ValueError("high-precision torus residual supports exactly one growing side")
     b = beta[0]
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps):
         lams = [mp.mpf(0)]
         for a in alpha:
             lams = [lam + 4 * mp.sinpi(mp.mpf(m) / a) ** 2
                     for lam in lams for m in range(a)]
         lead = n * b * mp.fsum(mp.acosh(1 + lam / 2) for lam in lams)
-        logdet = log_det_star_torus_hp(alpha + (b * n,), dps + 10)
-        predicted = lead + 2 * mp.log(n) + 2 * mp.log(b)
+        return +(lead + 2 * mp.log(n) + 2 * mp.log(b))
+
+
+def torus_constant_residual_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
+                               dps: int) -> mp.mpf:
+    """Asymptotic-law residual log det* - predicted for diag(alpha, beta*n)."""
+    predicted = torus_constant_predicted_hp(n, alpha, beta, dps + 10)
+    sides = tuple(int(a) for a in alpha) + (int(beta[0]) * n,)
+    with mp.workdps(dps + 10):
+        logdet = log_det_star_torus_hp(sides, dps + 10)
         return +(logdet - predicted)
 
 

@@ -111,6 +111,15 @@ def test_compare_jobs_deterministic(capsys):
     assert serial == parallel
 
 
+def test_compare_precision_jobs_deterministic(capsys):
+    # threads would share mpmath's process-wide working precision
+    args = ("--no-header", "compare", "--family", "circulant", "--gens", "1,2,5",
+            "--n", "100,200,300,400,500,600,700,800", "--precision", "100")
+    _, serial = run_cli(capsys, *args)
+    _, parallel = run_cli(capsys, *args, "--jobs", "4")
+    assert serial == parallel
+
+
 def test_compare_csv_round_trip_exact(capsys):
     rc, out = run_cli(capsys, "--no-header", "compare", "--family", "torus-sublinear",
                       "--alpha", "1", "--beta", "1", "--an-rule", "floor_sqrt",
@@ -150,6 +159,42 @@ def test_compare_exact_unavailable_above_cap(capsys):
     row = next(csv.reader(io.StringIO(out)))
     assert row[3] == "" and row[5] == ""
     assert float(row[4]) > 0
+
+
+def test_compare_precision_torus_blank_above_cap(capsys):
+    # V = 2 * 50 = 100 exceeds the cap of 60: no exact value, no residual,
+    # but the prediction is still printed
+    rc, out = run_cli(capsys, "--no-header", "compare", "--family", "torus-constant",
+                      "--alpha", "2", "--beta", "1", "--n", "50",
+                      "--max-vertices", "60", "--precision", "40")
+    assert rc == 0
+    row = next(csv.reader(io.StringIO(out)))
+    assert row[3] == "" and row[5] == "" and row[6] == ""
+    assert float(row[4]) == pytest.approx(95.961404712810591, rel=1e-15)
+
+
+def test_compare_precision_torus_filled_below_cap(capsys):
+    # V = 2 * 20 = 40 is within the cap; the residual is 2 log(1 - (3 + 2 sqrt 2)^-20)
+    rc, out = run_cli(capsys, "--no-header", "compare", "--family", "torus-constant",
+                      "--alpha", "2", "--beta", "1", "--n", "20",
+                      "--max-vertices", "60", "--precision", "40")
+    assert rc == 0
+    row = next(csv.reader(io.StringIO(out)))
+    exact, predicted, residual = float(row[3]), float(row[4]), float(row[5])
+    assert exact == pytest.approx(predicted + residual, rel=1e-15)
+    assert residual == pytest.approx(-2 * (3 + 2 * math.sqrt(2)) ** -20, rel=1e-12)
+    assert int(row[6]) > 0
+
+
+def test_compare_precision_rejects_invalid_generators(capsys):
+    # the --precision path reports a bad generator set as the float path does,
+    # before any high-precision evaluation
+    for extra in ((), ("--precision", "40")):
+        rc = cli.main(["compare", "--family", "circulant", "--gens", "2,4",
+                       "--n", "700", *extra])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "invalid graph specification: first generator must be 1, got 2\n"
 
 
 # ---------------------------------------------------------------------------

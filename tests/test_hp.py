@@ -1,11 +1,19 @@
-import math
+import itertools
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spantor import hp
 from spantor.asym import lead_term_circulant
 from spantor.graphs import CirculantSpec, TorusSpec, circulant_spectrum, torus_spectrum, log_det_star
+
+from oracles import lead_term_circulant_hp_quad, log_det_star_circulant_mp, log_det_star_torus_mp
+
+
+def _agrees(value, oracle, dps):
+    with mp.workdps(dps + 10):
+        return abs(value - oracle) <= mp.mpf(10) ** -dps * max(1, abs(oracle))
 
 
 def test_mahler_route_matches_tanh_sinh_route():
@@ -13,7 +21,7 @@ def test_mahler_route_matches_tanh_sinh_route():
     # polynomial's leading coefficient is -2 and contributes log 2
     for gens in ((1, 2), (1, 3), (1, 2, 3), (1, 2, 2), (1, 6, 6)):
         a = hp.lead_term_circulant_hp(gens, 60)
-        b = hp.lead_term_circulant_hp_quad(gens, 50)
+        b = lead_term_circulant_hp_quad(gens, 50)
         assert abs(a - b) < mp.mpf(10) ** -45
 
 
@@ -36,6 +44,84 @@ def test_hp_log_det_matches_float():
     sides = (2, 35)
     assert float(hp.log_det_star_torus_hp(sides, 40)) == pytest.approx(
         log_det_star(torus_spectrum(TorusSpec(sides))), rel=1e-13)
+
+
+@st.composite
+def _circulant_case(draw):
+    n = draw(st.integers(3, 200))
+    # 1 keeps the graph connected; the others may repeat or lie past n/2
+    gens = (1,) + tuple(draw(st.lists(st.integers(1, n - 1), max_size=3)))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_circulant_case(), st.integers(15, 80))
+def test_circulant_log_det_matches_oracle(case, dps):
+    n, gens = case
+    assert _agrees(hp.log_det_star_circulant_hp(n, gens, dps),
+                   log_det_star_circulant_mp(n, gens, dps), dps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(15, 80))
+def test_torus_log_det_matches_oracle(sides, dps):
+    assert _agrees(hp.log_det_star_torus_hp(sides, dps),
+                   log_det_star_torus_mp(sides, dps), dps)
+
+
+@pytest.mark.parametrize("n", [40, 41, 200, 201])
+def test_circulant_log_det_even_and_odd_n(n):
+    for gens in ((1,), (1, 2), (1, 3, 7)):
+        assert _agrees(hp.log_det_star_circulant_hp(n, gens, 60),
+                       log_det_star_circulant_mp(n, gens, 60), 60)
+
+
+def test_circulant_log_det_half_step():
+    # g = n/2 is a doubled edge, and j = n/2 is the one unmirrored eigenvalue
+    for n, gens in ((20, (1, 10)), (4, (1, 2)), (2, (1,)), (30, (1, 15, 15))):
+        assert _agrees(hp.log_det_star_circulant_hp(n, gens, 50),
+                       log_det_star_circulant_mp(n, gens, 50), 50)
+    with mp.workdps(40):
+        assert abs(hp.log_det_star_circulant_hp(2, (1,), 30) - mp.log(4)) < mp.mpf(10) ** -30
+
+
+def test_circulant_log_det_mirrored_generators():
+    # g and n - g are the same step
+    for n, gens, mirrored in ((20, (1, 3), (1, 17)), (31, (1, 4, 9), (1, 27, 22))):
+        a = hp.log_det_star_circulant_hp(n, gens, 50)
+        b = hp.log_det_star_circulant_hp(n, mirrored, 50)
+        assert abs(a - b) < mp.mpf(10) ** -50
+        assert _agrees(b, log_det_star_circulant_mp(n, mirrored, 50), 50)
+
+
+def test_torus_log_det_sides_one_and_two_in_every_position():
+    oracle = log_det_star_torus_mp((1, 2, 5), 50)
+    for sides in itertools.permutations((1, 2, 5)):
+        assert _agrees(hp.log_det_star_torus_hp(sides, 50), oracle, 50)
+    for sides in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (1, 1, 4), (1, 4, 1), (4, 1, 1)):
+        assert _agrees(hp.log_det_star_torus_hp(sides, 50),
+                       log_det_star_torus_mp(sides, 50), 50)
+
+
+def test_torus_log_det_largest_side_not_last():
+    for sides in ((7, 3), (3, 7, 2), (9, 4, 5)):
+        assert _agrees(hp.log_det_star_torus_hp(sides, 50),
+                       log_det_star_torus_mp(sides, 50), 50)
+
+
+def test_torus_log_det_two_vertices():
+    # V = 2: the one nonzero eigenvalue is 4
+    with mp.workdps(40):
+        for sides in ((2,), (1, 2), (2, 1, 1)):
+            assert abs(hp.log_det_star_torus_hp(sides, 30) - mp.log(4)) < mp.mpf(10) ** -30
+        assert hp.log_det_star_torus_hp((1, 1), 30) == 0
+
+
+def test_lead_term_cached_per_generators_and_precision():
+    hp.lead_term_circulant_hp((1, 4), 45)
+    before = hp._lead_term_circulant_hp_cached.cache_info().hits
+    assert hp.lead_term_circulant_hp([1, 4], 45) == hp.lead_term_circulant_hp((1, 4), 45)
+    assert hp._lead_term_circulant_hp_cached.cache_info().hits == before + 2
 
 
 def test_circulant_residual_magnitudes():
