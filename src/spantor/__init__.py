@@ -36,7 +36,6 @@ from .quadrature import (
     QuadratureError,
     IntegralResult,
     integrate_mellin,
-    integrate_periodic,
     integrate_log_endpoint,
 )
 from .asym import (

@@ -1,10 +1,19 @@
-"""Lead-term integrals, Epstein zeta values and the asymptotic predictors.
+"""Lead terms, Epstein zeta values and the asymptotic predictors.
 
-The per-vertex growth constant of a circulant spanning-tree count is computed
-by two independent numerical routes that must agree:
+The per-vertex growth constant I of a circulant spanning-tree count is the
+Mahler measure of the symbol polynomial z^g (2d - sum_g (z^g + z^-g)): with
+the double root at z = 1 divided out exactly, I = log|lc| + sum log|rho| over
+the roots rho outside the unit circle.  The roots come from numpy, and the
+value carries an a-posteriori error bound from the residual of each root.
+By Jensen's formula the same constant is
 
-  (a) the Mellin integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t,
-  (b) log 4 + int_0^1 log(sin^2(pi w) + sum_i sin^2(pi g_i w)) dw.
+  log 4 + int_0^1 log(sin^2(pi w) + sum_i sin^2(pi g_i w)) dw,
+
+and that quadrature runs as a millisecond runtime guard: a disagreement
+beyond both error estimates raises AsymError.  The paper's Mellin-Bessel
+integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t, a third
+route to the same constant, lives in the tests as an oracle.  The
+high-precision lead term (spantor.hp) refines the same roots by Newton steps.
 
 Torus lead terms reduce to powers of the ordinary scaled Bessel function, and
 for a single growing side to the arccosh closed form.  The regularized
@@ -16,6 +25,7 @@ regime come from a direct lattice sum with a certified sandwich tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +40,8 @@ from .graphs import (
     circulant_spectrum,
     torus_spectrum,
     log_det_star,
+    _deflate_once_at_one,
+    _symbol_poly,
 )
 from .quadrature import (
     QuadratureConfig,
@@ -41,7 +53,6 @@ from .quadrature import (
 from .specfun import (
     EULER_GAMMA,
     bessel_i_scaled,
-    bessel_multi_scaled,
     theta_real_torus,
     theta_real_torus_minus_leading,
 )
@@ -52,7 +63,7 @@ __all__ = [
     "EpsteinValue",
     "AsymptoticReport",
     "MELLIN_BESSEL",
-    "LOG_SIN_CLOSED_FORM",
+    "MAHLER_ROOTS",
     "ARCCOSH_CLOSED_FORM",
     "arccosh_lead",
     "lead_term_circulant",
@@ -71,7 +82,7 @@ class AsymError(ValueError):
 
 
 MELLIN_BESSEL = "mellin_bessel"
-LOG_SIN_CLOSED_FORM = "log_sin_closed_form"
+MAHLER_ROOTS = "mahler_roots"
 ARCCOSH_CLOSED_FORM = "arccosh_closed_form"
 
 
@@ -148,49 +159,83 @@ def arccosh_lead(x: float) -> float:
     return math.acosh(0.5 * x)
 
 
+@dataclass(frozen=True)
+class SymbolRoots:
+    """Roots of the deflated symbol polynomial Q and the Mahler measure they give.
+
+    ``coeffs`` are Q's integer coefficients, highest degree first; ``outside``
+    holds the D/2 roots with |rho| > 1, as numpy complex values.
+    """
+
+    coeffs: tuple[int, ...]
+    outside: np.ndarray
+    value: float
+    error_estimate: float
+
+
+@lru_cache(maxsize=None)
+def _symbol_roots(gens: tuple[int, ...]) -> SymbolRoots:
+    """Mahler measure log|lc| + sum_{|rho| > 1} log|rho| of Q from numpy roots.
+
+    Q = symbol / (z - 1)^2 is palindromic with no root on the unit circle, so
+    its D roots pair as rho, 1/rho and exactly D/2 lie outside.  A Newton
+    step |Q(rho)| / |Q'(rho)| bounds each root's error, with |Q(rho)| widened
+    by the rounding bound 2D eps Q~(|rho|) of its evaluation (Q~ has the
+    absolute coefficients); log|rho| moves by that over |rho|.  A root within
+    its own bound of the circle could be on either side, and raises.
+    """
+    coeffs = tuple(_deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens))))
+    degree = len(coeffs) - 1
+    eps = sys.float_info.epsilon
+    q = np.array(coeffs, dtype=float)
+    roots = np.roots(q)
+    radii = np.abs(roots)
+    shift = ((np.abs(np.polyval(q, roots)) + 2 * degree * eps * np.polyval(np.abs(q), radii))
+             / np.abs(np.polyval(np.polyder(q), roots)))
+    outside = radii > 1.0
+    if np.any(np.abs(radii - 1.0) <= shift) or 2 * np.count_nonzero(outside) != degree:
+        raise AsymError(f"roots of the symbol of {gens} do not pair across the unit "
+                        f"circle: {np.count_nonzero(outside)} of {degree} outside")
+    value = math.log(abs(coeffs[0])) + math.fsum(np.log(radii[outside]))
+    error = math.fsum(shift[outside] / radii[outside]) + 4 * eps * abs(value)
+    return SymbolRoots(coeffs=coeffs, outside=roots[outside], value=value,
+                       error_estimate=error)
+
+
 @lru_cache(maxsize=None)
 def _lead_term_circulant_cached(gens: tuple[int, ...], tol: float) -> LeadTerm:
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
-
-    def integrand(t: float) -> float:
-        return math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t)
-
-    route_a = integrate_mellin(integrand, cfg)
+    roots = _symbol_roots(gens)
 
     def log_sin(w: float) -> float:
         return math.log(math.fsum(math.sin(math.pi * g * w) ** 2 for g in gens))
 
-    route_b_int = integrate_log_endpoint(log_sin, tol=tol)
-    route_b = math.log(4.0) + route_b_int.value
-
-    combined = route_a.error_estimate + route_b_int.error_estimate + 50 * tol
-    if abs(route_a.value - route_b) > combined:
+    guard = integrate_log_endpoint(log_sin, tol=tol)
+    log_sin_value = math.log(4.0) + guard.value
+    allowed = roots.error_estimate + guard.error_estimate + 50 * tol
+    if abs(roots.value - log_sin_value) > allowed:
         raise AsymError(
             f"lead-term routes disagree for {gens}: "
-            f"mellin {route_a.value!r} vs log-sin {route_b!r} "
-            f"(allowed {combined:.2e})"
+            f"roots {roots.value!r} vs log-sin {log_sin_value!r} "
+            f"(allowed {allowed:.2e})"
         )
     if gens == (1,):
-        # the cycle lead term is arccosh(1) = 0 exactly; both quadrature
-        # routes stay as cross-checks of the numerics
-        if abs(route_b) > combined:
-            raise AsymError(f"d=1 lead term should vanish, got {route_b!r}")
+        # the cycle lead term is arccosh(1) = 0 exactly
         return LeadTerm(value=0.0, method=ARCCOSH_CLOSED_FORM,
-                        error_estimate=1e-16, cross_check=route_a.value)
+                        error_estimate=1e-16, cross_check=log_sin_value)
     return LeadTerm(
-        value=route_b,
-        method=LOG_SIN_CLOSED_FORM,
-        error_estimate=route_b_int.error_estimate,
-        cross_check=route_a.value,
+        value=roots.value,
+        method=MAHLER_ROOTS,
+        error_estimate=roots.error_estimate,
+        cross_check=log_sin_value,
     )
 
 
 def lead_term_circulant(generators: Sequence[int], tol: float = 1e-10) -> LeadTerm:
-    """Growth constant I_d^Gamma computed by both quadrature routes.
+    """Growth constant I_d^Gamma as the Mahler measure of the symbol polynomial.
 
-    Returns the log-sin closed-form route value with the Mellin-Bessel route
-    recorded as cross_check; a disagreement beyond the combined error
-    estimates raises AsymError.
+    The value comes from numpy roots with its computed error bound; the
+    log-sin quadrature at ``tol`` is recorded as cross_check, and a
+    disagreement beyond the two error estimates plus 50 tol raises AsymError.
     """
     gens = tuple(int(g) for g in generators)
     if not gens or gens[0] != 1 or any(g < 1 for g in gens) or list(gens) != sorted(gens):

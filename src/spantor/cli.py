@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -298,13 +297,7 @@ def cmd_compare(args, sink, out) -> int:
             build = lambda n: _compare_row_torus_sublinear(
                 n, alpha, beta, args.an_rule, args.an_value, args)
 
-    # mpmath's working precision is one process-wide setting that every
-    # workdps block sets and restores, so --precision rows run one at a time
-    if args.jobs > 1 and not args.precision:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(build, ns))
-    else:
-        rows = [build(n) for n in ns]
+    rows = [build(n) for n in ns]
     rows.sort(key=lambda r: r["n"])
     sink.emit(["family", "n", "params", "exact_log_det", "predicted_log_det",
                "residual", "tree_count"], rows, out)
@@ -485,8 +478,6 @@ def build_parser() -> _Parser:
                         help="target tolerance for quadrature-backed values")
     common.add_argument("--precision", type=int, metavar="DIGITS",
                         help="decimal digits for high-precision paths (0 = float64)")
-    common.add_argument("--jobs", type=int, metavar="K",
-                        help="parallel workers for table rows")
     common.add_argument("--max-vertices", type=int,
                         help="cap on enumerated eigenvalues / dense matrices")
     common.add_argument("--no-header", action="store_true",
@@ -549,7 +540,6 @@ _GLOBAL_DEFAULTS = {
     "format": "csv",
     "tol": 1e-10,
     "precision": 0,
-    "jobs": 1,
     "max_vertices": DEFAULT_EIGENVALUE_CAP,
     "no_header": False,
 }

@@ -5,13 +5,15 @@ The true residuals of the circulant and torus asymptotic laws decay exponentiall
 float64 can resolve, so convergence checks and the conjecture verdict
 run here at adaptive mpmath precision.
 
-The circulant lead term is evaluated as the Mahler measure of the symbol
-polynomial z^g (2d - sum_gamma (z^gamma + z^-gamma)): by Jensen's formula
-that equals log 4 + int_0^1 log(sum_gamma sin^2(pi gamma w)) dw, so it is the
-same closed-form route the float module integrates, but computable to any
-precision from polynomial roots after exact deflation of the double root at
-z = 1.  It is cached per (generators, dps), since every row of a table and
-every n of a residual sweep shares it.
+The circulant lead term is the Mahler measure of the symbol polynomial
+z^g (2d - sum_gamma (z^gamma + z^-gamma)) with its double root at z = 1
+divided out: log|lc| plus the sum of log|rho| over the roots outside the unit
+circle.  The float lead term (spantor.asym) finds those roots with numpy;
+here each is refined by Newton steps at the working precision, so one root
+routine serves every precision.  The refined value must agree with the float
+one within the float's computed error, which catches two starts that
+converged onto one root.  It is cached per (generators, dps), since every row
+of a table and every n of a residual sweep shares it.
 
 log det* is the log of the product of the nonzero Laplacian eigenvalues.  Each
 eigenvalue is a sum of sin^2 values that are symmetric under k -> l - k, so
@@ -31,12 +33,8 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .graphs import (
-    CirculantSpec,
-    _deflate_once_at_one,
-    _symbol_poly,
-    spanning_tree_count_exact,
-)
+from .asym import AsymError, _symbol_roots
+from .graphs import CirculantSpec, spanning_tree_count_exact
 
 __all__ = [
     "lead_term_circulant_hp",
@@ -63,19 +61,33 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
     return _lead_term_circulant_hp_cached(tuple(int(g) for g in gens), int(dps))
 
 
+# Newton iterations allowed per root; from a float start a simple root needs
+# about log2(dps / 15) + 2
+_NEWTON_STEPS = 100
+
+
 @lru_cache(maxsize=None)
 def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
-    coeffs = _deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens)))
+    roots = _symbol_roots(gens)
     with mp.workdps(dps + 20):
-        roots = mp.polyroots([mp.mpf(c) for c in coeffs],
-                             maxsteps=200, extraprec=4 * dps)
-        total = mp.log(abs(mp.mpf(coeffs[0])))
-        for rho in roots:
-            m = abs(rho)
-            if abs(m - 1) < mp.mpf(10) ** (-dps // 2):
-                raise ValueError(f"unexpected near-unit root {rho} for {gens}")
-            if m > 1:
-                total += mp.log(m)
+        coeffs = [mp.mpf(c) for c in roots.coeffs]
+        target = mp.mpf(10) ** -(dps + 10)
+        total = mp.log(abs(coeffs[0]))
+        for start in roots.outside:
+            rho = mp.mpc(complex(start))
+            for _ in range(_NEWTON_STEPS):
+                value, slope = mp.polyval(coeffs, rho, derivative=True)
+                step = value / slope
+                rho -= step
+                if abs(step) <= target * abs(rho):
+                    break
+            else:
+                raise AsymError(f"Newton steps from {start} did not converge for {gens}")
+            total += mp.log(abs(rho))
+        if abs(total - roots.value) > roots.error_estimate:
+            raise AsymError(f"refined lead term {mp.nstr(total, 20)} of {gens} is off the "
+                            f"float value {roots.value!r} by more than its error "
+                            f"{roots.error_estimate:.2e}")
         return +total
 
 

@@ -1,14 +1,12 @@
-"""Adaptive quadrature for the Mellin-style and periodic integrals of the asymptotics.
+"""Adaptive quadrature for the Mellin-style and log-endpoint integrals of the asymptotics.
 
-Three entry points:
+Two entry points:
 
 * integrate_mellin    -- improper integrals int_0^inf g(t) dt/t.  The substitution
   t = e^u turns dt/t into du and the integrand into a function on the whole real
   axis; unit panels in u are integrated by nested Gauss-Legendre rules and the
   axis is extended in both directions until the panel contributions certify
   geometric decay.
-* integrate_periodic  -- normalized means (1/2pi) int_{-pi}^{pi} f of smooth
-  2pi-periodic integrands; trapezoid with doubling (spectral accuracy).
 * integrate_log_endpoint -- int_0^1 h with at most logarithmic endpoint
   singularities; dyadic panels drilling into both endpoints.
 
@@ -29,7 +27,6 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "integrate_mellin",
-    "integrate_periodic",
     "integrate_log_endpoint",
 ]
 
@@ -208,45 +205,6 @@ def integrate_mellin_head(g: Callable[[float], float], hi: float,
     value, err, _ = _extend_axis(F, math.log(hi), -1, 0.02 * cfg.abs_tol,
                                  0.05 * cfg.abs_tol, 200, cfg.max_subdivisions)
     return IntegralResult(value, err, counter.count)
-
-
-def integrate_periodic(f: Callable[[float], float], tol: float = 1e-12,
-                       max_points: int = 1 << 20) -> IntegralResult:
-    """(1/2pi) int_{-pi}^{pi} f(w) dw by trapezoid doubling.
-
-    For smooth 2pi-periodic f the trapezoid rule converges spectrally; the
-    doubling stops when two successive levels agree to tol (relative, with an
-    absolute floor).
-    """
-    n = 16
-    h = 2.0 * math.pi / n
-    samples = [f(-math.pi + h * i) for i in range(n)]
-    mean = math.fsum(samples) / n
-    fmax = max((abs(v) for v in samples), default=0.0)
-    evals = n
-    stable = 0
-    while n < max_points:
-        samples = [f(-math.pi + h / 2 + h * i) for i in range(n)]
-        mid_mean = math.fsum(samples) / n
-        fmax = max(fmax, max((abs(v) for v in samples), default=0.0))
-        evals += n
-        new_mean = 0.5 * (mean + mid_mean)
-        diff = abs(new_mean - mean)
-        mean = new_mean
-        n *= 2
-        h *= 0.5
-        # tolerance is taken relative to the integrand scale, so exact
-        # cancellations (mean zero) still converge
-        if diff <= max(tol * max(abs(new_mean), fmax), 1e-300):
-            stable += 1
-            if stable >= 2:  # two consecutive agreeing doublings
-                return IntegralResult(mean, diff, evals)
-        else:
-            stable = 0
-    raise QuadratureError(
-        f"periodic trapezoid did not converge within {max_points} points",
-        partial=IntegralResult(mean, math.nan, evals),
-    )
 
 
 def integrate_log_endpoint(h: Callable[[float], float], tol: float = 1e-10,

@@ -5,19 +5,24 @@ enumerated edge subsets or dense matrix-tree determinants of a Laplacian
 assembled from an explicit edge list, spectra come from a dense symmetric
 eigensolver, high-precision log det* values sum one mpmath log per nonzero
 eigenvalue, the high-precision lead term is a tanh-sinh quadrature of the
-log-sin integral, Bessel values come from mpmath/scipy, and the
-circulant-lattice isomorphism is realized by explicit lattice reduction.
+log-sin integral or mpmath polyroots of a symbol polynomial built here, the
+float lead term is the paper's Mellin-Bessel integral, Bessel values come
+from mpmath/scipy, and the circulant-lattice isomorphism is realized by
+explicit lattice reduction.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
 from spantor.graphs import CirculantSpec
+from spantor.quadrature import IntegralResult, QuadratureConfig, QuadratureError, integrate_mellin
+from spantor.specfun import bessel_multi_scaled
 
 
 def fibonacci(n: int) -> int:
@@ -208,3 +213,79 @@ def lead_term_circulant_hp_quad(gens, dps: int) -> mp.mpf:
         points = [mp.mpf(j) / (2 * g_max) for j in range(2 * g_max + 1)]
         val = mp.quad(integrand, points)
         return +(mp.log(4) + val)
+
+
+def lead_term_circulant_mellin(gens, tol: float = 1e-10) -> IntegralResult:
+    """Lead term as the Mellin integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t)) dt/t.
+
+    This is the paper's Bessel route to the growth constant, independent of
+    the symbol polynomial's roots and of the log-sin integral.
+    """
+    gens = tuple(int(g) for g in gens)
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
+    return integrate_mellin(lambda t: math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t), cfg)
+
+
+def mahler_lead_mp(gens, dps: int) -> mp.mpf:
+    """Mahler measure of the symbol z^g (2d - sum (z^g + z^-g)) by mpmath polyroots.
+
+    The symbol is built from its definition as a Laurent polynomial, and its
+    double root at z = 1 is divided out by polynomial division, so nothing
+    here shares code with spantor's symbol helpers.
+    """
+    gens = tuple(int(g) for g in gens)
+    g_max = max(gens)
+    laurent = {0: 2 * len(gens)}
+    for g in gens:
+        for k in (g, -g):
+            laurent[k] = laurent.get(k, 0) - 1
+    symbol = [laurent.get(k, 0) for k in range(g_max, -g_max - 1, -1)]
+    quotient, remainder = np.polynomial.polynomial.polydiv(symbol[::-1], [1, -2, 1])
+    if np.any(remainder):
+        raise ArithmeticError(f"z = 1 is not a double root of the symbol of {gens}")
+    coeffs = [int(round(c)) for c in quotient[::-1]]
+    with mp.workdps(dps + 10):
+        total = mp.log(abs(coeffs[0]))
+        if len(coeffs) > 1:
+            roots = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * dps)
+            total += mp.fsum(mp.log(abs(r)) for r in roots if abs(r) > 1)
+        return +total
+
+
+def integrate_periodic(f: Callable[[float], float], tol: float = 1e-12,
+                       max_points: int = 1 << 20) -> IntegralResult:
+    """(1/2pi) int_{-pi}^{pi} f(w) dw by trapezoid doubling.
+
+    For smooth 2pi-periodic f the trapezoid rule converges spectrally; the
+    doubling stops when two successive levels agree to tol (relative, with an
+    absolute floor).
+    """
+    n = 16
+    h = 2.0 * math.pi / n
+    samples = [f(-math.pi + h * i) for i in range(n)]
+    mean = math.fsum(samples) / n
+    fmax = max((abs(v) for v in samples), default=0.0)
+    evals = n
+    stable = 0
+    while n < max_points:
+        samples = [f(-math.pi + h / 2 + h * i) for i in range(n)]
+        mid_mean = math.fsum(samples) / n
+        fmax = max(fmax, max((abs(v) for v in samples), default=0.0))
+        evals += n
+        new_mean = 0.5 * (mean + mid_mean)
+        diff = abs(new_mean - mean)
+        mean = new_mean
+        n *= 2
+        h *= 0.5
+        # tolerance is taken relative to the integrand scale, so exact
+        # cancellations (mean zero) still converge
+        if diff <= max(tol * max(abs(new_mean), fmax), 1e-300):
+            stable += 1
+            if stable >= 2:  # two consecutive agreeing doublings
+                return IntegralResult(mean, diff, evals)
+        else:
+            stable = 0
+    raise QuadratureError(
+        f"periodic trapezoid did not converge within {max_points} points",
+        partial=IntegralResult(mean, math.nan, evals),
+    )

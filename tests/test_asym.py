@@ -3,11 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spantor.asym import (
     AsymError,
     ARCCOSH_CLOSED_FORM,
-    LOG_SIN_CLOSED_FORM,
+    MAHLER_ROOTS,
     MELLIN_BESSEL,
     arccosh_lead,
     lead_term_circulant,
@@ -20,9 +21,11 @@ from spantor.asym import (
     gamma_half_integer,
 )
 from spantor.graphs import EnumerationCapError
-from spantor.quadrature import integrate_mellin
+from spantor.quadrature import integrate_log_endpoint, integrate_mellin
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 from spantor import hp
+
+from oracles import lead_term_circulant_mellin, mahler_lead_mp
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 ZETA3 = 1.2020569031595942854
@@ -65,12 +68,13 @@ def test_lead_cycle_is_exactly_zero():
     assert lead.value == 0.0
     assert lead.method == ARCCOSH_CLOSED_FORM
     assert abs(lead.cross_check) < 1e-9
+    assert mahler_lead_mp((1,), 25) == 0
 
 
 def test_lead_golden_ratio_both_routes():
     lead = lead_term_circulant((1, 2))
     expected = 2.0 * math.log(GOLDEN)
-    assert lead.method == LOG_SIN_CLOSED_FORM
+    assert lead.method == MAHLER_ROOTS
     assert lead.value == pytest.approx(expected, abs=1e-8)
     assert lead.cross_check == pytest.approx(expected, abs=1e-8)
     assert lead.value == pytest.approx(0.9624237, abs=1e-7)
@@ -79,7 +83,40 @@ def test_lead_golden_ratio_both_routes():
 @pytest.mark.parametrize("gens", [(1, 3), (1, 2, 3), (1, 4, 6), (1, 2, 5, 6)])
 def test_lead_routes_agree(gens):
     lead = lead_term_circulant(gens)
-    assert abs(lead.value - lead.cross_check) <= 1e-8
+    assert abs(lead.value - lead_term_circulant_mellin(gens).value) <= 1e-8
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.integers(2, 20), max_size=4))
+# the largest estimate over all 8855 sets of this domain, 1.72e-11, against
+# an actual error of 2.4e-14; 4 sets lie above 1e-11
+@example([10, 16, 16, 19])
+def test_lead_error_bounds_the_mahler_oracle(extra):
+    # duplicates are allowed; a repeated largest generator makes lc = -2, -3, ...
+    gens = (1,) + tuple(sorted(extra))
+    lead = lead_term_circulant(gens)
+    assert abs(lead.value - mahler_lead_mp(gens, 25)) <= lead.error_estimate
+    assert lead.error_estimate <= 2e-11
+
+
+# (1,2,2) and (1,6,6) have leading coefficient -2; (1,...,9,20) has D = 38
+@pytest.mark.parametrize("gens", [(1, 2, 2), (1, 6, 6), (1, 2, 3, 4, 5, 6, 7, 8, 9, 20)])
+def test_lead_named_regimes_against_the_mahler_oracle(gens):
+    lead = lead_term_circulant(gens)
+    assert lead.method == MAHLER_ROOTS
+    assert abs(lead.value - mahler_lead_mp(gens, 25)) <= lead.error_estimate <= 1e-11
+
+
+def test_lead_degree_78_against_the_guard():
+    # (1,40) has D = 78, where the polyroots oracle is too slow; the log-sin
+    # guard must agree within the two reported errors
+    gens = (1, 40)
+    lead = lead_term_circulant(gens)
+    guard = integrate_log_endpoint(
+        lambda w: math.log(math.fsum(math.sin(math.pi * g * w) ** 2 for g in gens)))
+    assert lead.cross_check == math.log(4.0) + guard.value
+    assert abs(lead.value - lead.cross_check) <= lead.error_estimate + guard.error_estimate
+    assert lead.error_estimate <= 1e-10
 
 
 def test_lead_validation():

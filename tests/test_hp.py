@@ -1,14 +1,28 @@
+import dataclasses
 import itertools
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spantor import hp
-from spantor.asym import lead_term_circulant
-from spantor.graphs import CirculantSpec, TorusSpec, circulant_spectrum, torus_spectrum, log_det_star
+from spantor.asym import AsymError, lead_term_circulant
+from spantor.graphs import (
+    CirculantSpec,
+    TorusSpec,
+    _deflate_once_at_one,
+    circulant_spectrum,
+    log_det_star,
+    torus_spectrum,
+)
 
-from oracles import lead_term_circulant_hp_quad, log_det_star_circulant_mp, log_det_star_torus_mp
+from oracles import (
+    lead_term_circulant_hp_quad,
+    log_det_star_circulant_mp,
+    log_det_star_torus_mp,
+    mahler_lead_mp,
+)
 
 
 def _agrees(value, oracle, dps):
@@ -29,6 +43,30 @@ def test_mahler_route_matches_float_module():
     for gens in ((1, 2), (1, 3), (1, 2, 3)):
         assert float(hp.lead_term_circulant_hp(gens, 40)) == pytest.approx(
             lead_term_circulant(gens).value, abs=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(2, 10), max_size=3), st.sampled_from([40, 60, 150]))
+def test_newton_lead_matches_polyroots_oracle(extra, dps):
+    gens = (1,) + tuple(sorted(extra))
+    assert _agrees(hp.lead_term_circulant_hp(gens, dps), mahler_lead_mp(gens, dps + 10), dps)
+
+
+def test_newton_lead_at_degree_38():
+    gens = (1, 2, 3, 4, 5, 6, 7, 8, 9, 20)
+    assert _agrees(hp.lead_term_circulant_hp(gens, 60), mahler_lead_mp(gens, 70), 60)
+
+
+def test_newton_lead_rejects_collapsed_roots(monkeypatch):
+    # two starts at one root refine to a duplicate, and the sum moves off the
+    # float value by more than its error
+    gens = (1, 3, 5)
+    roots = hp._symbol_roots(gens)
+    outside = roots.outside.copy()
+    outside[np.argmin(np.abs(outside))] = outside[np.argmax(np.abs(outside))]
+    monkeypatch.setattr(hp, "_symbol_roots", lambda g: dataclasses.replace(roots, outside=outside))
+    with pytest.raises(AsymError, match="more than its error"):
+        hp.lead_term_circulant_hp(gens, 47)
 
 
 def test_golden_ratio_closed_form():
@@ -178,4 +216,4 @@ def test_surd_identities():
 
 def test_deflation_checks_remainder():
     with pytest.raises(ValueError):
-        hp._deflate_once_at_one([1, 0, 1])  # z^2 + 1 has no root at 1
+        _deflate_once_at_one([1, 0, 1])  # z^2 + 1 has no root at 1

