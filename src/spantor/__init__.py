@@ -7,15 +7,12 @@ from .graphs import (
     CirculantSpec,
     TorusSpec,
     Spectrum,
-    TreeCount,
-    LatticeMatrix,
     GraphSpecError,
     EnumerationCapError,
     circulant_spectrum,
     torus_spectrum,
     spanning_tree_count_exact,
     log_det_star,
-    circulant_to_lattice,
 )
 from .specfun import (
     SpecfunError,

@@ -40,7 +40,7 @@ from .graphs import (
     circulant_spectrum,
     torus_spectrum,
     log_det_star,
-    _deflate_once_at_one,
+    _deflate,
     _symbol_poly,
 )
 from .quadrature import (
@@ -184,7 +184,7 @@ def _symbol_roots(gens: tuple[int, ...]) -> SymbolRoots:
     absolute coefficients); log|rho| moves by that over |rho|.  A root within
     its own bound of the circle could be on either side, and raises.
     """
-    coeffs = tuple(_deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens))))
+    coeffs = tuple(_deflate(_deflate(_symbol_poly(gens), 1), 1))
     degree = len(coeffs) - 1
     eps = sys.float_info.epsilon
     q = np.array(coeffs, dtype=float)

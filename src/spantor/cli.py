@@ -167,7 +167,7 @@ def _int_text(value: int) -> str:
 def cmd_count(args, sink, out) -> int:
     spec = _spec_from_args(args)
     count = spanning_tree_count_exact(spec, cap=args.max_vertices)
-    out.write(f"{_int_text(count.value)}\n")
+    out.write(f"{_int_text(count)}\n")
     return EXIT_OK
 
 
@@ -270,7 +270,7 @@ def _tree_count_or_blank(spec, vertices, args):
     limit = min(TREE_COUNT_VERTEX_LIMIT, args.max_vertices)
     if vertices > limit:
         return None
-    return spanning_tree_count_exact(spec, cap=limit).value
+    return spanning_tree_count_exact(spec, cap=limit)
 
 
 def cmd_compare(args, sink, out) -> int:
@@ -361,7 +361,7 @@ def estimate_alpha(beta: int, ns: tuple[int, ...]):
 
     logs = []
     for n in sorted(set(ns)):
-        tau = spanning_tree_count_exact(CirculantSpec(beta * n, (1, n))).value
+        tau = spanning_tree_count_exact(CirculantSpec(beta * n, (1, n)))
         logs.append((n, _log_of_int(tau)))
 
     def unpack(u):

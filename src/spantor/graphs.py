@@ -13,12 +13,19 @@ contributes a self loop that cancels out of the Laplacian.  The closed-form
 eigenvalues fix this convention, and the exact counts follow it, so that the
 matrix-tree count and the eigenvalue product agree.
 
-Spanning-tree counts are exact arbitrary-precision integers.  For a circulant
-the product of the nonzero eigenvalues is a resultant of the symbol polynomial
-with z^n - 1: O(log n) products of polynomials of degree 2 g_max - 2 and one
-determinant of that size.  For a torus, the Chebyshev identity
-prod_k (x + 4 sin^2(pi k / L)) = 2 T_L(1 + x/2) - 2 over the largest side L
-leaves one determinant of the size of the other sides' vertex count.
+Spanning-tree counts are exact arbitrary-precision integers, each one integer
+determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
+Lucas doubling routine (``_lucas``) evaluates in O(log L) matrix products.
+By the Chebyshev identity prod_k (t - 2 cos((phi + 2 pi k) / L)) =
+V_L(t) - 2 cos(phi):
+
+* a torus is an L-fold cyclic cover of all but its largest side L, and
+  C_N^{1,g} with g | N a g-fold twisted cover of the (N / g)-cycle; the
+  matrix is the base graph's Laplacian shifted by 2;
+* any other circulant is written in x = z + 1/z, where its symbol is
+  (x - 2) R(x) with deg R = g_max - 1; the matrix is R's companion matrix.
+
+The count takes whichever of the two matrices is smaller.
 """
 
 from __future__ import annotations
@@ -220,48 +227,8 @@ def log_det_star(spectrum: Spectrum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lattice form of a circulant
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LatticeMatrix:
-    """Integer lattice matrix whose quotient torus realizes a circulant graph."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def determinant(self) -> int:
-        return _bareiss_determinant([list(row) for row in self.entries])
-
-
-def circulant_to_lattice(spec: CirculantSpec) -> LatticeMatrix:
-    """Matrix Lambda_Gamma with first row (n, -g_1, ..., -g_{d-1}) over an identity block.
-
-    Z^d / Lambda_Gamma Z^d with nearest-neighbour edges is isomorphic to
-    C_n^Gamma; |det| = n.
-    """
-    d = spec.d
-    first = (spec.n,) + tuple(-g for g in spec.generators[1:])
-    rows = [first]
-    for i in range(1, d):
-        rows.append(tuple(1 if k == i else 0 for k in range(d)))
-    return LatticeMatrix(entries=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
 # Exact tree counts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeCount:
-    """Exact spanning-tree count."""
-
-    value: int
 
 
 def _bareiss_determinant(m: list[list[int]]) -> int:
@@ -304,75 +271,15 @@ def _symbol_poly(gens: Sequence[int]) -> list[int]:
     return coeffs[::-1]
 
 
-def _deflate_once_at_one(coeffs: list[int]) -> list[int]:
-    """Exact synthetic division by (z - 1); the remainder must vanish."""
+def _deflate(coeffs: list[int], root: int) -> list[int]:
+    """Exact synthetic division by (z - root), highest degree first; the remainder must vanish."""
     out = [coeffs[0]]
     for c in coeffs[1:-1]:
-        out.append(c + out[-1])
-    remainder = coeffs[-1] + out[-1]
+        out.append(c + root * out[-1])
+    remainder = coeffs[-1] + root * out[-1]
     if remainder != 0:
-        raise ValueError(f"(z-1) is not a factor; remainder {remainder}")
+        raise ValueError(f"(z - {root}) is not a factor; remainder {remainder}")
     return out
-
-
-def _reduce(p: list[int], monic: list[int]) -> list[int]:
-    """p mod (y^D + sum_i monic[i] y^i), D = len(monic); coefficients lowest first."""
-    D = len(monic)
-    for k in range(len(p) - 1, D - 1, -1):
-        c = p[k]
-        if c:
-            base = k - D
-            for i, m in enumerate(monic):
-                p[base + i] -= c * m
-    return p[:D] + [0] * (D - len(p))
-
-
-def _power_of_y(n: int, monic: list[int]) -> list[int]:
-    """y^n mod the monic polynomial, by square-and-multiply."""
-    result = _reduce([1], monic)
-    for bit in bin(n)[2:]:
-        square = [0] * max(2 * len(result) - 1, 0)
-        for i, a in enumerate(result):
-            if a:
-                for j, b in enumerate(result):
-                    square[i + j] += a * b
-        result = _reduce(square, monic)
-        if bit == "1":
-            result = _reduce([0] + result, monic)
-    return result
-
-
-def _circulant_tree_count(spec: CirculantSpec) -> int:
-    """tau = n |lc|^n |prod_rho (rho^n - 1)| / |Q(1)| over the roots rho of Q.
-
-    Q is the symbol polynomial with its double root at z = 1 divided out, of
-    degree D = 2 g_max - 2 and leading coefficient lc = -(multiplicity of
-    g_max).  The eigenvalues are |P(omega^j)| = |omega^j - 1|^2 |Q(omega^j)|,
-    and prod_{j != 0} |omega^j - 1| = n.  The root product is the resultant
-    det(M - lc^n I), where M multiplies by y^n in Z[y] modulo the monic
-    integer polynomial lc^{D-1} Q(y / lc), whose roots are lc rho.
-    """
-    n = spec.n
-    # a step g in (n/2, n) is the step n - g taken backwards: the same edges,
-    # and a symbol polynomial of degree 2(n - g) instead of 2g
-    gens = [min(g, n - g) for g in spec.generators]
-    q = _deflate_once_at_one(_deflate_once_at_one(_symbol_poly(gens)))[::-1]
-    D = len(q) - 1
-    lc = q[D]
-    monic = [q[i] * lc ** (D - 1 - i) for i in range(D)]
-    power = lc ** n
-    # row k of the transpose of M - lc^n I is y^{n+k} mod the monic form
-    rows = []
-    column = _power_of_y(n, monic)
-    for k in range(D):
-        rows.append([c - power if i == k else c for i, c in enumerate(column)])
-        column = _reduce([0] + column, monic)
-    numerator = n * abs(lc) ** n * abs(_bareiss_determinant(rows))
-    denominator = abs(lc) ** (n * D) * abs(sum(q))  # Q(1) = -sum g^2
-    tau, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise GraphSpecError(f"resultant of {spec} is not divisible by {denominator}")
-    return tau
 
 
 def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
@@ -382,6 +289,78 @@ def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
 
 def _plus_identity(x: list[list[int]], c: int) -> list[list[int]]:
     return [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x)]
+
+
+def _lucas(x: list[list[int]], L: int, c: int = 1) -> list[list[int]]:
+    """c^L V_L(x / c) for a square integer matrix x, where V_k(t) = 2 T_k(t / 2).
+
+    V_k(s + 1/s) = s^k + s^-k, so W_k = c^k V_k(x / c) obeys
+    W_2k = W_k^2 - 2 c^2k I and W_2k+1 = W_k W_k+1 - c^2k x; the bits of L,
+    highest first, take (W_k, W_k+1) to (W_2k, W_2k+1) or (W_2k+1, W_2k+2).
+    """
+    w, w_next = _plus_identity([[0] * len(x) for _ in x], 2), x
+    k = 0
+    for bit in bin(L)[2:]:
+        scale = c ** (2 * k)
+        cross = [[u - scale * v for u, v in zip(urow, vrow)]
+                 for urow, vrow in zip(_matmul(w, w_next), x)]
+        if bit == "1":
+            w, w_next = cross, _plus_identity(_matmul(w_next, w_next), -2 * scale * c * c)
+            k = 2 * k + 1
+        else:
+            w, w_next = _plus_identity(_matmul(w, w), -2 * scale), cross
+            k = 2 * k
+    return w
+
+
+def _symbol_in_x(gens: Sequence[int]) -> list[int]:
+    """S(x), highest degree first, with S(z + 1/z) = sum_g (2 - z^g - z^-g).
+
+    The symbol's palindromic coefficients p give S = p_0 + sum_j p_j V_j(x),
+    with V_0 = 2, V_1 = x and V_j+1 = x V_j - V_j-1 (lowest degree first).
+    """
+    p = _symbol_poly(gens)
+    g_max = len(p) // 2
+    s = [p[g_max]] + [0] * g_max
+    v_prev, v = [2], [0, 1]
+    for j in range(1, g_max + 1):
+        for i, c in enumerate(v):
+            s[i] += p[g_max + j] * c
+        v_next = [0] + v
+        for i, c in enumerate(v_prev):
+            v_next[i] -= c
+        v_prev, v = v, v_next
+    return s[::-1]
+
+
+def _circulant_tree_count(spec: CirculantSpec) -> int:
+    """tau = n |lc|^n |det(W_n - 2 lc^n I)| / (|lc|^(n m) |R(2)|): the symbol route.
+
+    In x = z + 1/z the eigenvalue at omega^j is S(x_j) = (x_j - 2) R(x_j),
+    x_j = 2 cos(2 pi j / n), where R has degree m = g_max - 1 and leading
+    coefficient lc = -(multiplicity of g_max).  prod_{j != 0} |x_j - 2| = n^2,
+    and prod_j (x_j - r) = +-(V_n(r) - 2) for each root r of R.  With C the
+    companion matrix of the monic integer form lc^(m-1) R(y / lc), whose roots
+    are lc r, W_n = lc^n V_n(C / lc) has the eigenvalues lc^n V_n(r).
+    """
+    n = spec.n
+    # a step g in (n/2, n) is the step n - g taken backwards: the same edges,
+    # and a symbol polynomial of degree n - g instead of g
+    gens = [min(g, n - g) for g in spec.generators]
+    r = _deflate(_symbol_in_x(gens), 2)[::-1]
+    m = len(r) - 1
+    lc = r[m]
+    monic = [r[i] * lc ** (m - 1 - i) for i in range(m)]
+    companion = [[(i == j + 1) - (monic[i] if j == m - 1 else 0) for j in range(m)]
+                 for i in range(m)]
+    power = lc ** n
+    det = _bareiss_determinant(_plus_identity(_lucas(companion, n, lc), -2 * power))
+    numerator = n * abs(power) * abs(det)
+    denominator = abs(lc) ** (n * m) * abs(sum(c * 2 ** i for i, c in enumerate(r)))
+    tau, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise GraphSpecError(f"resultant of {spec} is not divisible by {denominator}")
+    return tau
 
 
 def _block_laplacian(sides: Sequence[int]) -> list[list[int]]:
@@ -401,33 +380,55 @@ def _block_laplacian(sides: Sequence[int]) -> list[list[int]]:
     return x
 
 
-def _torus_tree_count(spec: TorusSpec) -> int:
-    """tau = L det(f_L(L_A) + J) / a^2, with L the largest side.
+def _cycle_cover(beta: int, g: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """C_{beta g}^{1,g} as a g-fold cyclic cover of the beta-cycle: (B, W, g).
 
-    L_A is the a x a Laplacian of the other sides (the A-block).  By the
-    Chebyshev identity prod_k (x + 4 sin^2(pi k / L)) = 2 T_L(1 + x/2) - 2 =
-    f_L(x), the torus eigenvalues with A-block part mu multiply to f_L(mu);
-    f_L(0) = 0, the cycle alone gives L^2, and adding J (all ones) replaces
-    the zero mode of f_L(L_A) by a.  W_k = 2 T_k(1 + L_A / 2) obeys
-    W_{k+1} = (2I + L_A) W_k - W_{k-1}, evaluated by Lucas doubling.
+    Vertex r + g s lies in layer r over base vertex s.  Step g moves s, so B
+    is the beta-cycle's Laplacian; step 1 moves r, and at the wrap from layer
+    g - 1 to layer 0 it also moves s, so W is the cycle's shift.
     """
-    sides = sorted(spec.sides)
-    L = sides.pop()
-    a = math.prod(sides)
-    step = _plus_identity(_block_laplacian(sides), 2)
-    w, w_next = _plus_identity([[0] * a for _ in range(a)], 2), step
-    for bit in bin(L)[2:]:
-        # (W_k, W_{k+1}) -> (W_{2k}, W_{2k+1}) or (W_{2k+1}, W_{2k+2})
-        cross = [[u - s for u, s in zip(urow, srow)]
-                 for urow, srow in zip(_matmul(w, w_next), step)]
-        if bit == "1":
-            w, w_next = cross, _plus_identity(_matmul(w_next, w_next), -2)
-        else:
-            w, w_next = _plus_identity(_matmul(w, w), -2), cross
-    f_plus_j = [[v + 1 for v in row] for row in _plus_identity(w, -2)]
-    tau, remainder = divmod(L * _bareiss_determinant(f_plus_j), a * a)
+    shift = [[int(j == (i + 1) % beta) for j in range(beta)] for i in range(beta)]
+    return _block_laplacian([beta]), shift, g
+
+
+def _as_cover(spec: GraphSpec) -> tuple[list[list[int]], list[list[int]], int] | None:
+    """(B, W, L) for a graph that the cover route counts, else None.
+
+    A torus is an L-fold cover of all but its largest side L with W = I.
+    C_N^{1,g} with g | N is the cycle cover of ``_cycle_cover`` when its
+    beta x beta determinant (beta = N / g) is smaller than the symbol route's
+    (g - 1) x (g - 1) one, that is when beta < g.
+    """
+    if isinstance(spec, TorusSpec):
+        sides = sorted(spec.sides)
+        L = sides.pop()
+        base = _block_laplacian(sides)
+        return base, _plus_identity([[0] * len(base) for _ in base], 1), L
+    n = spec.n
+    g = min(spec.generators[-1], n - spec.generators[-1])
+    if spec.d != 2 or n % g or n // g >= g:
+        return None
+    return _cycle_cover(n // g, g)
+
+
+def _cover_tree_count(base: list[list[int]], twist: list[list[int]], L: int) -> int:
+    """tau = L det(V_L(2I + B) - W - W^T + J) / a^2 for an L-fold cyclic cover.
+
+    The cover has L layers of a base graph with Laplacian B on a vertices;
+    layer r joins layer r + 1 through the identity, and layer L - 1 joins
+    layer 0 through a permutation W that commutes with B.  On a common
+    eigenvector with B = b and W = w the layers form a cycle twisted by w,
+    whose L eigenvalues multiply to V_L(2 + b) - w - 1/w.  Only the zero mode
+    (b = 0, w = 1) vanishes there; its other L - 1 eigenvalues multiply to L^2,
+    and adding J (all ones) replaces the zero by a.
+    """
+    a = len(base)
+    v = _lucas(_plus_identity(base, 2), L)
+    m = [[x - t - u + 1 for x, t, u in zip(vrow, trow, urow)]
+         for vrow, trow, urow in zip(v, twist, zip(*twist))]
+    tau, remainder = divmod(L * _bareiss_determinant(m), a * a)
     if remainder:
-        raise GraphSpecError(f"determinant of {spec} is not divisible by {a * a}")
+        raise GraphSpecError(f"cover determinant is not divisible by {a * a}")
     return tau
 
 
@@ -437,24 +438,24 @@ def _is_connected(spec: GraphSpec) -> bool:
     return True  # torus Cayley graphs on the standard generators are connected
 
 
-def spanning_tree_count_exact(spec: GraphSpec,
-                              cap: int = DEFAULT_DETERMINANT_CAP) -> TreeCount:
+def spanning_tree_count_exact(spec: GraphSpec, cap: int = DEFAULT_DETERMINANT_CAP) -> int:
     """Matrix-tree count, exact over arbitrary-precision integers.
 
-    A circulant is counted from the resultant of its symbol polynomial with
-    z^n - 1, a torus from a Chebyshev polynomial of the Laplacian of all but
-    its largest side; no V x V matrix is formed.  Raises GraphSpecError for a
-    disconnected graph and EnumerationCapError above ``cap`` vertices.
+    Every count is one integer determinant of a Chebyshev polynomial V_L of a
+    small matrix, evaluated by ``_lucas``; no V x V matrix is formed.  A torus,
+    and C_N^{1,g} with g | N and N / g < g, are cyclic covers of a small base
+    graph (``_cover_tree_count``); any other circulant goes through its
+    symbol polynomial in x = z + 1/z (``_circulant_tree_count``), a
+    determinant of size g_max - 1.  Raises GraphSpecError for a disconnected
+    graph and EnumerationCapError above ``cap`` vertices.
     """
     if not _is_connected(spec):
         raise GraphSpecError(f"graph {spec} is disconnected")
     total = spec.vertex_count
     if total > cap:
         raise EnumerationCapError(f"{total} vertices exceed the tree-count cap {cap}")
-    if isinstance(spec, CirculantSpec):
-        tau = _circulant_tree_count(spec)
-    else:
-        tau = _torus_tree_count(spec)
+    cover = _as_cover(spec)
+    tau = _cover_tree_count(*cover) if cover else _circulant_tree_count(spec)
     if tau <= 0:
         raise GraphSpecError(f"tree count {tau} of {spec} is not positive")
-    return TreeCount(value=tau)
+    return tau

@@ -8,7 +8,7 @@ eigenvalue, the high-precision lead term is a tanh-sinh quadrature of the
 log-sin integral or mpmath polyroots of a symbol polynomial built here, the
 float lead term is the paper's Mellin-Bessel integral, Bessel values come
 from mpmath/scipy, and the circulant-lattice isomorphism is realized by
-explicit lattice reduction.
+building Lambda_Gamma here and reducing explicitly.
 """
 
 from __future__ import annotations
@@ -83,15 +83,10 @@ def laplacian_matrix(spec) -> list[list[int]]:
     return L
 
 
-def dense_tree_count(spec, delete: int = 0) -> int:
-    """Matrix-tree count: the Laplacian with row and column ``delete`` removed.
-
-    The determinant is taken by fraction-free (Bareiss) elimination, whose
-    divisions are exact, with the pivot of least magnitude in each column.
-    """
-    L = laplacian_matrix(spec)
-    m = [[x for j, x in enumerate(row) if j != delete]
-         for i, row in enumerate(L) if i != delete]
+def integer_determinant(m: list[list[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination, whose divisions
+    are exact, with the pivot of least magnitude in each column."""
+    m = [list(row) for row in m]
     size = len(m)
     sign, previous = 1, 1
     for k in range(size):
@@ -109,6 +104,13 @@ def dense_tree_count(spec, delete: int = 0) -> int:
                     for j, (x, y) in enumerate(zip(m[i], m[k]))]
         previous = pivot
     return sign * (m[-1][-1] if size else 1)
+
+
+def dense_tree_count(spec, delete: int = 0) -> int:
+    """Matrix-tree count: the Laplacian with row and column ``delete`` removed."""
+    L = laplacian_matrix(spec)
+    return integer_determinant([[x for j, x in enumerate(row) if j != delete]
+                                for i, row in enumerate(L) if i != delete])
 
 
 def brute_force_tree_count(spec) -> int:
@@ -142,6 +144,17 @@ def dense_spectrum(spec) -> np.ndarray:
     """Sorted eigenvalues of the dense integer Laplacian (numpy eigensolver)."""
     L = np.array(laplacian_matrix(spec), dtype=float)
     return np.linalg.eigvalsh(L)
+
+
+def circulant_lattice(spec: CirculantSpec) -> tuple[tuple[int, ...], ...]:
+    """Lambda_Gamma: first row (n, -g_1, ..., -g_{d-1}) over an identity block.
+
+    Z^d / Lambda_Gamma Z^d with nearest-neighbour edges is isomorphic to
+    C_n^Gamma, and |det Lambda_Gamma| = n.
+    """
+    d = spec.d
+    first = (spec.n,) + tuple(-g for g in spec.generators[1:])
+    return (first,) + tuple(tuple(int(k == i) for k in range(d)) for i in range(1, d))
 
 
 def quotient_graph_spectrum(lattice_entries) -> np.ndarray:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from spantor import cli
+from spantor import cli, hp
 from spantor.cli import estimate_alpha
 
 from oracles import fibonacci
@@ -53,6 +53,17 @@ def test_count_circulant_with_100000_vertices(capsys):
         chunk = digits[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == n * fibonacci(n) ** 2
+
+
+def test_count_circulant_with_growing_generator_in_process(capsys):
+    # C_{5n}^{1,n} at n = 200 is a 200-fold cover of the 5-cycle: a 5 x 5 determinant
+    t0 = time.perf_counter()
+    rc, out = run_cli(capsys, "count", "--circulant", "1000", "1,200")
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert elapsed < 1.0
+    verdict = hp.verify_conjecture(200)  # the closed form, checked against the count
+    assert verdict.match and int(out) == verdict.exact
 
 
 def test_count_torus(capsys):

@@ -16,14 +16,15 @@ from spantor.graphs import (
     torus_spectrum,
     spanning_tree_count_exact,
     log_det_star,
-    circulant_to_lattice,
 )
 
 from oracles import (
     brute_force_tree_count,
+    circulant_lattice,
     dense_spectrum,
     dense_tree_count,
     fibonacci,
+    integer_determinant,
     laplacian_matrix,
     quotient_graph_spectrum,
 )
@@ -98,10 +99,10 @@ def test_torus_enumeration_cap():
 
 
 def test_count_examples():
-    assert spanning_tree_count_exact(CirculantSpec(4, (1,))).value == 4
-    assert spanning_tree_count_exact(CirculantSpec(7, (1, 2))).value == 1183
-    assert spanning_tree_count_exact(CirculantSpec(7, (1, 2))).value == 7 * fibonacci(7) ** 2
-    assert spanning_tree_count_exact(CirculantSpec(4, (1, 2))).value == 36
+    assert spanning_tree_count_exact(CirculantSpec(4, (1,))) == 4
+    assert spanning_tree_count_exact(CirculantSpec(7, (1, 2))) == 1183
+    assert spanning_tree_count_exact(CirculantSpec(7, (1, 2))) == 7 * fibonacci(7) ** 2
+    assert spanning_tree_count_exact(CirculantSpec(4, (1, 2))) == 36
 
 
 def test_count_c4_12_brute_force():
@@ -129,18 +130,18 @@ def _all_small_specs():
 @pytest.mark.parametrize("spec", _all_small_specs(),
                          ids=lambda s: f"{type(s).__name__}-{getattr(s, 'generators', None) or s.sides}-{s.vertex_count}")
 def test_brute_force_oracle_small_graphs(spec):
-    assert spanning_tree_count_exact(spec).value == brute_force_tree_count(spec)
+    assert spanning_tree_count_exact(spec) == brute_force_tree_count(spec)
 
 
 def test_fibonacci_law():
     for n in range(3, 41):
-        assert spanning_tree_count_exact(CirculantSpec(n, (1, 2))).value \
+        assert spanning_tree_count_exact(CirculantSpec(n, (1, 2))) \
             == n * fibonacci(n) ** 2
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5])
 def test_fibonacci_law_large(n):
-    assert spanning_tree_count_exact(CirculantSpec(n, (1, 2)), cap=n).value \
+    assert spanning_tree_count_exact(CirculantSpec(n, (1, 2)), cap=n) \
         == n * fibonacci(n) ** 2
 
 
@@ -151,13 +152,15 @@ def test_fibonacci_law_large(n):
     TorusSpec((2, 3, 5)),
     CirculantSpec(10**4, (1, 3)),
     TorusSpec((7, 50)),
+    CirculantSpec(1000, (1, 200)),
+    CirculantSpec(10**4, (1, 2, 5)),
 ])
 def test_matrix_tree_consistency(spec):
     if isinstance(spec, CirculantSpec):
         sp = circulant_spectrum(spec)
     else:
         sp = torus_spectrum(spec)
-    tau = spanning_tree_count_exact(spec, cap=spec.vertex_count).value
+    tau = spanning_tree_count_exact(spec, cap=spec.vertex_count)
     ratio = math.exp(log_det_star(sp) - math.log(tau)) / spec.vertex_count
     assert ratio == pytest.approx(1.0, rel=1e-9)
 
@@ -167,13 +170,13 @@ def test_duplicate_largest_generator():
     for gens in [(1, 2, 2), (1, 3, 3), (1, 2, 2, 2), (1, 1, 3, 3)]:
         for n in range(max(gens) + 1, 26):
             spec = CirculantSpec(n, gens)
-            assert spanning_tree_count_exact(spec).value == dense_tree_count(spec), (n, gens)
+            assert spanning_tree_count_exact(spec) == dense_tree_count(spec), (n, gens)
 
 
 def test_doubled_cycle():
     # Gamma = (1, 1): the deflated symbol polynomial is the constant -2 (degree 0)
     for n in list(range(3, 20)) + [1000]:
-        assert spanning_tree_count_exact(CirculantSpec(n, (1, 1))).value == n * 2 ** (n - 1)
+        assert spanning_tree_count_exact(CirculantSpec(n, (1, 1))) == n * 2 ** (n - 1)
     for n in range(3, 12):
         assert dense_tree_count(CirculantSpec(n, (1, 1))) == n * 2 ** (n - 1)
 
@@ -183,16 +186,41 @@ def test_half_turn_generator():
     for n in range(4, 31, 2):
         for gens in [(1, n // 2), (1, 2, n // 2)]:
             spec = CirculantSpec(n, gens)
-            assert spanning_tree_count_exact(spec).value == dense_tree_count(spec), (n, gens)
+            assert spanning_tree_count_exact(spec) == dense_tree_count(spec), (n, gens)
 
 
 def test_mirrored_generators():
     for n in range(5, 25):
         for g in range(n // 2 + 1, n):
             spec = CirculantSpec(n, (1, g))
-            tau = spanning_tree_count_exact(spec).value
+            tau = spanning_tree_count_exact(spec)
             assert tau == dense_tree_count(spec), (n, g)
-            assert tau == spanning_tree_count_exact(CirculantSpec(n, (1, n - g))).value
+            assert tau == spanning_tree_count_exact(CirculantSpec(n, (1, n - g)))
+
+
+@pytest.mark.parametrize("beta", [2, 3, 5])
+@pytest.mark.parametrize("g", [2, 3])
+def test_cycle_cover_route(beta, g):
+    # beta = 2 is g = N/2, where each vertex has a doubled edge to its opposite
+    spec = CirculantSpec(beta * g, (1, g))
+    assert graphs._cover_tree_count(*graphs._cycle_cover(beta, g)) == dense_tree_count(spec)
+
+
+def test_cover_and_symbol_routes_agree():
+    for n in range(4, 151):
+        for g in range(2, n // 2 + 1):
+            if n % g == 0:
+                spec = CirculantSpec(n, (1, g))
+                assert graphs._circulant_tree_count(spec) \
+                    == graphs._cover_tree_count(*graphs._cycle_cover(n // g, g)), (n, g)
+
+
+def test_count_takes_the_smaller_matrix():
+    assert graphs._as_cover(CirculantSpec(1000, (1, 200)))[2] == 200   # 5 x 5 cover
+    assert graphs._as_cover(CirculantSpec(1000, (1, 800)))[2] == 200   # mirrored step
+    assert graphs._as_cover(CirculantSpec(30, (1, 5))) is None         # 6 > 4: symbol
+    assert graphs._as_cover(CirculantSpec(30, (1, 7))) is None         # 7 does not divide 30
+    assert graphs._as_cover(CirculantSpec(30, (1, 2, 15))) is None     # three generators
 
 
 def _unvalidated_circulant(n, gens):
@@ -207,7 +235,7 @@ def test_disconnected_circulant_raises_before_algebra(monkeypatch):
     def no_algebra(*args):
         raise AssertionError("algebra ran on a disconnected graph")
 
-    monkeypatch.setattr(graphs, "_symbol_poly", no_algebra)
+    monkeypatch.setattr(graphs, "_lucas", no_algebra)
     monkeypatch.setattr(graphs, "_circulant_tree_count", no_algebra)
     for n, gens in [(6, (2, 4)), (9, (3,)), (10**6, (2, 6, 10))]:
         with pytest.raises(GraphSpecError, match="disconnected"):
@@ -216,14 +244,14 @@ def test_disconnected_circulant_raises_before_algebra(monkeypatch):
 
 def test_torus_sides_one_and_two_in_any_order():
     for sides in [(1, 2, 3), (2, 2, 2), (1, 1, 5), (2, 1, 7), (3, 13, 3), (2, 9), (1, 6, 2)]:
-        counts = {spanning_tree_count_exact(TorusSpec(order)).value
+        counts = {spanning_tree_count_exact(TorusSpec(order))
                   for order in set(itertools.permutations(sides))}
         assert counts == {dense_tree_count(TorusSpec(sides))}, sides
 
 
 def test_single_vertex_torus():
     for sides in [(1,), (1, 1), (1, 1, 1)]:
-        assert spanning_tree_count_exact(TorusSpec(sides)).value == 1
+        assert spanning_tree_count_exact(TorusSpec(sides)) == 1
 
 
 @st.composite
@@ -252,13 +280,13 @@ def _disconnected_circulants(draw):
 @settings(max_examples=150, deadline=None)
 @given(_circulants())
 def test_circulant_count_matches_dense_oracle(spec):
-    assert spanning_tree_count_exact(spec).value == dense_tree_count(spec)
+    assert spanning_tree_count_exact(spec) == dense_tree_count(spec)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_tori())
 def test_torus_count_matches_dense_oracle(spec):
-    assert spanning_tree_count_exact(spec).value == dense_tree_count(spec)
+    assert spanning_tree_count_exact(spec) == dense_tree_count(spec)
 
 
 @settings(max_examples=50, deadline=None)
@@ -313,20 +341,20 @@ def test_log_det_star_degenerate_inputs():
 
 
 def test_lattice_examples():
-    m = circulant_to_lattice(CirculantSpec(7, (1, 2)))
-    assert m.entries == ((7, -2), (0, 1))
-    assert m.determinant() == 7
-    assert circulant_to_lattice(CirculantSpec(5, (1,))).entries == ((5,),)
-    m13 = circulant_to_lattice(CirculantSpec(13, (1, 3)))
-    assert m13.entries == ((13, -3), (0, 1))
-    assert m13.determinant() == 13
+    m = circulant_lattice(CirculantSpec(7, (1, 2)))
+    assert m == ((7, -2), (0, 1))
+    assert integer_determinant(m) == 7
+    assert circulant_lattice(CirculantSpec(5, (1,))) == ((5,),)
+    m13 = circulant_lattice(CirculantSpec(13, (1, 3)))
+    assert m13 == ((13, -3), (0, 1))
+    assert integer_determinant(m13) == 13
 
 
 @pytest.mark.parametrize("n,gens", [(13, (1, 3)), (7, (1, 2)), (50, (1, 7)),
                                     (24, (1, 2, 9)), (31, (1, 5, 6))])
 def test_lattice_quotient_isomorphism(n, gens):
     spec = CirculantSpec(n, gens)
-    quotient = quotient_graph_spectrum(circulant_to_lattice(spec).entries)
+    quotient = quotient_graph_spectrum(circulant_lattice(spec))
     assert np.allclose(np.sort(circulant_spectrum(spec).values), quotient, atol=1e-12)
 
 
@@ -356,7 +384,7 @@ def test_spec_validation():
 def test_mirror_generator_semantics():
     # C_3^{1,2} is the doubled triangle: gamma=2 acts as the mirror of step 1
     spec = CirculantSpec(3, (1, 2))
-    assert spanning_tree_count_exact(spec).value == 12
+    assert spanning_tree_count_exact(spec) == 12
     assert np.allclose(np.sort(circulant_spectrum(spec).values),
                        dense_spectrum(spec), atol=1e-12)
 
@@ -375,4 +403,4 @@ def test_duplicate_generator_multiset():
     assert math.fsum(circulant_spectrum(spec).values) == pytest.approx(42.0, abs=1e-12)
     assert np.allclose(np.sort(circulant_spectrum(spec).values),
                        dense_spectrum(spec), atol=1e-12)
-    assert spanning_tree_count_exact(spec).value == brute_force_tree_count(spec)
+    assert spanning_tree_count_exact(spec) == brute_force_tree_count(spec)

@@ -11,13 +11,14 @@ from spantor.asym import AsymError, lead_term_circulant
 from spantor.graphs import (
     CirculantSpec,
     TorusSpec,
-    _deflate_once_at_one,
+    _deflate,
     circulant_spectrum,
     log_det_star,
     torus_spectrum,
 )
 
 from oracles import (
+    dense_tree_count,
     lead_term_circulant_hp_quad,
     log_det_star_circulant_mp,
     log_det_star_torus_mp,
@@ -195,6 +196,13 @@ def test_conjecture_small_cases():
     assert hp.verify_conjecture(2).exact == 30250  # 10 * F_10^2 via the Fibonacci anchor
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_conjecture_at_cover_route_sizes(n):
+    v = hp.verify_conjecture(n)
+    assert v.match
+    assert v.exact == dense_tree_count(CirculantSpec(5 * n, (1, n)))
+
+
 def test_conjecture_rejects_n_below_two():
     with pytest.raises(ValueError):
         hp.conjecture_tau_hp(1, 60)
@@ -216,4 +224,4 @@ def test_surd_identities():
 
 def test_deflation_checks_remainder():
     with pytest.raises(ValueError):
-        _deflate_once_at_one([1, 0, 1])  # z^2 + 1 has no root at 1
+        _deflate([1, 0, 1], 1)  # z^2 + 1 has no root at 1
