@@ -37,10 +37,9 @@ from .graphs import (
     TorusSpec,
     EnumerationCapError,
     DEFAULT_EIGENVALUE_CAP,
-    circulant_spectrum,
-    torus_spectrum,
     log_det_star,
     _deflate,
+    _half_spectrum,
     _symbol_poly,
 )
 from .quadrature import (
@@ -372,11 +371,7 @@ def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,
 
 def _exact_log_det(spec, cap: int) -> float | None:
     try:
-        if isinstance(spec, CirculantSpec):
-            if spec.n > cap:
-                return None
-            return log_det_star(circulant_spectrum(spec))
-        return log_det_star(torus_spectrum(spec, cap=cap))
+        return log_det_star(spec, cap=cap)
     except EnumerationCapError:
         return None
 
@@ -402,6 +397,38 @@ def predict_circulant(n: int, generators: Sequence[int], exact: bool = True,
     return _report(n, components, exact_val)
 
 
+@lru_cache(maxsize=None)
+def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
+                          tol: float) -> tuple[float, float]:
+    """(sum_j w_j I(lambda_j), zeta'(0) of R^q / diag(beta) Z^q): the n-free part.
+
+    The A-block modes come from the half spectrum with their weights, and
+    each distinct eigenvalue gets one integral I; a weight is a power of 2,
+    so the weighted fsum equals the fsum over the full spectrum exactly.
+    Cached per (alpha, beta, tol), since every row of a table shares it.
+    """
+    if alpha:
+        values, weights = _half_spectrum(TorusSpec(alpha))
+    else:
+        values, weights = np.zeros(1), np.ones(1)
+    distinct, where = np.unique(values, return_inverse=True)
+    q = len(beta)
+    if q == 1:
+        per_mode = [arccosh_lead(2.0 + x) for x in distinct]
+    else:
+        cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
+        per_mode = []
+        for x in distinct:
+            res = integrate_mellin(
+                lambda t, lam=x: math.exp(-t)
+                - bessel_i_scaled(0, 2.0 * t) ** q * math.exp(-lam * t),
+                cfg,
+            )
+            per_mode.append(res.value)
+    lead = math.fsum(weights * np.array(per_mode)[where])
+    return lead, epstein_zeta_prime_zero(beta, tol=tol)
+
+
 def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
                            exact: bool = True,
                            cap: int = DEFAULT_EIGENVALUE_CAP,
@@ -410,7 +437,10 @@ def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
 
     lead = n^{d-p} det(B) sum_j int (e^{-t} - I_0(2t)^{d-p} e^{-(2(d-p)+lambda_j)t}) dt/t
     plus 2 log n - zeta'_{R^{d-p}/B Z^{d-p}}(0); for d-p = 1 each integral is
-    the arccosh closed form.
+    the arccosh closed form.  The sum runs over the A-block eigenvalues
+    lambda_j, one integral per distinct value; it and zeta'(0) do not depend
+    on n and are computed once per (alpha, beta, tol), so the rows of a
+    table share them.
     """
     alpha_t = tuple(int(a) for a in alpha)
     beta_t = tuple(int(b) for b in beta)
@@ -420,29 +450,13 @@ def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
         raise AsymError("need at least one growing side (beta block)")
     if any(a < 1 for a in alpha_t) or any(b < 1 for b in beta_t):
         raise AsymError("alpha and beta entries must be positive integers")
-    if p == 0:
-        lam_a = np.array([0.0])
-    else:
-        lam_a = torus_spectrum(TorusSpec(alpha_t)).values
+    mode_sum, zeta_prime = _torus_constant_terms(alpha_t, beta_t, float(tol))
     det_b = math.prod(beta_t)
 
-    if q == 1:
-        per_mode = [arccosh_lead(2.0 + lam) for lam in lam_a]
-    else:
-        cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
-        per_mode = []
-        for lam in lam_a:
-            res = integrate_mellin(
-                lambda t, lam=lam: math.exp(-t)
-                - bessel_i_scaled(0, 2.0 * t) ** q * math.exp(-lam * t),
-                cfg,
-            )
-            per_mode.append(res.value)
-
     components = {
-        "lead": n ** q * det_b * math.fsum(per_mode),
+        "lead": n ** q * det_b * mode_sum,
         "two_log_n": 2.0 * math.log(n),
-        "minus_zeta_prime": -epstein_zeta_prime_zero(beta_t, tol=tol),
+        "minus_zeta_prime": -zeta_prime,
         "_vertices": float(math.prod(alpha_t) * det_b * n ** q if p else det_b * n ** q),
     }
     spec = TorusSpec(alpha_t + tuple(b * n for b in beta_t), split=p)

@@ -30,7 +30,6 @@ from .graphs import (
     circulant_spectrum,
     torus_spectrum,
     spanning_tree_count_exact,
-    log_det_star,
 )
 from .quadrature import QuadratureError
 from .specfun import (

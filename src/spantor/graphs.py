@@ -13,6 +13,12 @@ contributes a self loop that cancels out of the Laplacian.  The closed-form
 eigenvalues fix this convention, and the exact counts follow it, so that the
 matrix-tree count and the eigenvalue product agree.
 
+Every eigenvalue is a sum of terms 4 sin^2(pi r / l), each read from a half
+table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
+log det* (``log_det_star``) takes a spec, not a spectrum: it sums w log(lambda)
+over the half-range modes only, each weighted by the number of modes it
+stands for, and equals the sum over the full spectrum exactly.
+
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
 Lucas doubling routine (``_lucas``) evaluates in O(log L) matrix products.
@@ -157,73 +163,138 @@ class Spectrum:
     """
 
     values: np.ndarray
-    zero_multiplicity: int
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Spectrum":
-        values = np.asarray(values, dtype=float)
-        return cls(values=values, zero_multiplicity=int(np.count_nonzero(values == 0.0)))
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _sin2_half(l: int) -> np.ndarray:
+    """4 sin^2(pi k / l) for k = 0..floor(l/2).
+
+    sin^2(pi r / l) = sin^2(pi (l - r) / l), so index min(r, l - r) of this
+    table covers every residue r mod l.  A mode and its mirror then get the
+    same rounded value, and the modes near r = l keep the full relative
+    accuracy of those near r = 0: evaluated directly, sin(pi r / l) there
+    takes the rounding error of an argument near pi relative to a value
+    near zero.
+    """
+    s = np.sin(np.pi * (np.arange(l // 2 + 1) / l))
+    return 4.0 * s * s
+
+
+def _half_weights(l: int) -> np.ndarray:
+    """How many residues r mod l share index k = min(r, l - r), for k = 0..floor(l/2)."""
+    weights = np.full(l // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if l % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
+def _circulant_modes(spec: CirculantSpec, j: np.ndarray) -> np.ndarray:
+    """lambda_j = 4 sum_g sin^2(pi g j / n) at the character indices j."""
+    n = spec.n
+    table = _sin2_half(n)
+    lam = np.zeros(j.size)
+    for g in spec.generators:
+        r = (g * j) % n
+        lam += table[np.minimum(r, n - r)]
+    return lam
+
+
+def _check_cap(spec: GraphSpec, cap: int) -> None:
+    total = spec.vertex_count
+    if total > cap:
+        kind = "circulant" if isinstance(spec, CirculantSpec) else "torus"
+        raise EnumerationCapError(
+            f"{kind} has {total} eigenvalues, exceeding the cap {cap}"
+        )
 
 
 def circulant_spectrum(spec: CirculantSpec) -> Spectrum:
     """Closed-form spectrum lambda_j = 2d - 2 sum_g cos(2 pi g j / n), j = 0..n-1.
 
     Evaluated in the equivalent form 4 sum_g sin^2(pi g j / n), which is exact
-    at j = 0 and keeps full relative accuracy for the near-zero modes (the
-    cosine form loses them to cancellation for large n).
+    at j = 0, with each sin^2 read from the half table at min(r, n - r),
+    r = g j mod n.  Every mode, the near-zero ones at j = 1 and j = n - 1
+    alike, keeps full relative accuracy (the cosine form loses them to
+    cancellation for large n), and lambda_j = lambda_{n-j} holds bit for bit.
     """
-    n = spec.n
-    j = np.arange(n, dtype=np.int64)
-    lam = np.zeros(n)
-    for g in spec.generators:
-        a = (g * j) % n
-        s = np.sin(np.pi * (a.astype(float) / n))
-        lam += 4.0 * s * s
-    return Spectrum.from_values(lam)
+    return Spectrum(_circulant_modes(spec, np.arange(spec.n, dtype=np.int64)))
 
 
 def torus_spectrum(spec: TorusSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> Spectrum:
     """Spectrum of the discrete torus, lambda_m = sum_i (2 - 2 cos(2 pi m_i / l_i)).
 
-    Eigenvalues are enumerated in mixed-radix order over m in prod Z/l_i; the
-    first index moves fastest along the last side.  Raises
-    EnumerationCapError when det Lambda exceeds ``cap``.
+    Each side's term 4 sin^2(pi m_i / l_i) is read from its half table at
+    min(m_i, l_i - m_i), as for the circulant.  Eigenvalues are enumerated in
+    mixed-radix order over m in prod Z/l_i; the first index moves fastest
+    along the last side.  Raises EnumerationCapError when det Lambda exceeds
+    ``cap``.
     """
-    total = spec.vertex_count
-    if total > cap:
-        raise EnumerationCapError(
-            f"torus has {total} eigenvalues, exceeding the cap {cap}"
-        )
+    _check_cap(spec, cap)
     lam = np.zeros((1,))
     for l in spec.sides:
-        m = np.arange(l, dtype=float)
-        s = np.sin(np.pi * m / l)
-        lam = (lam[:, None] + 4.0 * s * s).ravel()
-    return Spectrum.from_values(lam)
+        r = np.arange(l)
+        lam = (lam[:, None] + _sin2_half(l)[np.minimum(r, l - r)]).ravel()
+    return Spectrum(lam)
 
 
-def log_det_star(spectrum: Spectrum) -> float:
-    """log of the product of the nonzero Laplacian eigenvalues.
+def _half_spectrum(spec: GraphSpec,
+                   cap: int = DEFAULT_EIGENVALUE_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the half-range modes and their multiplicities.
 
-    Requires a connected spectrum (exactly one zero eigenvalue); any further
-    zero or negative value is an error.  Logs are accumulated with math.fsum
-    in enumeration order, so the result is deterministic and independent of
-    any caller-side parallelism.
+    An eigenvalue depends on each index only through min(r, l - r).  A
+    circulant's half-range modes are j = 0..floor(n/2), with weight 2 except
+    at j = 0 and j = n/2.  A torus's are the outer sum of the per-side half
+    tables, with the outer product of the per-side weights, which are 1 at
+    k = 0 and k = l/2 and 2 otherwise.  Every weight is a power of 2, and the
+    weights add up to the vertex count.  Raises EnumerationCapError above
+    ``cap`` vertices.
     """
-    vals = spectrum.values
-    if spectrum.zero_multiplicity != 1:
-        raise GraphSpecError(
-            f"expected exactly one zero eigenvalue, got {spectrum.zero_multiplicity}"
-        )
-    nonzero = vals[vals != 0.0]
+    _check_cap(spec, cap)
+    if isinstance(spec, CirculantSpec):
+        j = np.arange(spec.n // 2 + 1, dtype=np.int64)
+        return _circulant_modes(spec, j), _half_weights(spec.n)
+    lam, weights = np.zeros((1,)), np.ones((1,))
+    for l in spec.sides:
+        lam = (lam[:, None] + _sin2_half(l)).ravel()
+        weights = (weights[:, None] * _half_weights(l)).ravel()
+    return lam, weights
+
+
+def _weighted_log_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """math.fsum of w log(lambda) over the nonzero values, after the spectrum checks.
+
+    The zero values must carry total weight 1 (a connected graph); a negative
+    value, or no nonzero value at all, is an error.
+    """
+    zero = values == 0.0
+    zeros = int(weights[zero].sum())
+    if zeros != 1:
+        raise GraphSpecError(f"expected exactly one zero eigenvalue, got {zeros}")
+    nonzero = values[~zero]
     if nonzero.size == 0:
         raise GraphSpecError("spectrum has no nonzero eigenvalues")
     if np.any(nonzero < 0.0):
         raise GraphSpecError("spectrum has a negative eigenvalue")
-    return math.fsum(np.log(nonzero))
+    # a memoryview yields Python floats, which math.fsum reads faster than numpy scalars
+    return math.fsum(memoryview(weights[~zero] * np.log(nonzero)))
+
+
+def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
+    """log of the product of the nonzero Laplacian eigenvalues of ``spec``.
+
+    One math.fsum of w log(lambda) over the half-range modes of
+    ``_half_spectrum``, so about half the logs of a circulant and a 2^-d
+    share of a d-dimensional torus's are taken.  A mirrored mode's eigenvalue
+    is bitwise its own, and w log(lambda) is exact for a power of 2, so the
+    result equals the math.fsum of log(lambda) over the full spectrum bit for
+    bit; math.fsum is correctly rounded, so it does not depend on order.
+    Raises EnumerationCapError above ``cap`` vertices and GraphSpecError for
+    a disconnected graph (more than one zero eigenvalue) or a single vertex.
+    """
+    return _weighted_log_sum(*_half_spectrum(spec, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Nothing in here may call into the code paths it is checking: tree counts are
 enumerated edge subsets or dense matrix-tree determinants of a Laplacian
 assembled from an explicit edge list, spectra come from a dense symmetric
-eigensolver, high-precision log det* values sum one mpmath log per nonzero
-eigenvalue, the high-precision lead term is a tanh-sinh quadrature of the
-log-sin integral or mpmath polyroots of a symbol polynomial built here, the
-float lead term is the paper's Mellin-Bessel integral, Bessel values come
-from mpmath/scipy, and the circulant-lattice isomorphism is realized by
-building Lambda_Gamma here and reducing explicitly.
+eigensolver or the eigenvalue formula evaluated at every mode, log det*
+values sum one log (float or mpmath) per nonzero eigenvalue, the
+high-precision lead term is a tanh-sinh quadrature of the log-sin integral or
+mpmath polyroots of a symbol polynomial built here, the float lead term is
+the paper's Mellin-Bessel integral, Bessel values come from mpmath/scipy, and
+the circulant-lattice isomorphism is realized by building Lambda_Gamma here
+and reducing explicitly.
 """
 
 from __future__ import annotations
@@ -138,6 +139,39 @@ def brute_force_tree_count(spec) -> int:
         if acyclic:
             count += 1
     return count
+
+
+def folded_spectrum(spec) -> np.ndarray:
+    """Every eigenvalue in enumeration order, each 4 sin^2(pi r / l) taken at min(r, l - r).
+
+    Built mode by mode over the full index range from the eigenvalue
+    formula, with no half tables and no weights: a circulant sums over its
+    generators in order, a torus over its sides in order, with the first
+    side's index moving slowest.
+    """
+    if isinstance(spec, CirculantSpec):
+        n = spec.n
+        flat = np.arange(n)
+        terms = [((g * flat) % n, n) for g in spec.generators]
+    else:
+        total = math.prod(spec.sides)
+        flat = np.arange(total)
+        terms, stride = [], total
+        for l in spec.sides:
+            stride //= l
+            terms.append(((flat // stride) % l, l))
+    lam = np.zeros(flat.size)
+    for r, l in terms:
+        s = np.sin(np.pi * (np.minimum(r, l - r) / l))
+        lam += 4.0 * s * s
+    return lam
+
+
+def log_det_star_full(values: np.ndarray) -> float:
+    """math.fsum of log(lambda) over every nonzero eigenvalue, one log each."""
+    if np.count_nonzero(values == 0.0) != 1:
+        raise ValueError("expected exactly one zero eigenvalue")
+    return math.fsum(np.log(values[values != 0.0]))
 
 
 def dense_spectrum(spec) -> np.ndarray:

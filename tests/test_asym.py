@@ -20,12 +20,12 @@ from spantor.asym import (
     predict_torus_sublinear,
     gamma_half_integer,
 )
-from spantor.graphs import EnumerationCapError
-from spantor.quadrature import integrate_log_endpoint, integrate_mellin
+from spantor import asym, cli, hp
+from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec
+from spantor.quadrature import QuadratureConfig, integrate_log_endpoint, integrate_mellin
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
-from spantor import hp
 
-from oracles import lead_term_circulant_mellin, mahler_lead_mp
+from oracles import folded_spectrum, lead_term_circulant_mellin, mahler_lead_mp
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 ZETA3 = 1.2020569031595942854
@@ -257,6 +257,70 @@ def test_predict_circulant_cap_marks_exact_unavailable():
     rep = predict_circulant(10**6, (1, 2), cap=10**5)
     assert rep.exact_log_det is None and rep.residual is None
     assert rep.predicted_log_det > 0
+
+
+def test_exact_log_det_blank_above_the_cap():
+    assert asym._exact_log_det(CirculantSpec(101, (1, 2)), cap=100) is None
+    assert asym._exact_log_det(TorusSpec((2, 3, 17)), cap=100) is None
+    assert asym._exact_log_det(CirculantSpec(100, (1, 2)), cap=100) is not None
+    assert asym._exact_log_det(TorusSpec((2, 50)), cap=100) is not None
+
+
+@pytest.fixture
+def mellin_calls(monkeypatch):
+    """Count integrate_mellin calls in asym, starting from an empty torus cache."""
+    calls = []
+
+    def counting(f, cfg):
+        calls.append(cfg)
+        return integrate_mellin(f, cfg)
+
+    asym._torus_constant_terms.cache_clear()
+    monkeypatch.setattr(asym, "integrate_mellin", counting)
+    yield calls
+    asym._torus_constant_terms.cache_clear()
+
+
+@pytest.mark.parametrize("alpha,distinct", [((3,), 2), ((2, 2), 3)])
+def test_torus_constant_one_integral_per_distinct_mode(mellin_calls, alpha, distinct):
+    # alpha = (3) has eigenvalues 0, 3, 3 and alpha = (2, 2) has 0, 4, 4, 8
+    predict_torus_constant(6, alpha, (1, 1), exact=False)
+    assert len(mellin_calls) == distinct
+    predict_torus_constant(9, alpha, (1, 1), exact=False)
+    assert len(mellin_calls) == distinct
+
+
+def test_torus_constant_table_integrates_once(mellin_calls, capsys):
+    argv = ["--no-header", "compare", "--family", "torus-constant", "--alpha", "3",
+            "--beta", "1,1", "--n", "6,8"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(mellin_calls) == 2
+
+
+@pytest.mark.parametrize("n,alpha,beta", [
+    (7, (3,), (1, 1)), (5, (2, 2), (1, 1)), (40, (3, 4), (2,)), (30, (1, 2, 5), (1,)),
+])
+def test_torus_constant_lead_equals_the_full_spectrum_sum(n, alpha, beta):
+    # the sum of per-mode integrals over every A-block eigenvalue, one each
+    q = len(beta)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=10 * 1e-10)
+    per_mode = []
+    for lam in folded_spectrum(TorusSpec(alpha)):
+        if q == 1:
+            per_mode.append(arccosh_lead(2.0 + lam))
+        else:
+            per_mode.append(integrate_mellin(
+                lambda t, lam=lam: math.exp(-t)
+                - bessel_i_scaled(0, 2.0 * t) ** q * math.exp(-lam * t), cfg).value)
+    components = {
+        "lead": n ** q * math.prod(beta) * math.fsum(per_mode),
+        "two_log_n": 2.0 * math.log(n),
+        "minus_zeta_prime": -epstein_zeta_prime_zero(beta, tol=1e-10),
+    }
+    rep = predict_torus_constant(n, alpha, beta, exact=False)
+    assert {k: v for k, v in rep.components.items() if k != "_vertices"} == components
+    assert rep.predicted_log_det == math.fsum(components.values())
 
 
 def test_predict_torus_constant_trivial_block():
