@@ -6,11 +6,9 @@ asymptotic growth laws."""
 from .graphs import (
     CirculantSpec,
     TorusSpec,
-    Spectrum,
     GraphSpecError,
     EnumerationCapError,
-    circulant_spectrum,
-    torus_spectrum,
+    spectrum,
     spanning_tree_count_exact,
     log_det_star,
 )
@@ -19,7 +17,6 @@ from .specfun import (
     ThetaValue,
     EULER_GAMMA,
     bessel_i_scaled,
-    bessel_multi_scaled,
     theta_discrete_spectral,
     theta_discrete_bessel,
     theta_circle,

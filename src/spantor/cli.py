@@ -27,8 +27,7 @@ from .graphs import (
     GraphSpecError,
     EnumerationCapError,
     DEFAULT_EIGENVALUE_CAP,
-    circulant_spectrum,
-    torus_spectrum,
+    spectrum,
     spanning_tree_count_exact,
 )
 from .quadrature import QuadratureError
@@ -171,17 +170,8 @@ def cmd_count(args, sink, out) -> int:
 
 
 def cmd_spectrum(args, sink, out) -> int:
-    spec = _spec_from_args(args)
-    if isinstance(spec, CirculantSpec):
-        if spec.n > args.max_vertices:
-            raise EnumerationCapError(
-                f"circulant has {spec.n} eigenvalues, exceeding the cap "
-                f"{args.max_vertices}")
-        spectrum = circulant_spectrum(spec)
-    else:
-        spectrum = torus_spectrum(spec, cap=args.max_vertices)
-    rows = [{"index": i, "eigenvalue": float(v)}
-            for i, v in enumerate(spectrum.values)]
+    values = spectrum(_spec_from_args(args), cap=args.max_vertices)
+    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(values)]
     sink.emit(["index", "eigenvalue"], rows, out)
     return EXIT_OK
 

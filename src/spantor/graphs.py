@@ -15,9 +15,12 @@ matrix-tree count and the eigenvalue product agree.
 
 Every eigenvalue is a sum of terms 4 sin^2(pi r / l), each read from a half
 table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
-log det* (``log_det_star``) takes a spec, not a spectrum: it sums w log(lambda)
-over the half-range modes only, each weighted by the number of modes it
-stands for, and equals the sum over the full spectrum exactly.
+One evaluator, ``_half_spectrum``, computes the eigenvalues of the half-range
+modes with the number of modes each stands for; every eigenvalue consumer
+reads it.  log det* (``log_det_star``) takes a spec, not a spectrum: it sums
+w log(lambda) over the half-range modes only and equals the sum over the full
+spectrum exactly.  ``spectrum(spec, cap)`` expands the half-range values into
+the full spectrum by indexing them at min(r, l - r).
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -153,21 +156,6 @@ GraphSpec = Union[CirculantSpec, TorusSpec]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full multiset of combinatorial-Laplacian eigenvalues.
-
-    ``values`` keeps the natural enumeration order (character index j for a
-    circulant, mixed-radix index for a torus); the zero mode sits at index 0
-    and is exact.
-    """
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def _sin2_half(l: int) -> np.ndarray:
     """4 sin^2(pi k / l) for k = 0..floor(l/2).
 
@@ -191,17 +179,6 @@ def _half_weights(l: int) -> np.ndarray:
     return weights
 
 
-def _circulant_modes(spec: CirculantSpec, j: np.ndarray) -> np.ndarray:
-    """lambda_j = 4 sum_g sin^2(pi g j / n) at the character indices j."""
-    n = spec.n
-    table = _sin2_half(n)
-    lam = np.zeros(j.size)
-    for g in spec.generators:
-        r = (g * j) % n
-        lam += table[np.minimum(r, n - r)]
-    return lam
-
-
 def _check_cap(spec: GraphSpec, cap: int) -> None:
     total = spec.vertex_count
     if total > cap:
@@ -211,56 +188,58 @@ def _check_cap(spec: GraphSpec, cap: int) -> None:
         )
 
 
-def circulant_spectrum(spec: CirculantSpec) -> Spectrum:
-    """Closed-form spectrum lambda_j = 2d - 2 sum_g cos(2 pi g j / n), j = 0..n-1.
-
-    Evaluated in the equivalent form 4 sum_g sin^2(pi g j / n), which is exact
-    at j = 0, with each sin^2 read from the half table at min(r, n - r),
-    r = g j mod n.  Every mode, the near-zero ones at j = 1 and j = n - 1
-    alike, keeps full relative accuracy (the cosine form loses them to
-    cancellation for large n), and lambda_j = lambda_{n-j} holds bit for bit.
-    """
-    return Spectrum(_circulant_modes(spec, np.arange(spec.n, dtype=np.int64)))
-
-
-def torus_spectrum(spec: TorusSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> Spectrum:
-    """Spectrum of the discrete torus, lambda_m = sum_i (2 - 2 cos(2 pi m_i / l_i)).
-
-    Each side's term 4 sin^2(pi m_i / l_i) is read from its half table at
-    min(m_i, l_i - m_i), as for the circulant.  Eigenvalues are enumerated in
-    mixed-radix order over m in prod Z/l_i; the first index moves fastest
-    along the last side.  Raises EnumerationCapError when det Lambda exceeds
-    ``cap``.
-    """
-    _check_cap(spec, cap)
-    lam = np.zeros((1,))
-    for l in spec.sides:
-        r = np.arange(l)
-        lam = (lam[:, None] + _sin2_half(l)[np.minimum(r, l - r)]).ravel()
-    return Spectrum(lam)
-
-
 def _half_spectrum(spec: GraphSpec,
                    cap: int = DEFAULT_EIGENVALUE_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the half-range modes and their multiplicities.
 
     An eigenvalue depends on each index only through min(r, l - r).  A
-    circulant's half-range modes are j = 0..floor(n/2), with weight 2 except
-    at j = 0 and j = n/2.  A torus's are the outer sum of the per-side half
-    tables, with the outer product of the per-side weights, which are 1 at
-    k = 0 and k = l/2 and 2 otherwise.  Every weight is a power of 2, and the
-    weights add up to the vertex count.  Raises EnumerationCapError above
-    ``cap`` vertices.
+    circulant's half-range modes are j = 0..floor(n/2), where lambda_j sums
+    the half table of n at min(r, n - r), r = g j mod n, over the generators
+    in order; their weights are 2 except at j = 0 and j = n/2.  A torus's are
+    the outer sum of the per-side half tables, with the outer product of the
+    per-side weights, which are 1 at k = 0 and k = l/2 and 2 otherwise.
+    Every weight is a power of 2, and the weights add up to the vertex count.
+    Raises EnumerationCapError above ``cap`` vertices.
     """
     _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
-        j = np.arange(spec.n // 2 + 1, dtype=np.int64)
-        return _circulant_modes(spec, j), _half_weights(spec.n)
+        n = spec.n
+        table = _sin2_half(n)
+        j = np.arange(n // 2 + 1, dtype=np.int64)
+        lam = np.zeros(j.size)
+        for g in spec.generators:
+            r = (g * j) % n
+            lam += table[np.minimum(r, n - r)]
+        return lam, _half_weights(n)
     lam, weights = np.zeros((1,)), np.ones((1,))
     for l in spec.sides:
         lam = (lam[:, None] + _sin2_half(l)).ravel()
         weights = (weights[:, None] * _half_weights(l)).ravel()
     return lam, weights
+
+
+def _folded(l: int) -> np.ndarray:
+    """min(r, l - r) for every residue r = 0..l-1: its index in a half table."""
+    r = np.arange(l, dtype=np.int64)
+    return np.minimum(r, l - r)
+
+
+def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
+    """Every Laplacian eigenvalue of ``spec``, read from ``_half_spectrum``.
+
+    The order is the natural enumeration: the character index j for a
+    circulant, lambda_j = 4 sum_g sin^2(pi g j / n); the mixed-radix index
+    over prod Z/l_i for a torus, lambda_m = 4 sum_i sin^2(pi m_i / l_i), with
+    the last side moving fastest.  The zero mode sits at index 0 and is exact.
+    Each mode is the half-range value at min(r, l - r) in every index, so a
+    mode and its mirror agree bit for bit and the near-zero modes keep full
+    relative accuracy.  Raises EnumerationCapError above ``cap`` vertices.
+    """
+    values, _ = _half_spectrum(spec, cap)
+    if isinstance(spec, CirculantSpec):
+        return values[_folded(spec.n)]
+    table = values.reshape([l // 2 + 1 for l in spec.sides])
+    return table[np.ix_(*[_folded(l) for l in spec.sides])].ravel()
 
 
 def _weighted_log_sum(values: np.ndarray, weights: np.ndarray) -> float:

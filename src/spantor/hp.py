@@ -9,11 +9,12 @@ The circulant lead term is the Mahler measure of the symbol polynomial
 z^g (2d - sum_gamma (z^gamma + z^-gamma)) with its double root at z = 1
 divided out: log|lc| plus the sum of log|rho| over the roots outside the unit
 circle.  The float lead term (spantor.asym) finds those roots with numpy;
-here each is refined by Newton steps at the working precision, so one root
-routine serves every precision.  The refined value must agree with the float
-one within the float's computed error, which catches two starts that
-converged onto one root.  It is cached per (generators, dps), since every row
-of a table and every n of a residual sweep shares it.
+here each real root and one root of each conjugate pair is refined by Newton
+steps at the working precision, so one root routine serves every precision.
+The refined value must agree with the float one within the float's computed
+error, which catches two starts that converged onto one root.  It is cached
+per (generators, dps), since every row of a table and every n of a residual
+sweep shares it.
 
 log det* is the log of the product of the nonzero Laplacian eigenvalues.  Each
 eigenvalue is a sum of sin^2 values that are symmetric under k -> l - k, so
@@ -73,7 +74,9 @@ def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
         coeffs = [mp.mpf(c) for c in roots.coeffs]
         target = mp.mpf(10) ** -(dps + 10)
         total = mp.log(abs(coeffs[0]))
-        for start in roots.outside:
+        # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
+        # refine the one with Im rho > 0 and count its log twice
+        for start in roots.outside[roots.outside.imag >= 0]:
             rho = mp.mpc(complex(start))
             for _ in range(_NEWTON_STEPS):
                 value, slope = mp.polyval(coeffs, rho, derivative=True)
@@ -83,7 +86,7 @@ def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
                     break
             else:
                 raise AsymError(f"Newton steps from {start} did not converge for {gens}")
-            total += mp.log(abs(rho))
+            total += (2 if start.imag > 0 else 1) * mp.log(abs(rho))
         if abs(total - roots.value) > roots.error_estimate:
             raise AsymError(f"refined lead term {mp.nstr(total, 20)} of {gens} is off the "
                             f"float value {roots.value!r} by more than its error "

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import CirculantSpec, GraphSpec, circulant_spectrum, torus_spectrum
+from .graphs import DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_spectrum
 
 __all__ = [
     "SpecfunError",
@@ -34,7 +34,6 @@ __all__ = [
     "ThetaValue",
     "bessel_i_scaled",
     "bessel_i_scaled_orders",
-    "bessel_multi_scaled",
     "bessel_tail_envelope",
     "theta_discrete_spectral",
     "theta_discrete_bessel",
@@ -112,24 +111,20 @@ def _series_orders(z: float, m_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _window_quad(exponent_scale: float, phi_terms: Sequence[tuple[float, float]],
-                 orders: np.ndarray, window: float, n0: int) -> np.ndarray:
-    """(1/pi) int_0^w exp(-sum_j c_j * 2 sin^2(g_j w / 2)) cos(m w) dw per order.
+def _window_quad(t: float, orders: np.ndarray, window: float, n0: int) -> np.ndarray:
+    """(1/pi) int_0^w exp(-2t sin^2(w / 2)) cos(m w) dw per order.
 
-    ``phi_terms`` is a list of (c_j, g_j) pairs; doubling of the trapezoid
-    grid continues until the whole order vector is stable.
+    Doubling of the trapezoid grid continues until the whole order vector is
+    stable.
     """
     n = max(128, n0)
     n = 1 << (n - 1).bit_length()
     prev = None
-    scale_floor = 1.0 / math.sqrt(2.0 * math.pi * max(exponent_scale, 1.0))
+    scale_floor = 1.0 / math.sqrt(2.0 * math.pi * max(t, 1.0))
     while n <= _MAX_QUAD_POINTS:
         theta = np.linspace(0.0, window, n + 1)
-        expo = np.zeros(n + 1)
-        for c, g in phi_terms:
-            s = np.sin(0.5 * g * theta)
-            expo -= 2.0 * c * s * s
-        env = np.exp(expo)
+        s = np.sin(0.5 * theta)
+        env = np.exp(-2.0 * t * s * s)
         env[0] *= 0.5
         env[-1] *= 0.5
         vals = np.empty(len(orders))
@@ -153,7 +148,7 @@ def _quad_orders(t: float, orders: np.ndarray) -> np.ndarray:
     E = 50.0 + 0.5 * math.log1p(t) + min(m_max * m_max / (2.0 * t), 700.0)
     w = min(math.pi, math.pi * math.sqrt(E / (2.0 * t)))
     n0 = int(8.0 * math.sqrt(0.5 * E)) + int(1.3 * m_max * w) + 64
-    return _window_quad(t, [(t, 1.0)], orders, w, n0)
+    return _window_quad(t, orders, w, n0)
 
 
 def bessel_i_scaled(order: int, t: float) -> float:
@@ -183,32 +178,6 @@ def bessel_i_scaled_orders(t: float, m_max: int) -> np.ndarray:
     if t < _SERIES_SWITCH:
         return _series_orders(t, m_max)
     return _quad_orders(t, np.arange(m_max + 1, dtype=float))
-
-
-def bessel_multi_scaled(generators: Sequence[int], order: int, u: float) -> float:
-    """Scaled d-dimensional I-Bessel e^{-d u} I_order^Gamma(u, ..., u).
-
-    Quadrature of (1/2pi) int_{-pi}^{pi} e^{u(cos w + sum cos(g_i w) - d)}
-    cos(order * w) dw.  Symmetric in order <-> -order.
-    """
-    if u < 0.0:
-        raise SpecfunError(f"u must be non-negative, got {u}")
-    gens = tuple(int(g) for g in generators)
-    if not gens or any(g < 1 for g in gens):
-        raise SpecfunError(f"generators must be positive integers: {generators}")
-    m = abs(int(order))
-    if u == 0.0:
-        return 1.0 if m == 0 else 0.0
-    c_sum = float(sum(g * g for g in gens))
-    E = 50.0 + 0.5 * math.log1p(u) + min(m * m / (2.0 * c_sum * u), 700.0)
-    if 1 in gens:
-        w = min(math.pi, math.pi * math.sqrt(E / (2.0 * u)))
-    else:
-        w = math.pi  # no generator-1 lower bound on the exponent; keep the full window
-    n0 = int(8.0 * math.sqrt(0.5 * E)) + int(1.3 * m * w) + 64 * max(gens)
-    vals = _window_quad(c_sum * u, [(u, float(g)) for g in gens],
-                        np.array([m], dtype=float), w, n0)
-    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +224,17 @@ class ThetaValue:
 
 
 def theta_discrete_spectral(spec: GraphSpec, t: float) -> ThetaValue:
-    """Spectral side: sum_j e^{-lambda_j t} over the full spectrum."""
-    if isinstance(spec, CirculantSpec):
-        lam = circulant_spectrum(spec).values
-    else:
-        lam = torus_spectrum(spec).values
-    value = math.fsum(np.exp(-lam * t))
-    return ThetaValue(t=t, value=value, tail_bound=0.0, terms=int(lam.size))
+    """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
+
+    One math.fsum of w e^{-lambda t} over the half-range modes of
+    ``_half_spectrum``; the weights are powers of 2, so it equals the sum over
+    every mode bit for bit.  A torus above DEFAULT_EIGENVALUE_CAP vertices
+    raises EnumerationCapError; a circulant has no cap.
+    """
+    cap = spec.n if isinstance(spec, CirculantSpec) else DEFAULT_EIGENVALUE_CAP
+    values, weights = _half_spectrum(spec, cap)
+    value = math.fsum(memoryview(weights * np.exp(-values * t)))
+    return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)
 
 
 def _circulant_bessel_sum(spec: CirculantSpec, z: float, cutoff: int,

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -306,6 +307,32 @@ def test_exit_invalid_spec(capsys):
 def test_exit_cap(capsys):
     assert cli.main(["--max-vertices", "100", "spectrum", "--torus", "20,20"]) == 3
     capsys.readouterr()
+
+
+def test_exit_cap_spectrum_circulant(capsys):
+    assert cli.main(["--max-vertices", "100", "spectrum", "--circulant", "101", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("size cap exceeded: circulant has 101 eigenvalues, "
+                            "exceeding the cap 100\n")
+    assert cli.main(["--max-vertices", "101", "--no-header",
+                     "spectrum", "--circulant", "101", "1,2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 101
+
+
+def test_exit_cap_theta_torus_before_allocation(capsys):
+    # 3163^2 vertices is just above the 10^7 eigenvalue cap; the half spectrum
+    # alone would take 20 MB
+    tracemalloc.start()
+    try:
+        rc = cli.main(["specfun", "theta", "0.5", "--torus", "3163,3163"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 10**6
+    assert capsys.readouterr().err == ("size cap exceeded: torus has 10004569 eigenvalues, "
+                                       "exceeding the cap 10000000\n")
 
 
 def test_exit_numerical(capsys):

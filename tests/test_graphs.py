@@ -12,11 +12,11 @@ from spantor.graphs import (
     TorusSpec,
     GraphSpecError,
     EnumerationCapError,
-    circulant_spectrum,
-    torus_spectrum,
+    spectrum,
     spanning_tree_count_exact,
     log_det_star,
 )
+from spantor.specfun import theta_discrete_spectral
 
 from oracles import (
     brute_force_tree_count,
@@ -38,68 +38,67 @@ from oracles import (
 
 
 def test_cycle_spectrum():
-    s = circulant_spectrum(CirculantSpec(4, (1,)))
-    assert np.allclose(s.values, [0.0, 2.0, 4.0, 2.0], atol=1e-15)
-    assert s.values[0] == 0.0
+    s = spectrum(CirculantSpec(4, (1,)))
+    assert np.allclose(s, [0.0, 2.0, 4.0, 2.0], atol=1e-15)
+    assert s[0] == 0.0
 
 
 def test_c4_12_spectrum_vs_dense_solver():
     spec = CirculantSpec(4, (1, 2))
-    s = circulant_spectrum(spec)
-    assert np.allclose(s.values, [0.0, 6.0, 4.0, 6.0], atol=1e-12)
-    assert np.allclose(np.sort(s.values), dense_spectrum(spec), atol=1e-12)
+    s = spectrum(spec)
+    assert np.allclose(s, [0.0, 6.0, 4.0, 6.0], atol=1e-12)
+    assert np.allclose(np.sort(s), dense_spectrum(spec), atol=1e-12)
 
 
 def test_trace_identity_c7():
-    s = circulant_spectrum(CirculantSpec(7, (1, 2)))
+    s = spectrum(CirculantSpec(7, (1, 2)))
     assert len(s) == 7
-    assert math.fsum(s.values) == pytest.approx(28.0, abs=1e-12)
+    assert math.fsum(s) == pytest.approx(28.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,gens", [(11, (1,)), (15, (1, 4)), (24, (1, 2, 7)), (9, (1, 3))])
 def test_trace_identity_random(n, gens):
     spec = CirculantSpec(n, gens)
-    assert math.fsum(circulant_spectrum(spec).values) == pytest.approx(
+    assert math.fsum(spectrum(spec)) == pytest.approx(
         2.0 * spec.d * n, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec", [CirculantSpec(17, (1, 2, 8)), CirculantSpec(8, (1, 4)),
                                   TorusSpec((2, 5, 7))])
 def test_eigenvalues_within_regular_range(spec):
-    values = (circulant_spectrum(spec) if isinstance(spec, CirculantSpec)
-              else torus_spectrum(spec)).values
+    values = spectrum(spec)
     assert float(values.min()) >= 0.0
     assert float(values.max()) <= 2.0 * spec.degree + 1e-12
 
 
 def test_torus_spectrum_examples():
-    assert sorted(torus_spectrum(TorusSpec((2, 2))).values) == pytest.approx([0, 4, 4, 8])
-    assert sorted(torus_spectrum(TorusSpec((3,))).values) == pytest.approx([0, 3, 3])
+    assert sorted(spectrum(TorusSpec((2, 2)))) == pytest.approx([0, 4, 4, 8])
+    assert sorted(spectrum(TorusSpec((3,)))) == pytest.approx([0, 3, 3])
     # a side of length 1 contributes nothing
-    s = torus_spectrum(TorusSpec((1, 4)))
-    assert sorted(s.values) == pytest.approx([0.0, 2.0, 2.0, 4.0])
-    assert np.allclose(sorted(s.values), sorted(circulant_spectrum(CirculantSpec(4, (1,))).values))
+    s = spectrum(TorusSpec((1, 4)))
+    assert sorted(s) == pytest.approx([0.0, 2.0, 2.0, 4.0])
+    assert np.allclose(sorted(s), sorted(spectrum(CirculantSpec(4, (1,)))))
 
 
 @pytest.mark.parametrize("sides", [(2, 3), (4, 5), (2, 2, 3), (6,)])
 def test_torus_spectrum_vs_dense_solver(sides):
     spec = TorusSpec(sides)
-    assert np.allclose(np.sort(torus_spectrum(spec).values), dense_spectrum(spec), atol=1e-12)
-    assert math.fsum(torus_spectrum(spec).values) == pytest.approx(
+    assert np.allclose(np.sort(spectrum(spec)), dense_spectrum(spec), atol=1e-12)
+    assert math.fsum(spectrum(spec)) == pytest.approx(
         2.0 * spec.d * spec.vertex_count, rel=1e-13)
 
 
 def test_torus_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        torus_spectrum(TorusSpec((1000, 1000)), cap=10**5)
+        spectrum(TorusSpec((1000, 1000)), cap=10**5)
 
 
 def test_near_zero_modes_match_their_mirrors():
     # sin^2 is read at min(r, l - r): the mode next to l is its mirror's
     # value bit for bit, with full relative accuracy, not that of sin near pi
     n = 10**6
-    lam = circulant_spectrum(CirculantSpec(n, (1,))).values
-    side = torus_spectrum(TorusSpec((3, 1000))).values
+    lam = spectrum(CirculantSpec(n, (1,)))
+    side = spectrum(TorusSpec((3, 1000)))
     with mp.workdps(40):
         for values, low, high, l in [(lam, 1, n - 1, n), (side, 1, 999, 1000)]:
             assert values[high] == values[low]
@@ -392,6 +391,40 @@ def test_log_det_star_equals_full_folded_sum_torus(spec):
     assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
 
 
+@st.composite
+def spectrum_specs(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 300))
+        extra = draw(st.lists(st.integers(1, n - 1), max_size=3))
+        return CirculantSpec(n, (1,) + tuple(sorted(extra)))
+    return TorusSpec(draw(st.lists(st.integers(1, 10), min_size=1, max_size=3)))
+
+
+# g = n/2, mirrored and duplicated generators; torus sides 1 and 2 in every position
+@example(CirculantSpec(10, (1, 5)))
+@example(CirculantSpec(9, (1, 5, 7)))
+@example(CirculantSpec(12, (1, 6, 6, 11)))
+@example(CirculantSpec(3, (1, 2)))
+@example(TorusSpec((1, 2, 3)))
+@example(TorusSpec((2, 3, 1)))
+@example(TorusSpec((3, 1, 2)))
+@example(TorusSpec((1,)))
+@given(spectrum_specs())
+@settings(max_examples=100, deadline=None)
+def test_spectrum_equals_folded_oracle(spec):
+    assert np.array_equal(spectrum(spec), folded_spectrum(spec))
+
+
+@example(CirculantSpec(12, (1, 6, 6, 11)), 0.5)
+@example(TorusSpec((2, 1, 3)), 3.0)
+@given(spectrum_specs(), st.sampled_from([0.01, 0.5, 3.0]) | st.floats(1e-3, 10.0))
+@settings(max_examples=100, deadline=None)
+def test_theta_spectral_equals_full_folded_sum(spec, t):
+    full = math.fsum(np.exp(-folded_spectrum(spec) * t))
+    assert theta_discrete_spectral(spec, t).value == full
+    assert theta_discrete_spectral(spec, t).terms == spec.vertex_count
+
+
 # ---------------------------------------------------------------------------
 # lattice form
 # ---------------------------------------------------------------------------
@@ -412,7 +445,7 @@ def test_lattice_examples():
 def test_lattice_quotient_isomorphism(n, gens):
     spec = CirculantSpec(n, gens)
     quotient = quotient_graph_spectrum(circulant_lattice(spec))
-    assert np.allclose(np.sort(circulant_spectrum(spec).values), quotient, atol=1e-12)
+    assert np.allclose(np.sort(spectrum(spec)), quotient, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +475,7 @@ def test_mirror_generator_semantics():
     # C_3^{1,2} is the doubled triangle: gamma=2 acts as the mirror of step 1
     spec = CirculantSpec(3, (1, 2))
     assert spanning_tree_count_exact(spec) == 12
-    assert np.allclose(np.sort(circulant_spectrum(spec).values),
+    assert np.allclose(np.sort(spectrum(spec)),
                        dense_spectrum(spec), atol=1e-12)
 
 
@@ -457,7 +490,7 @@ def test_duplicate_generator_multiset():
     spec = CirculantSpec(7, (1, 2, 2))
     assert spec.degree == 6
     assert spec.c_gamma == 9
-    assert math.fsum(circulant_spectrum(spec).values) == pytest.approx(42.0, abs=1e-12)
-    assert np.allclose(np.sort(circulant_spectrum(spec).values),
+    assert math.fsum(spectrum(spec)) == pytest.approx(42.0, abs=1e-12)
+    assert np.allclose(np.sort(spectrum(spec)),
                        dense_spectrum(spec), atol=1e-12)
     assert spanning_tree_count_exact(spec) == brute_force_tree_count(spec)
