@@ -322,20 +322,31 @@ def _alpha_candidates(beta: int) -> list[tuple[str, float]]:
     return cands
 
 
-def _log_factor(x: float, a: float) -> float:
-    """log(2 cosh(x) + a), stable for large x."""
-    return x + math.log1p(math.exp(-2.0 * x) + a * math.exp(-x))
+# The alpha fit: Gauss-Newton stops once no alpha moves by more than
+# _ALPHA_STEP_TOL and gives up after _ALPHA_MAX_STEPS steps; a fit to the exact
+# counts converges quadratically in far fewer.
+_ALPHA_STEP_TOL = 1e-20
+_ALPHA_MAX_STEPS = 64
+# A converged fit must reproduce every P_n to this fraction of its
+# alpha-dependent part; a local minimum of the residual misses by far more.
+_ALPHA_FIT_TOL = 1e-12
 
 
 def estimate_alpha(beta: int, ns: tuple[int, ...]):
     """Fit the conjectured product form tau(C_{beta n}^{1,n}) = (n/beta) prod_k (2cosh(nJ_k)+alpha_k).
 
-    J_k = arccosh(2 - cos(2 pi k/beta)) is known; the alpha_k are fitted by
-    least squares on log tau with the k <-> beta-k symmetry enforced.
+    J_k = arccosh(2 - cos(2 pi k/beta)) is known.  One alpha per pair
+    {k, beta-k} (weight w = 2, or w = 1 at k = beta/2) is fitted to the exact
+    counts tau_n by Gauss-Newton from alpha = 0 in the linear domain:
+    prod_j (1 + alpha_j s_{j,n})^{w_j} = P_n, with s_{j,n} = 1/(2cosh(nJ_j))
+    and P_n = (beta tau_n / n) prod_j s_{j,n}^{w_j}.  The fit runs in mpmath
+    at dps = 20 + ceil(n_max J_max / ln 10), so the smallest alpha term
+    exp(-n_max J_max) still carries 20 digits and alpha resolves at any n.
+    The residual norm is sqrt(sum_n log(model_n / P_n)^2).  A fit that does
+    not converge, or that ends in a local minimum of the residual, raises
+    QuadratureError rather than return its alpha.
     Returns (terms, residual_norm) where each term is (k, J_k, alpha_k, tag).
     """
-    from scipy.optimize import least_squares
-
     if beta < 2:
         raise UsageError("need beta >= 2")
     if any(n < 2 for n in ns):
@@ -343,58 +354,97 @@ def estimate_alpha(beta: int, ns: tuple[int, ...]):
     if len(set(ns)) < beta:
         raise UsageError(f"need at least beta = {beta} distinct n values")
 
-    js = [arccosh_lead(4.0 - 2.0 * math.cos(2.0 * math.pi * k / beta))
-          for k in range(1, beta)]
-    pair_count = (beta - 1) // 2
-    has_middle = (beta % 2 == 0)
+    ns = sorted(set(ns))
+    m = beta // 2
+    weights = [1 if 2 * j == beta else 2 for j in range(1, m + 1)]
+    j_max = arccosh_lead(4.0 - 2.0 * math.cos(2.0 * math.pi * m / beta))
+    with mp.workdps(20 + math.ceil(ns[-1] * j_max / math.log(10))):
+        js = [mp.acosh(2 - mp.cospi(mp.mpf(2 * j) / beta)) for j in range(1, m + 1)]
+        rows = [_alpha_row(beta, n, js, weights) for n in ns]
+        alphas = _gauss_newton(rows, weights)
+        norm = float(_fit_residual_norm(rows, weights, alphas))
+        js = [float(j) for j in js]
+        alphas = [float(a) for a in alphas]
 
-    logs = []
-    for n in sorted(set(ns)):
-        tau = spanning_tree_count_exact(CirculantSpec(beta * n, (1, n)))
-        logs.append((n, _log_of_int(tau)))
-
-    def unpack(u):
-        alphas = [0.0] * (beta - 1)
-        for j in range(pair_count):
-            alphas[j] = alphas[beta - 2 - j] = u[j]
-        if has_middle:
-            alphas[beta // 2 - 1] = u[pair_count]
-        return alphas
-
-    def resid(u):
-        alphas = unpack(u)
-        out = []
-        for n, logtau in logs:
-            model = math.log(n / beta) + math.fsum(
-                _log_factor(n * js[k], alphas[k]) for k in range(beta - 1))
-            out.append(model - logtau)
-        return out
-
-    n_unknowns = pair_count + (1 if has_middle else 0)
-    fit = least_squares(resid, x0=[0.0] * n_unknowns, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    if not fit.success:
-        raise QuadratureError(f"alpha fit did not converge: {fit.message}")
-    alphas = unpack(fit.x)
-    norm = math.sqrt(sum(r * r for r in resid(fit.x)))
-
+    candidates = _alpha_candidates(beta)
     terms = []
     for k in range(1, beta):
-        a = float(alphas[k - 1])
-        tag = None
-        for name, value in _alpha_candidates(beta):
-            if abs(a - value) < 1e-6:
-                tag = name
-                break
-        terms.append((k, js[k - 1], a, tag))
-    return terms, float(norm)
+        j = min(k, beta - k) - 1
+        tag = next((name for name, value in candidates if abs(alphas[j] - value) < 1e-6), None)
+        terms.append((k, js[j], alphas[j], tag))
+    return terms, norm
 
 
-def _log_of_int(v: int) -> float:
-    """log of a (possibly huge) positive integer without overflow."""
-    if v.bit_length() <= 1000:
-        return math.log(v)
-    shift = v.bit_length() - 900
-    return math.log(v >> shift) + shift * math.log(2.0)
+def _alpha_row(beta: int, n: int, js: list, weights: list[int]):
+    """(s, P_n) with s_j = 1/(2cosh(nJ_j)) and P_n = (beta tau_n / n) prod_j s_j^{w_j}."""
+    tau = spanning_tree_count_exact(CirculantSpec(beta * n, (1, n)))
+    s = []
+    p = mp.mpf(beta * tau) / n
+    for j, w in zip(js, weights):
+        e = mp.exp(-n * j)
+        s.append(e / (1 + e * e))
+        p *= s[-1] ** w
+    return s, p
+
+
+def _product_form(s: list, weights: list[int], alphas: list):
+    """prod_j (1 + alpha_j s_j)^{w_j} and its gradient in alpha."""
+    factors = [1 + a * sj for a, sj in zip(alphas, s)]
+    model = mp.fprod(f * f if w == 2 else f for f, w in zip(factors, weights))
+    return model, [model * w * sj / f for f, w, sj in zip(factors, weights, s)]
+
+
+def _gauss_newton(rows: list, weights: list[int]) -> list:
+    """The alphas fitted to ``rows`` by Gauss-Newton from zero."""
+    m = len(weights)
+    alphas = [mp.mpf(0)] * m
+    for _ in range(_ALPHA_MAX_STEPS):
+        grads, residuals = [], []
+        for s, p in rows:
+            model, grad = _product_form(s, weights, alphas)
+            grads.append(grad)
+            residuals.append(p - model)
+        columns = list(zip(*grads))
+        a = [[mp.fdot(columns[i], columns[k]) for k in range(i + 1)] for i in range(m)]
+        b = [mp.fdot(column, residuals) for column in columns]
+        step = _solve_normal(a, b)
+        alphas = [x + d for x, d in zip(alphas, step)]
+        if max(abs(d) for d in step) <= _ALPHA_STEP_TOL:
+            return alphas
+    raise QuadratureError(f"alpha fit did not converge in {_ALPHA_MAX_STEPS} Gauss-Newton steps")
+
+
+def _solve_normal(a: list, b: list) -> list:
+    """Solve a x = b for symmetric positive definite a, given its lower triangle.
+
+    Elimination without pivoting (LDL^T), which is stable for such a; a and b
+    are overwritten.
+    """
+    m = len(b)
+    for c in range(m):
+        if not a[c][c] > 0:
+            raise QuadratureError("alpha fit: the normal equations are singular")
+        for i in range(c + 1, m):
+            ratio = a[i][c] / a[c][c]
+            for k in range(c + 1, i + 1):
+                a[i][k] -= ratio * a[k][c]
+            b[i] -= ratio * b[c]
+    x = [mp.mpf(0)] * m
+    for c in reversed(range(m)):
+        x[c] = (b[c] - mp.fsum(a[i][c] * x[i] for i in range(c + 1, m))) / a[c][c]
+    return x
+
+
+def _fit_residual_norm(rows: list, weights: list[int], alphas: list):
+    """sqrt(sum_n log(model_n / P_n)^2), after checking that the fit reproduces every P_n."""
+    total = mp.mpf(0)
+    for s, p in rows:
+        log_ratio = mp.log(_product_form(s, weights, alphas)[0] / p)
+        if abs(log_ratio) > _ALPHA_FIT_TOL * mp.fsum(w * sj for w, sj in zip(weights, s)):
+            raise QuadratureError(
+                f"alpha fit stopped at a local minimum (log residual {mp.nstr(log_ratio, 3)})")
+        total += log_ratio ** 2
+    return mp.sqrt(total)
 
 
 def cmd_estimate_alpha(args, sink, out) -> int:

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from spantor import cli, hp
@@ -256,6 +261,65 @@ def test_estimate_alpha_usage_errors(capsys):
     assert rc == 1
     rc, _ = run_cli(capsys, "estimate-alpha", "--beta", "5", "--n", "1,2,3,4,5")
     assert rc == 1
+
+
+@pytest.mark.parametrize("ns", [(20, 30, 40, 50, 60), (200, 300, 400, 500, 600)])
+def test_estimate_alpha_large_n_resolves_the_golden_coefficients(ns):
+    # 2cosh(nJ_k) swamps alpha_k in float64 at these n; the fit used to stay
+    # at its start and print alpha = 0, tagged "0"
+    terms, norm = estimate_alpha(5, ns)
+    minus, plus = (1 - math.sqrt(5)) / 2, GOLDEN
+    for (_, _, got, _), want in zip(terms, [minus, plus, plus, minus]):
+        assert got == pytest.approx(want, abs=1e-12)
+    assert [tag for (_, _, _, tag) in terms] == [
+        "(1-sqrt5)/2", "(1+sqrt5)/2", "(1+sqrt5)/2", "(1-sqrt5)/2"]
+    assert norm < 1e-20
+
+
+@pytest.mark.parametrize("beta", range(2, 11))
+def test_estimate_alpha_recovers_the_cover_identity(beta):
+    # the cover route factorizes tau(C_{beta n}^{1,n}) over the characters of
+    # Z/beta, which gives alpha_k = -2cos(2 pi k / beta) at every beta
+    terms, _ = estimate_alpha(beta, tuple(range(2, beta + 3)))
+    assert [k for (k, _, _, _) in terms] == list(range(1, beta))
+    for k, _, alpha, _ in terms:
+        assert alpha == pytest.approx(-2.0 * math.cos(2.0 * math.pi * k / beta), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", range(2, 11))
+def test_estimate_alpha_j_is_correctly_rounded_and_mirrored(beta):
+    terms, _ = estimate_alpha(beta, tuple(range(2, beta + 2)))
+    by_k = {k: j for (k, j, _, _) in terms}
+    for k, j in by_k.items():
+        assert j == by_k[beta - k]  # bit-identical, not merely close
+        with mp.workdps(50):
+            assert j == float(mp.acosh(2 - mp.cospi(mp.mpf(2 * k) / beta)))
+
+
+def test_estimate_alpha_refuses_a_fit_that_misses_the_counts():
+    beta, ns = 5, (2, 3, 4, 5, 6)
+    weights = [2, 2]
+    with mp.workdps(30):
+        js = [mp.acosh(2 - mp.cospi(mp.mpf(2 * j) / beta)) for j in (1, 2)]
+        rows = [cli._alpha_row(beta, n, js, weights) for n in ns]
+        exact = [1 - (1 + mp.sqrt(5)) / 2, (1 + mp.sqrt(5)) / 2]
+        assert cli._fit_residual_norm(rows, weights, exact) < 1e-20
+        with pytest.raises(cli.QuadratureError, match="local minimum"):
+            cli._fit_residual_norm(rows, weights, [exact[0], exact[1] + mp.mpf("1e-9")])
+
+
+def test_estimate_alpha_runs_without_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from spantor.cli import main\n"
+            "rc = main(['--no-header', 'estimate-alpha', '--beta', '5', '--n', '2,3,4,5,6'])\n"
+            "sys.stderr.write(repr((rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stderr == repr((0, []))
+    assert len(done.stdout.splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------
