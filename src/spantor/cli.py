@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -85,6 +86,15 @@ class OutputSink:
     fmt: str
     header: bool
 
+    def _csv_head(self, columns: list[str], out):
+        """Write the CSV timestamp and column header if asked for; return the writer."""
+        writer = csv.writer(out, lineterminator="\n")
+        if self.header:
+            out.write(f"# spantor {__version__} generated "
+                      f"{datetime.now(timezone.utc).isoformat()}\n")
+            writer.writerow(columns)
+        return writer
+
     def emit(self, columns: list[str], rows: list[dict], out) -> None:
         if self.fmt == "json":
             doc = {"rows": rows}
@@ -93,15 +103,38 @@ class OutputSink:
             json.dump(doc, out, indent=2, default=_fmt)
             out.write("\n")
             return
-        if self.header:
-            out.write(f"# spantor {__version__} generated "
-                      f"{datetime.now(timezone.utc).isoformat()}\n")
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-        else:
-            writer = csv.writer(out, lineterminator="\n")
+        writer = self._csv_head(columns, out)
         for row in rows:
             writer.writerow([_fmt(row.get(c)) for c in columns])
+
+    def stream(self, columns: list[str], formats: list[str], records, out) -> None:
+        """Write records (tuples of ints and finite floats) one block at a time.
+
+        ``formats`` are the CSV %-formats of the columns ("%d", or "%.17g" as
+        in _fmt); JSON writes each cell with %r, as json does.  The bytes are
+        those of emit on dict rows with the keys in column order, without one
+        dict per row.
+        """
+        if self.fmt == "json":
+            line = "    {\n" + ",\n".join(f"      {json.dumps(c)}: %r" for c in columns) + "\n    }"
+            out.write('{\n  "rows": [')
+            first, sep = "\n", ",\n"
+        else:
+            self._csv_head(columns, out)
+            line = ",".join(formats)
+            first, sep = "", "\n"
+        wrote = False
+        records = iter(records)
+        while block := list(itertools.islice(records, 1 << 14)):
+            out.write((sep if wrote else first) + sep.join([line % r for r in block]))
+            wrote = True
+        if self.fmt == "csv":
+            out.write("\n" if wrote else "")
+            return
+        out.write("\n  ]" if wrote else "]")
+        if self.header:
+            out.write(',\n  "generated_at": ' + json.dumps(datetime.now(timezone.utc).isoformat()))
+        out.write("\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +147,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(",") if x != "")
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _digits(text: str) -> int:
+    """A --precision value: a non-negative integer, where 0 means float64."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -171,8 +215,8 @@ def cmd_count(args, sink, out) -> int:
 
 def cmd_spectrum(args, sink, out) -> int:
     values = spectrum(_spec_from_args(args), cap=args.max_vertices)
-    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(values)]
-    sink.emit(["index", "eigenvalue"], rows, out)
+    # a memoryview yields Python floats, whose %r is the JSON text
+    sink.stream(["index", "eigenvalue"], ["%d", "%.17g"], enumerate(memoryview(values)), out)
     return EXIT_OK
 
 
@@ -515,7 +559,7 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--tol", type=float,
                         help="target tolerance for quadrature-backed values")
-    common.add_argument("--precision", type=int, metavar="DIGITS",
+    common.add_argument("--precision", type=_digits, metavar="DIGITS",
                         help="decimal digits for high-precision paths (0 = float64)")
     common.add_argument("--max-vertices", type=int,
                         help="cap on enumerated eigenvalues / dense matrices")

@@ -10,18 +10,21 @@ z^g (2d - sum_gamma (z^gamma + z^-gamma)) with its double root at z = 1
 divided out: log|lc| plus the sum of log|rho| over the roots outside the unit
 circle.  The float lead term (spantor.asym) finds those roots with numpy;
 here each real root and one root of each conjugate pair is refined by Newton
-steps at the working precision, so one root routine serves every precision.
-The refined value must agree with the float one within the float's computed
-error, which catches two starts that converged onto one root.  It is cached
-per (generators, dps), since every row of a table and every n of a residual
-sweep shares it.
+steps at the working precision on the sparse symbol, one power of rho per
+generator, so one root routine serves every precision.  The refined value
+must agree with the float one within the float's computed error, which
+catches two starts that converged onto one root.  It is cached per
+(generators, dps), since every row of a table and every n of a residual sweep
+shares it.
 
 log det* is the log of the product of the nonzero Laplacian eigenvalues.  Each
 eigenvalue is a sum of sin^2 values that are symmetric under k -> l - k, so
-only half the spectrum is evaluated, from a half table of sin^2(pi k / l),
-with mirrored eigenvalues counted by multiplicity.  The eigenvalues are
-multiplied into one mpf, whose exponent cannot overflow, and a single log is
-taken at the end.
+only half the spectrum is evaluated, from a fixed-point half table of
+sin^2(pi k / l) built by integer rotations from one rounded exp(i pi / l).
+Each eigenvalue is an exact integer sum of table entries; the sums are
+multiplied into one mpf, whose exponent cannot overflow, mirrored eigenvalues
+are counted by multiplicity, and a single log is taken at the end.  The
+table's guard bits follow from its error bound (see _guard_bits).
 """
 
 from __future__ import annotations
@@ -67,19 +70,33 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
 _NEWTON_STEPS = 100
 
 
+def _symbol_and_slope(gens: tuple[int, ...], z):
+    """f(z) = sum_g (2 - z^g - z^-g) and f'(z) from the 2d + 1 terms of the symbol.
+
+    f has the roots of the deflated symbol polynomial Q away from z = 1, so
+    Newton steps on f refine Q's roots at a cost of one power per generator.
+    """
+    value, slope = mp.mpf(2 * len(gens)), mp.mpf(0)
+    for g in gens:
+        up = z ** g
+        down = 1 / up
+        value -= up + down
+        slope -= g * (up - down)
+    return value, slope / z
+
+
 @lru_cache(maxsize=None)
 def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
     roots = _symbol_roots(gens)
     with mp.workdps(dps + 20):
-        coeffs = [mp.mpf(c) for c in roots.coeffs]
         target = mp.mpf(10) ** -(dps + 10)
-        total = mp.log(abs(coeffs[0]))
+        total = mp.log(abs(roots.coeffs[0]))
         # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
         # refine the one with Im rho > 0 and count its log twice
         for start in roots.outside[roots.outside.imag >= 0]:
             rho = mp.mpc(complex(start))
             for _ in range(_NEWTON_STEPS):
-                value, slope = mp.polyval(coeffs, rho, derivative=True)
+                value, slope = _symbol_and_slope(gens, rho)
                 step = value / slope
                 rho -= step
                 if abs(step) <= target * abs(rho):
@@ -94,35 +111,67 @@ def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
         return +total
 
 
-def _sin2_half_table(l: int) -> list:
-    """sin^2(pi k / l) for k = 0..floor(l/2) at the working precision.
+def _guard_bits(dps: int, sides: Sequence[int]) -> int:
+    """Fixed-point bits that give log det* to dps + 10 digits.
+
+    Entry k of _sin2_table(l, bits) is sin^2(pi k / l) 2^bits with two errors.
+    The rotations leave y off by about 1.5 l units relative (k units absolute
+    against y >= 2^bits 2k / l), which squaring doubles to 3 l; the final
+    shift is one unit absolute, at most l^2 / 4 units relative, since
+    sin^2(pi k / l) >= (2k / l)^2 >= 4 / l^2 on the half range.  So an entry,
+    and an eigenvalue, being a sum of entries, is good to 2 l^2 units
+    relative, and the V - 1 eigenvalues of the product add V times that, with
+    l the largest side.  The bits are (dps + 10) log2 10 plus
+    2 bitlen(l) + bitlen(V) + 2, which also covers the product's own rounding.
+    """
+    target = math.ceil((dps + 10) * math.log2(10))
+    return target + 2 * max(sides).bit_length() + math.prod(sides).bit_length() + 2
+
+
+def _sin2_table(l: int, bits: int) -> list[int]:
+    """sin^2(pi k / l) 2^bits as integers, for k = 0..floor(l/2).
 
     sin^2(pi k / l) = sin^2(pi (l - k) / l), so index min(k, l - k) of this
-    table covers every residue k mod l.
+    table covers every residue k mod l.  One exp(i pi / l) is rounded to a
+    fixed-point pair (c, s), and the point (x, y) = 2^bits exp(i pi k / l) is
+    advanced by integer complex rotations; each step adds about one unit of
+    error, so step k is good to about k units.
     """
-    return [mp.sinpi(mp.mpf(k) / l) ** 2 for k in range(l // 2 + 1)]
+    with mp.workprec(bits + 10):
+        w = mp.expjpi(mp.mpf(1) / l)
+        c, s = int(mp.nint(mp.ldexp(w.real, bits))), int(mp.nint(mp.ldexp(w.imag, bits)))
+    x, y = 1 << bits, 0
+    table = [0]
+    for _ in range(l // 2):
+        x, y = (x * c - y * s) >> bits, (x * s + y * c) >> bits
+        table.append((y * y) >> bits)
+    return table
 
 
 def log_det_star_circulant_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
     """Sum of log(4 sum_g sin^2(pi g j / n)) over j = 1..n-1 at dps digits.
 
     lambda_j = lambda_{n-j}, so only j = 1..floor(n/2) are evaluated and all
-    but j = n/2 count twice.  The eigenvalues are multiplied into one mpf,
-    whose exponent cannot overflow, the factor 4^(n-1) is applied as a binary
-    shift, and a single log is taken; the product's relative rounding error
-    is at most about n 2^-prec, the order of a sum of n - 1 rounded logs.
+    but j = n/2 count twice.  Each eigenvalue is an exact integer sum over the
+    fixed-point sin^2 table, the sums are multiplied into one mpf, whose
+    exponent cannot overflow, the factor 4^(n-1) and the table scale are
+    applied as one binary shift, and a single log is taken.  _guard_bits
+    bounds the table's error; the product's rounding adds about n 2^-prec.
     """
     gens = tuple(int(g) for g in gens)
-    with mp.workdps(dps + 10):
-        sin2 = _sin2_half_table(n)
+    bits = _guard_bits(dps, (n,))
+    sin2 = _sin2_table(n, bits)
+    with mp.workprec(bits):
         paired = single = mp.mpf(1)
         for j in range(1, n // 2 + 1):
-            lam = mp.fsum(sin2[min(r, n - r)] for r in ((g * j) % n for g in gens))
+            lam = sum(sin2[min(r, n - r)] for r in ((g * j) % n for g in gens))
             if 2 * j == n:
                 single = lam
             else:
                 paired *= lam
-        return +mp.log(mp.ldexp(paired * paired * single, 2 * (n - 1)))
+        total = mp.ldexp(paired * paired * single, (2 - bits) * (n - 1))
+    with mp.workdps(dps + 10):
+        return +mp.log(total)
 
 
 def log_det_star_torus_hp(sides: Sequence[int], dps: int) -> mp.mpf:
@@ -133,21 +182,25 @@ def log_det_star_torus_hp(sides: Sequence[int], dps: int) -> mp.mpf:
     over those half-range modes, skipping the zero mode; a mode with e
     coordinates strictly inside (0, l_i/2) stands for 2^e modes, so it goes
     into the e-th partial product, which is raised to the power 2^e at the
-    end.  As for the circulant, one log is taken of the whole product.
+    end.  As for the circulant, each eigenvalue is an exact integer sum over
+    the fixed-point tables and one log is taken of the whole product.
     """
     sides = tuple(int(s) for s in sides)
-    with mp.workdps(dps + 10):
-        halves = [[(s, int(0 < 2 * k < l)) for k, s in enumerate(_sin2_half_table(l))]
-                  for l in sides]
+    bits = _guard_bits(dps, sides)
+    halves = [[(s, int(0 < 2 * k < l)) for k, s in enumerate(_sin2_table(l, bits))]
+              for l in sides]
+    with mp.workprec(bits):
         products = [mp.mpf(1)] * (len(sides) + 1)
         modes = itertools.product(*halves)
         next(modes)  # the zero mode
         for mode in modes:
-            products[sum(e for _, e in mode)] *= mp.fsum(s for s, _ in mode)
+            products[sum(e for _, e in mode)] *= sum(s for s, _ in mode)
         total = mp.mpf(1)
         for e, partial in enumerate(products):
             total *= partial ** (2 ** e)
-        return +mp.log(mp.ldexp(total, 2 * (math.prod(sides) - 1)))
+        total = mp.ldexp(total, (2 - bits) * (math.prod(sides) - 1))
+    with mp.workdps(dps + 10):
+        return +mp.log(total)
 
 
 def circulant_residual_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:

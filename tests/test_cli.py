@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 
 import mpmath as mp
@@ -82,6 +83,32 @@ def test_spectrum_rows(capsys):
     assert rc == 0
     values = sorted(float(line.split(",")[1]) for line in out.strip().splitlines())
     assert values == pytest.approx([0.0, 4.0, 4.0, 8.0])
+
+
+class _FixedClock:
+    @staticmethod
+    def now(tz=None):
+        return datetime(2020, 1, 2, 3, 4, 5, tzinfo=tz)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-header"], ["--format", "json"],
+                                   ["--format", "json", "--no-header"]])
+@pytest.mark.parametrize("spec", [["--circulant", "3", "1"], ["--circulant", "7", "1,3"],
+                                  ["--circulant", "10", "1,5"], ["--torus", "1,2,3"],
+                                  ["--torus", "3,4"]])
+def test_spectrum_stream_matches_dict_writer(capsys, monkeypatch, flags, spec):
+    # the streamed rows are the bytes the table writer gives one dict per row
+    monkeypatch.setattr(cli, "datetime", _FixedClock)
+    rc, out = run_cli(capsys, *flags, "spectrum", *spec)
+    assert rc == 0
+    args = cli.build_parser().parse_args(["spectrum", *spec])
+    values = cli.spectrum(cli._spec_from_args(args))
+    rows = [{"index": i, "eigenvalue": float(v)} for i, v in enumerate(values)]
+    sink = cli.OutputSink(fmt="json" if "json" in flags else "csv",
+                          header="--no-header" not in flags)
+    expected = io.StringIO()
+    sink.emit(["index", "eigenvalue"], rows, expected)
+    assert out == expected.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +388,19 @@ def test_exit_usage(capsys):
     capsys.readouterr()
     assert cli.main(["specfun", "bessel", "zzz"]) == 1    # bad arity/argument
     capsys.readouterr()
+
+
+def test_negative_precision_is_a_usage_error(capsys):
+    argv = ["compare", "--family", "circulant", "--gens", "1,2", "--n", "10,40"]
+    assert cli.main([*argv, "--precision=-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --precision:")
+    # 0 still selects the float64 path
+    assert cli.main(["--no-header", *argv, "--precision", "0"]) == 0
+    zero = capsys.readouterr().out
+    assert cli.main(["--no-header", *argv]) == 0
+    assert zero == capsys.readouterr().out
 
 
 def test_exit_invalid_spec(capsys):

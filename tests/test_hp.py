@@ -13,6 +13,7 @@ from spantor.graphs import (
     TorusSpec,
     _deflate,
     log_det_star,
+    spanning_tree_count_exact,
 )
 
 from oracles import (
@@ -152,6 +153,63 @@ def test_torus_log_det_two_vertices():
         for sides in ((2,), (1, 2), (2, 1, 1)):
             assert abs(hp.log_det_star_torus_hp(sides, 30) - mp.log(4)) < mp.mpf(10) ** -30
         assert hp.log_det_star_torus_hp((1, 1), 30) == 0
+
+
+def _agrees_with_count(value, spec, digits):
+    # log det* = log(V tau) by the matrix-tree theorem, and the count comes
+    # from the Chebyshev engine in graphs, which shares no code with hp's
+    # spectral product
+    count = spanning_tree_count_exact(spec, cap=10**5)
+    with mp.workdps(digits + 20):
+        ref = mp.log(spec.vertex_count * mp.mpf(count))
+        return abs(value - ref) <= mp.mpf(10) ** -digits * max(1, abs(ref))
+
+
+# the sizes and precisions where the fixed-point tables' guard bits matter.
+# The kernels promise dps + 10 digits, so the check is to dps + 9.  The
+# smallest eigenvalues carry the largest relative error, and a cycle's are
+# single table entries near (pi / n)^2: there, dropping the 2 bitlen(n) guard
+# bits loses about 3 digits at n = 2*10^4 and 2 at n = 5000
+@pytest.mark.parametrize("n, gens, dps", [
+    (20000, (1,), 100),
+    (19997, (1, 19996), 300),      # a doubled cycle: n - 1 mirrors 1
+    (20000, (1, 2, 7, 11), 300),
+    (20000, (1, 10000), 300),      # g = n/2, with the unmirrored mode j = n/2
+    (19999, (1, 19997), 250),      # the mirror of (1, 2)
+    (20000, (1, 3, 19990), 200),   # the mirror of (1, 3, 10)
+    (16384, (1, 5), 15),
+    (9001, (1, 2, 8996), 80),
+])
+def test_circulant_log_det_matches_exact_count_at_large_n(n, gens, dps):
+    spec = CirculantSpec(n, gens)
+    assert _agrees_with_count(hp.log_det_star_circulant_hp(n, gens, dps), spec, dps + 9)
+
+
+@st.composite
+def _large_circulant_case(draw):
+    n = draw(st.integers(3, 20000))
+    if n % 2 == 0 and draw(st.booleans()):
+        return n, (1, n // 2)
+    steps = draw(st.lists(st.integers(2, 12).filter(lambda g: g < n), max_size=2))
+    mirrored = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    return n, tuple(sorted((1,) + tuple(n - g if m else g for g, m in zip(steps, mirrored))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(_large_circulant_case(), st.integers(15, 300))
+def test_circulant_log_det_matches_exact_count_random(case, dps):
+    n, gens = case
+    spec = CirculantSpec(n, gens)
+    assert _agrees_with_count(hp.log_det_star_circulant_hp(n, gens, dps), spec, dps + 9)
+
+
+@pytest.mark.parametrize("sides", [*itertools.permutations((1, 2, 5000)),
+                                   (5000,), (1, 5000), (5000, 1, 1), (2, 5000), (5000, 2),
+                                   (4, 5000), (2, 2, 2500)])
+def test_torus_log_det_matches_exact_count_with_a_long_side(sides):
+    for dps in (15, 300):
+        assert _agrees_with_count(hp.log_det_star_torus_hp(sides, dps),
+                                  TorusSpec(sides), dps + 9)
 
 
 def test_lead_term_cached_per_generators_and_precision():
