@@ -18,8 +18,9 @@ high-precision lead term (spantor.hp) refines the same roots by Newton steps.
 Torus lead terms reduce to powers of the ordinary scaled Bessel function, and
 for a single growing side to the arccosh closed form.  The regularized
 determinant of a diagonal real torus comes from the theta-split formula for
-the spectral zeta derivative at zero; Epstein zeta values in the convergent
-regime come from a direct lattice sum with a certified sandwich tail.
+the spectral zeta derivative at zero.  Epstein zeta values in the convergent
+regime come from the Riemann zeta function for a circle, and otherwise from
+a direct lattice sum with a certified sandwich tail.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .quadrature import (
 )
 from .specfun import (
     EULER_GAMMA,
+    _zeta_euler_maclaurin,
     bessel_i_scaled,
     theta_real_torus,
     theta_real_torus_minus_leading,
@@ -293,17 +295,29 @@ def epstein_zeta_sum(sides: Sequence[float], s: float,
                      max_lattice_points: int = 20_000_000) -> EpsteinValue:
     """Spectral zeta of the real torus R^r/diag(sides)Z^r in the convergent regime.
 
-    zeta(s) = (4 pi^2)^{-s} sum_{k != 0} (sum_i k_i^2/m_i^2)^{-s} for s > r/2,
-    summed over the ellipsoid Q(k) <= R^2 with a sandwich tail: the midpoint of
-    the upper/lower integral comparisons is added and their half-width is the
-    certified tail bound.
+    zeta(s) = (4 pi^2)^{-s} sum_{k != 0} (sum_i k_i^2/m_i^2)^{-s} for s > r/2.
+    A circle (r = 1) gives 2 (m / 2 pi)^{2s} zeta_R(2s); its bound is the
+    first omitted Euler-Maclaurin term of zeta_R plus the rounding, whose
+    share grows with 2s because (m / 2 pi) carries one rounding into the
+    power.  For r >= 2 the ellipsoid Q(k) <= R^2 is summed with a sandwich
+    tail: the midpoint of the upper/lower integral comparisons is added and
+    their half-width is the certified tail bound, at most ``tail_target``.
     """
     sides_t = tuple(float(m) for m in sides)
     r = len(sides_t)
     if r == 0 or any(m <= 0 for m in sides_t):
         raise AsymError(f"sides must be positive: {sides}")
-    if s <= 0.5 * r:
+    if not s > 0.5 * r:
         raise AsymError(f"need s > r/2 = {0.5 * r}, got {s} (continuation not supported)")
+    if r == 1:
+        zeta, omitted = _zeta_euler_maclaurin(2.0 * s)
+        try:
+            scale = 2.0 * (sides_t[0] / (2.0 * math.pi)) ** (2.0 * s)
+        except OverflowError:
+            raise AsymError(f"epstein value overflows at side {sides_t[0]}, s = {s}") from None
+        value = scale * zeta
+        return EpsteinValue(sides=sides_t, s=float(s), value=value,
+                            tail_bound=scale * omitted + (4.0 * s + 16.0) * math.ulp(value))
 
     h = 0.5 * math.sqrt(sum(1.0 / (m * m) for m in sides_t))
     omega = 2.0 * math.pi ** (0.5 * r) / math.gamma(0.5 * r)

@@ -160,9 +160,17 @@ def _digits(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and inf as a usage error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(",") if x != "")
+        return tuple(_finite(x) for x in text.split(",") if x != "")
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -507,10 +515,10 @@ def cmd_specfun(args, sink, out) -> int:
     rest = args.args
     try:
         if name == "bessel":
-            order, t = int(rest[0]), float(rest[1])
+            order, t = int(rest[0]), _finite(rest[1])
             value, err = bessel_i_scaled(order, t), 1e-12
         elif name == "theta":
-            t = float(rest[0])
+            t = _finite(rest[0])
             if args.circulant is None and args.torus is None:
                 raise UsageError("theta needs --circulant or --torus")
             spec = _spec_from_args(args)
@@ -519,9 +527,9 @@ def cmd_specfun(args, sink, out) -> int:
             value = spectral.value
             err = abs(spectral.value - lattice.value) + lattice.tail_bound
         elif name == "eta":
-            value, err = dedekind_eta(float(rest[0])), 1e-15
+            value, err = dedekind_eta(_finite(rest[0])), 1e-15
         elif name == "zeta":
-            value, err = riemann_zeta_real(float(rest[0])), 1e-13
+            value, err = riemann_zeta_real(_finite(rest[0])), 1e-13
         elif name == "lead":
             lead = lead_term_circulant(_parse_int_list(rest[0]), tol=args.tol)
             value, err = lead.value, lead.error_estimate
@@ -529,7 +537,7 @@ def cmd_specfun(args, sink, out) -> int:
             lead = c_d(int(rest[0]), tol=args.tol)
             value, err = lead.value, lead.error_estimate
         elif name == "epstein":
-            ev = epstein_zeta_sum(_parse_float_list(rest[0]), float(rest[1]))
+            ev = epstein_zeta_sum(_parse_float_list(rest[0]), _finite(rest[1]))
             value, err = ev.value, ev.tail_bound
         elif name == "zeta-prime-zero":
             value = epstein_zeta_prime_zero(_parse_float_list(rest[0]), tol=args.tol)
@@ -540,6 +548,8 @@ def cmd_specfun(args, sink, out) -> int:
         if isinstance(exc, (SpecfunError, AsymError)):
             raise
         raise UsageError(f"bad arguments for specfun {name}: {rest}") from exc
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise SpecfunError(f"specfun {name} gave the non-finite value {value!r}, error {err!r}")
     json.dump({"name": name, "value": value, "error": err}, out)
     out.write("\n")
     return EXIT_OK

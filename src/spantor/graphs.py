@@ -19,8 +19,11 @@ One evaluator, ``_half_spectrum``, computes the eigenvalues of the half-range
 modes with the number of modes each stands for; every eigenvalue consumer
 reads it.  log det* (``log_det_star``) takes a spec, not a spectrum: it sums
 w log(lambda) over the half-range modes only and equals the sum over the full
-spectrum exactly.  ``spectrum(spec, cap)`` expands the half-range values into
-the full spectrum by indexing them at min(r, l - r).
+spectrum exactly.  That sum, and theta's sum of w e^{-lambda t}, run in
+blocks of 2^15 terms through one exact summation (``_exact_parts``), whose
+few parts one math.fsum rounds: the float that math.fsum over the full
+spectrum returns, bit for bit.  ``spectrum(spec, cap)`` expands the
+half-range values into the full spectrum by indexing them at min(r, l - r).
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -208,6 +211,9 @@ def _half_spectrum(spec: GraphSpec,
         j = np.arange(n // 2 + 1, dtype=np.int64)
         lam = np.zeros(j.size)
         for g in spec.generators:
+            if g == 1:  # the folded index of j is j itself
+                lam += table
+                continue
             r = (g * j) % n
             lam += table[np.minimum(r, n - r)]
         return lam, _half_weights(n)
@@ -242,34 +248,92 @@ def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
     return table[np.ix_(*[_folded(l) for l in spec.sides])].ravel()
 
 
+def _exact_parts(x: np.ndarray, parts: list[float]) -> None:
+    """Append to ``parts`` a few floats whose exact sum is the exact sum of x.
+
+    With n = x.size and n max|x| < 2^e, take u = 52 - e and
+    sigma = 1.5 2^(52 - u).  Every x + sigma lies in [2^e, 2^(e + 1)), where
+    the float spacing is 2^-u, so hi = (x + sigma) - sigma is x rounded to a
+    multiple of 2^-u, and x - hi is exact.  Each partial sum of hi is a
+    multiple of 2^-u below 2^(53 - u) in magnitude, hence a float:
+    np.add.reduce sums hi exactly in whatever order it takes.  The residuals are at most
+    2^-(u + 1) each, and the next level splits them with that bound.  Once
+    fewer than a quarter of the residuals are nonzero they are compressed to
+    those, and the last 64 or fewer are appended as they are.  At and below
+    the subnormal range every term is a multiple of 2^-1074 and hi = x.  So
+    math.fsum of the parts, being correctly rounded, returns math.fsum(x).  A
+    non-finite term, or one too large to split, is appended as it is.
+    """
+    if x.size > 64:
+        top = float(np.max(np.abs(x)))
+        if top == 0.0:
+            parts.append(float(np.add.reduce(x)))  # keeps the sign of an all -0.0 block
+            return
+        bound = x.size * top
+        e = math.frexp(bound)[1]
+        if not math.isfinite(bound) or e > 1023:
+            parts.extend(x.tolist())
+            return
+    while x.size > 64:
+        sigma = math.ldexp(1.5, e)
+        hi = (x + sigma) - sigma
+        parts.append(float(np.add.reduce(hi)))
+        x = x - hi
+        if 4 * np.count_nonzero(x) < x.size:
+            x = x[x != 0.0]
+        e += x.size.bit_length() - 53
+    parts.extend(x.tolist())
+
+
+# terms per block of an exact weighted sum: the block's temporaries stay in cache
+_BLOCK = 1 << 15
+
+
+def _weighted_fsum(values: np.ndarray, weights: np.ndarray, f) -> float:
+    """math.fsum(weights * f(values)), bit for bit, evaluated in blocks of _BLOCK terms."""
+    parts: list[float] = []
+    for start in range(0, values.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _exact_parts(weights[block] * f(values[block]), parts)
+    return math.fsum(parts)
+
+
+def _log_nonzero(values: np.ndarray) -> np.ndarray:
+    """log(lambda), with 0 in place of log 0, so that a zero mode adds nothing."""
+    zero = values == 0.0
+    if zero.any():
+        values = np.where(zero, 1.0, values)
+    return np.log(values)
+
+
 def _weighted_log_sum(values: np.ndarray, weights: np.ndarray) -> float:
     """math.fsum of w log(lambda) over the nonzero values, after the spectrum checks.
 
     The zero values must carry total weight 1 (a connected graph); a negative
-    value, or no nonzero value at all, is an error.
+    value, or no nonzero value at all, is an error.  The sum is exact and
+    blocked (``_weighted_fsum``), so it returns the single math.fsum's float.
     """
-    zero = values == 0.0
+    zero = np.flatnonzero(values == 0.0)
     zeros = int(weights[zero].sum())
     if zeros != 1:
         raise GraphSpecError(f"expected exactly one zero eigenvalue, got {zeros}")
-    nonzero = values[~zero]
-    if nonzero.size == 0:
+    if zero.size == values.size:
         raise GraphSpecError("spectrum has no nonzero eigenvalues")
-    if np.any(nonzero < 0.0):
+    if values.min() < 0.0:
         raise GraphSpecError("spectrum has a negative eigenvalue")
-    # a memoryview yields Python floats, which math.fsum reads faster than numpy scalars
-    return math.fsum(memoryview(weights[~zero] * np.log(nonzero)))
+    return _weighted_fsum(values, weights, _log_nonzero)
 
 
 def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
     """log of the product of the nonzero Laplacian eigenvalues of ``spec``.
 
-    One math.fsum of w log(lambda) over the half-range modes of
-    ``_half_spectrum``, so about half the logs of a circulant and a 2^-d
-    share of a d-dimensional torus's are taken.  A mirrored mode's eigenvalue
-    is bitwise its own, and w log(lambda) is exact for a power of 2, so the
-    result equals the math.fsum of log(lambda) over the full spectrum bit for
-    bit; math.fsum is correctly rounded, so it does not depend on order.
+    The sum of w log(lambda) over the half-range modes of ``_half_spectrum``,
+    so about half the logs of a circulant and a 2^-d share of a
+    d-dimensional torus's are taken.  A mirrored mode's eigenvalue is bitwise
+    its own, and w log(lambda) is exact for a power of 2, so the exact sum
+    is that over the full spectrum.  It is summed exactly in blocks and
+    rounded once, so the result equals the math.fsum of log(lambda) over the
+    full spectrum bit for bit, whatever the order.
     Raises EnumerationCapError above ``cap`` vertices and GraphSpecError for
     a disconnected graph (more than one zero eigenvalue) or a single vertex.
     """

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_spectrum
+from .graphs import (DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_spectrum,
+                     _weighted_fsum)
 
 __all__ = [
     "SpecfunError",
@@ -226,14 +227,15 @@ class ThetaValue:
 def theta_discrete_spectral(spec: GraphSpec, t: float) -> ThetaValue:
     """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
 
-    One math.fsum of w e^{-lambda t} over the half-range modes of
-    ``_half_spectrum``; the weights are powers of 2, so it equals the sum over
-    every mode bit for bit.  A torus above DEFAULT_EIGENVALUE_CAP vertices
-    raises EnumerationCapError; a circulant has no cap.
+    The sum of w e^{-lambda t} over the half-range modes of ``_half_spectrum``,
+    summed exactly in blocks by ``graphs._weighted_fsum``; the weights are
+    powers of 2, so it equals the math.fsum over every mode bit for bit.  A
+    torus above DEFAULT_EIGENVALUE_CAP vertices raises EnumerationCapError; a
+    circulant has no cap.
     """
     cap = spec.n if isinstance(spec, CirculantSpec) else DEFAULT_EIGENVALUE_CAP
     values, weights = _half_spectrum(spec, cap)
-    value = math.fsum(memoryview(weights * np.exp(-values * t)))
+    value = _weighted_fsum(values, weights, lambda v: np.exp(-v * t))
     return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)
 
 
@@ -418,13 +420,20 @@ def dedekind_eta(y: float) -> float:
     return math.exp(-math.pi * y / 12.0) * prod
 
 
-# Bernoulli numbers B_2..B_12 for the Euler-Maclaurin correction.
+# Bernoulli numbers B_2..B_12 for the Euler-Maclaurin correction, and B_14,
+# whose term is the first one omitted.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730)
+_BERNOULLI_OMITTED = 7.0 / 6
 
 
-def riemann_zeta_real(s: float) -> float:
-    """zeta(s) for real s > 1 by Euler-Maclaurin acceleration of the direct sum."""
-    if s <= 1.0:
+def _zeta_euler_maclaurin(s: float) -> tuple[float, float]:
+    """(zeta(s), |first omitted Euler-Maclaurin term|) for real s > 1.
+
+    sum_{k<N} k^-s plus the integral, the half term and the B_2..B_12
+    corrections from N = 24 on.  The derivatives of x^-s alternate in sign,
+    so the truncation error lies between 0 and the first omitted term.
+    """
+    if not s > 1.0:
         raise SpecfunError(f"need s > 1, got {s}")
     N = 24
     head = math.fsum(k ** -s for k in range(1, N))
@@ -439,7 +448,12 @@ def riemann_zeta_real(s: float) -> float:
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
         power /= N * N
-    return head + tail + corr
+    return head + tail + corr, _BERNOULLI_OMITTED / fact * poch * power
+
+
+def riemann_zeta_real(s: float) -> float:
+    """zeta(s) for real s > 1 by Euler-Maclaurin acceleration of the direct sum."""
+    return _zeta_euler_maclaurin(s)[0]
 
 
 def catalan_constant() -> float:

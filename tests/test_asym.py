@@ -188,8 +188,25 @@ def test_epstein_rejects_nonconvergent_regime():
 
 
 def test_epstein_unreachable_tail_hits_cap():
+    # 22.95 M lattice points against the 20 M cap: refused before allocating
     with pytest.raises(EnumerationCapError):
-        epstein_zeta_sum((1.0,), 0.51, tail_target=1e-30)
+        epstein_zeta_sum((1.0, 1.0), 1.01, tail_target=1e-30)
+
+
+@example(1.0, 0.50005)
+@example(7.5, 35.2)
+@example(1.0 / 3.0, 40.0)
+@example(3.0, 0.75)
+@given(st.floats(0.05, 200.0), st.floats(0.5001, 40.0))
+@settings(max_examples=150, deadline=None)
+def test_epstein_circle_closed_form_against_mpmath_zeta(m, s):
+    ev = epstein_zeta_sum((m,), s)
+    with mp.workdps(40):
+        s_mp = mp.mpf(s)
+        ref = 2 * (mp.mpf(m) / (2 * mp.pi)) ** (2 * s_mp) * mp.zeta(2 * s_mp)
+        assert abs(ev.value - ref) <= ev.tail_bound
+    # the bound is computed, a few ulps of the value, not a constant
+    assert 0.0 < ev.tail_bound <= (4.0 * s + 17.0) * math.ulp(ev.value)
 
 
 # ---------------------------------------------------------------------------

@@ -442,3 +442,32 @@ def test_exit_cap_theta_torus_before_allocation(capsys):
 def test_exit_numerical(capsys):
     assert cli.main(["specfun", "zeta", "0.5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["zeta", "nan"], ["zeta", "inf"], ["eta", "nan"],
+                                  ["epstein", "1", "nan"], ["epstein", "1,inf", "2"],
+                                  ["bessel", "0", "nan"],
+                                  ["theta", "inf", "--circulant", "7", "1,2"]])
+def test_specfun_non_finite_argument_is_a_usage_error(capsys, argv):
+    assert cli.main(["specfun", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: expected a finite number")
+
+
+def test_specfun_non_finite_result_is_a_numerical_failure(capsys):
+    # the 2-D lattice sum meets inf * 0 at s = 1000
+    with pytest.warns(RuntimeWarning):
+        assert cli.main(["specfun", "epstein", "2,2", "1e3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: specfun epstein gave the non-finite")
+    assert cli.main(["specfun", "epstein", "1e200", "3"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: epstein value overflows")
+
+
+def test_specfun_epstein_circle_underflow_is_finite(capsys):
+    # 2 (1/pi)^2000 zeta(2000) is about 1e-994: it underflows to 0, with a bound
+    rc, out = run_cli(capsys, "specfun", "epstein", "2", "1e3")
+    doc = json.loads(out)
+    assert rc == 0 and doc["value"] == 0.0 and 0.0 < doc["error"] < 1e-300

@@ -391,6 +391,92 @@ def test_log_det_star_equals_full_folded_sum_torus(spec):
     assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
 
 
+# lengths at and around the 64-term shortcut and the 2^15-term block
+_EXACT_SUM_LENGTHS = [0, 1, 64, 65, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7]
+
+
+def _random_floats(seed, size, lo, hi, zero_share):
+    """Mixed-sign floats m 2^k with k uniform in lo..hi (subnormal below -1022) and some zeros."""
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(lo, hi + 1, size))
+    x *= rng.choice([-1.0, 1.0], size)
+    x[rng.random(size) < zero_share] = 0.0
+    return x
+
+
+def _exact_fsum(x):
+    parts = []
+    graphs._exact_parts(x, parts)
+    return math.fsum(parts)
+
+
+@example(0, 2**15, -1074, 900, 0.1)
+@example(1, 3 * 2**15 + 7, -1074, 74, 0.0)  # subnormals only
+@example(2, 65, 900, 0, 0.0)
+@example(3, 2**15 + 1, -60, 65, 0.5)
+@given(st.integers(0, 2**32), st.sampled_from(_EXACT_SUM_LENGTHS),
+       st.integers(-1074, 900), st.integers(0, 2000), st.sampled_from([0.0, 0.01, 0.9]))
+@settings(max_examples=60, deadline=None)
+def test_exact_parts_sum_to_fsum(seed, size, lo, width, zero_share):
+    x = _random_floats(seed, size, lo, min(lo + width, 900), zero_share)
+    assert _exact_fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("size", _EXACT_SUM_LENGTHS[2:])
+def test_exact_parts_cancellation_and_ties(size):
+    # exact cancellation to a tiny total, and halves that round to even
+    x = _random_floats(size, size, -30, 30, 0.0)
+    x[1::2] = -x[::2][: size // 2]
+    x[0] += 2.0 ** -1000
+    assert _exact_fsum(x).hex() == math.fsum(x.tolist()).hex()
+    ties = np.full(size, 1.0)
+    ties[::3] = 2.0 ** -53
+    assert _exact_fsum(ties).hex() == math.fsum(ties.tolist()).hex()
+    assert _exact_fsum(np.full(size, -0.0)).hex() == math.fsum([-0.0] * size).hex()
+
+
+def test_exact_parts_passes_non_finite_terms_to_fsum():
+    x = np.ones(1000)
+    x[500] = math.nan
+    assert math.isnan(_exact_fsum(x))
+    x[500] = math.inf
+    assert _exact_fsum(x) == math.inf
+    x[501] = -math.inf
+    with pytest.raises(ValueError):
+        _exact_fsum(x)
+    x = np.full(1000, 2.0 ** 1020)
+    with pytest.raises(OverflowError):
+        _exact_fsum(x)
+
+
+@st.composite
+def large_circulant_specs(draw):
+    n = draw(st.integers(5 * 10**4, 3 * 10**5))
+    extra = draw(st.lists(st.integers(1, n - 1), max_size=3))
+    return CirculantSpec(n, (1,) + tuple(sorted(extra)))
+
+
+# n from 5 10^4 to 3 10^5, beyond the 64-term shortcut and across several
+# blocks; g = n/2 and mirrored steps, and tori of about 10^5 vertices with
+# sides 1 and 2 in every position
+@example(CirculantSpec(100000, (1, 50000)))
+@example(CirculantSpec(299999, (1, 7, 299990)))
+@example(CirculantSpec(200000, (1, 3, 100000, 199999)))
+@example(CirculantSpec(50001, (1, 25000, 25001)))
+@example(TorusSpec((1, 2, 50000)))
+@example(TorusSpec((2, 50000, 1)))
+@example(TorusSpec((49999, 1, 2)))
+@example(TorusSpec((2, 2, 25000)))
+@example(TorusSpec((316, 317)))
+@given(st.one_of(
+    large_circulant_specs(),
+    st.lists(st.sampled_from([1, 2, 3, 5, 8, 41, 47, 250, 500, 12500]), min_size=2, max_size=4)
+    .filter(lambda sides: 5 * 10**4 <= math.prod(sides) <= 3 * 10**5).map(TorusSpec)))
+@settings(max_examples=12, deadline=None)
+def test_log_det_star_equals_full_folded_sum_large(spec):
+    assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
+
+
 @st.composite
 def spectrum_specs(draw):
     if draw(st.booleans()):
@@ -417,6 +503,8 @@ def test_spectrum_equals_folded_oracle(spec):
 
 @example(CirculantSpec(12, (1, 6, 6, 11)), 0.5)
 @example(TorusSpec((2, 1, 3)), 3.0)
+@example(CirculantSpec(100001, (1, 3, 50000)), 0.5)  # beyond the 64-term shortcut
+@example(TorusSpec((2, 317, 316)), 30.0)
 @given(spectrum_specs(), st.sampled_from([0.01, 0.5, 3.0]) | st.floats(1e-3, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_theta_spectral_equals_full_folded_sum(spec, t):
