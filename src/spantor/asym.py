@@ -302,6 +302,8 @@ def epstein_zeta_sum(sides: Sequence[float], s: float,
     power.  For r >= 2 the ellipsoid Q(k) <= R^2 is summed with a sandwich
     tail: the midpoint of the upper/lower integral comparisons is added and
     their half-width is the certified tail bound, at most ``tail_target``.
+    The terms are summed as (m_max^2 Q)^{-s} <= 1, with m_max^2s in the
+    prefactor, so no large s overflows; the bound adds the rounding, which grows with s.
     """
     sides_t = tuple(float(m) for m in sides)
     r = len(sides_t)
@@ -339,15 +341,26 @@ def epstein_zeta_sum(sides: Sequence[float], s: float,
             break
         R *= 1.35
 
+    # the lattice is scaled by the largest side m_max, so the nearest point
+    # has q = 1, every term is at most 1 and the sum cannot overflow;
+    # m_max^2s joins the prefactor
+    m_max = max(sides_t)
     q = np.zeros((1,))
     for m in sides_t:
         k = np.arange(-int(m * R), int(m * R) + 1, dtype=float)
-        q = (q[:, None] + (k / m) ** 2).ravel()
-    mask = (q > 0.0) & (q <= R * R)
-    lattice_part = float(np.sum(q[mask] ** (-s)))
-    value = prefactor * lattice_part + prefactor * 0.5 * (upper + lower)
+        q = (q[:, None] + (k * (m_max / m)) ** 2).ravel()
+    q = q[(q > 0.0) & (q <= (R * m_max) ** 2)]
+    try:
+        scale = (4.0 * math.pi * math.pi / (m_max * m_max)) ** (-s)
+    except OverflowError:
+        raise AsymError(f"epstein value overflows at sides {sides_t}, s = {s}") from None
+    lattice_part = float(np.sum(q ** (-s)))
+    value = scale * lattice_part + prefactor * 0.5 * (upper + lower)
+    # each q and the scale carry about (r + 2) rounding units, whose relative
+    # error the power multiplies by s
+    rounding = (s * (3 * r + 10) + q.size.bit_length() + 3) * math.ulp(value)
     return EpsteinValue(sides=sides_t, s=float(s), value=value,
-                        tail_bound=remainder + 1e-16 * abs(value))
+                        tail_bound=remainder + rounding)
 
 
 def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,

@@ -236,59 +236,37 @@ def _an_value(rule: str, const: int, n: int) -> int:
     return const
 
 
+def _compare_row(rep, family: str, params: str, spec, args) -> dict:
+    """One compare row from a float (asym) or mpf (hp) report."""
+    row = {key: None if value is None else float(value)
+           for key, value in (("exact_log_det", rep.exact_log_det),
+                              ("predicted_log_det", rep.predicted_log_det),
+                              ("residual", rep.residual))}
+    row.update(family=family, n=rep.n, params=params)
+    row["tree_count"] = _tree_count_or_blank(spec, args)
+    return row
+
+
 def _compare_row_circulant(n, gens, args) -> dict:
-    params = "gens=" + ",".join(str(g) for g in gens)
     spec = CirculantSpec(n, gens)
     if args.precision:
-        dps = args.precision
-        lead = hp.lead_term_circulant_hp(gens, dps)
-        c_gamma = 1 + sum(g * g for g in gens[1:])
-        with mp.workdps(dps):
-            predicted = n * lead + 2 * mp.log(n) - mp.log(c_gamma)
-            exact = hp.log_det_star_circulant_hp(n, gens, dps) if n <= args.max_vertices else None
-            residual = None if exact is None else exact - predicted
-        row = {"exact_log_det": None if exact is None else float(exact),
-               "predicted_log_det": float(predicted),
-               "residual": None if residual is None else float(residual)}
+        rep = hp.predict_circulant_hp(n, gens, args.precision, cap=args.max_vertices)
     else:
         rep = predict_circulant(n, gens, cap=args.max_vertices, tol=args.tol)
-        row = {"exact_log_det": rep.exact_log_det,
-               "predicted_log_det": rep.predicted_log_det,
-               "residual": rep.residual}
-    row.update(family="circulant", n=n, params=params)
-    row["tree_count"] = _tree_count_or_blank(spec, n, args)
-    return row
+    return _compare_row(rep, "circulant", "gens=" + ",".join(str(g) for g in gens), spec, args)
 
 
 def _compare_row_torus_constant(n, alpha, beta, args) -> dict:
     params = ("alpha=" + ",".join(map(str, alpha))
               + ";beta=" + ",".join(map(str, beta)))
-    vertices = math.prod(alpha) * math.prod(beta) * n ** len(beta) if alpha else \
-        math.prod(beta) * n ** len(beta)
     if args.precision:
         if len(beta) != 1:
             raise UsageError("--precision supports torus-constant only with one growing side")
-        # the same precisions as torus_constant_residual_hp, with the log
-        # det* evaluated once and only within the vertex cap
-        dps = args.precision + 10
-        predicted = hp.torus_constant_predicted_hp(n, alpha, beta, dps)
-        exact = residual = None
-        if vertices <= args.max_vertices:
-            exact = hp.log_det_star_torus_hp(tuple(alpha) + (beta[0] * n,), dps)
-            with mp.workdps(dps):
-                residual = exact - predicted
-        row = {"exact_log_det": None if exact is None else float(exact),
-               "predicted_log_det": float(predicted),
-               "residual": None if residual is None else float(residual)}
+        rep = hp.predict_torus_constant_hp(n, alpha, beta, args.precision, cap=args.max_vertices)
     else:
         rep = predict_torus_constant(n, alpha, beta, cap=args.max_vertices, tol=args.tol)
-        row = {"exact_log_det": rep.exact_log_det,
-               "predicted_log_det": rep.predicted_log_det,
-               "residual": rep.residual}
-    row.update(family="torus-constant", n=n, params=params)
-    sides = tuple(alpha) + tuple(b * n for b in beta)
-    row["tree_count"] = _tree_count_or_blank(TorusSpec(sides), vertices, args)
-    return row
+    spec = TorusSpec(tuple(alpha) + tuple(b * n for b in beta))
+    return _compare_row(rep, "torus-constant", params, spec, args)
 
 
 def _compare_row_torus_sublinear(n, alpha, beta, rule, const, args) -> dict:
@@ -297,19 +275,18 @@ def _compare_row_torus_sublinear(n, alpha, beta, rule, const, args) -> dict:
               + ";beta=" + ",".join(map(str, beta))
               + f";an={rule}" + (f":{const}" if rule == "constant" else ""))
     rep = predict_torus_sublinear(n, a_n, alpha, beta, cap=args.max_vertices, tol=args.tol)
-    vertices = int(rep.components["_vertices"])
     row = {"family": "torus-sublinear", "n": n, "params": params,
            "exact_log_det": rep.exact_log_det,
            "predicted_log_det": rep.predicted_log_det,
            "residual": rep.residual}
     sides = tuple(a * a_n for a in alpha) + tuple(b * n for b in beta)
-    row["tree_count"] = _tree_count_or_blank(TorusSpec(sides), vertices, args)
+    row["tree_count"] = _tree_count_or_blank(TorusSpec(sides), args)
     return row
 
 
-def _tree_count_or_blank(spec, vertices, args):
+def _tree_count_or_blank(spec, args):
     limit = min(TREE_COUNT_VERTEX_LIMIT, args.max_vertices)
-    if vertices > limit:
+    if spec.vertex_count > limit:
         return None
     return spanning_tree_count_exact(spec, cap=limit)
 

@@ -17,13 +17,15 @@ Every eigenvalue is a sum of terms 4 sin^2(pi r / l), each read from a half
 table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
 One evaluator, ``_half_spectrum``, computes the eigenvalues of the half-range
 modes with the number of modes each stands for; every eigenvalue consumer
-reads it.  log det* (``log_det_star``) takes a spec, not a spectrum: it sums
-w log(lambda) over the half-range modes only and equals the sum over the full
-spectrum exactly.  That sum, and theta's sum of w e^{-lambda t}, run in
-blocks of 2^15 terms through one exact summation (``_exact_parts``), whose
-few parts one math.fsum rounds: the float that math.fsum over the full
-spectrum returns, bit for bit.  ``spectrum(spec, cap)`` expands the
-half-range values into the full spectrum by indexing them at min(r, l - r).
+reads it, at either of two tables: the float64 one here, or the fixed-point
+integers of spantor.hp, whose eigenvalues are exact integer sums.  log det*
+(``log_det_star``) takes a spec, not a spectrum: it sums w log(lambda) over
+the half-range modes only and equals the sum over the full spectrum exactly.
+That sum, and theta's sum of w e^{-lambda t}, run in blocks of 2^15 terms
+through one exact summation (``_exact_parts``), whose few parts one
+math.fsum rounds: the float that math.fsum over the full spectrum returns,
+bit for bit.  ``spectrum(spec, cap)`` expands the half-range values into the
+full spectrum by indexing them at min(r, l - r).
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -191,8 +193,8 @@ def _check_cap(spec: GraphSpec, cap: int) -> None:
         )
 
 
-def _half_spectrum(spec: GraphSpec,
-                   cap: int = DEFAULT_EIGENVALUE_CAP) -> tuple[np.ndarray, np.ndarray]:
+def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
+                   table=_sin2_half) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the half-range modes and their multiplicities.
 
     An eigenvalue depends on each index only through min(r, l - r).  A
@@ -202,24 +204,28 @@ def _half_spectrum(spec: GraphSpec,
     the outer sum of the per-side half tables, with the outer product of the
     per-side weights, which are 1 at k = 0 and k = l/2 and 2 otherwise.
     Every weight is a power of 2, and the weights add up to the vertex count.
+    ``table(l)`` gives the half table of a side l: 4 sin^2(pi k / l) in
+    float64 by default, or the fixed-point integers of spantor.hp in an
+    object array, whose sums stay exact integers.
     Raises EnumerationCapError above ``cap`` vertices.
     """
     _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
         n = spec.n
-        table = _sin2_half(n)
+        half = table(n)
         j = np.arange(n // 2 + 1, dtype=np.int64)
-        lam = np.zeros(j.size)
+        lam = np.zeros(j.size, dtype=half.dtype)
         for g in spec.generators:
             if g == 1:  # the folded index of j is j itself
-                lam += table
+                lam += half
                 continue
             r = (g * j) % n
-            lam += table[np.minimum(r, n - r)]
+            lam += half[np.minimum(r, n - r)]
         return lam, _half_weights(n)
-    lam, weights = np.zeros((1,)), np.ones((1,))
-    for l in spec.sides:
-        lam = (lam[:, None] + _sin2_half(l)).ravel()
+    halves = [table(l) for l in spec.sides]
+    lam, weights = np.zeros((1,), dtype=halves[0].dtype), np.ones((1,))
+    for l, half in zip(spec.sides, halves):
+        lam = (lam[:, None] + half).ravel()
         weights = (weights[:, None] * _half_weights(l)).ravel()
     return lam, weights
 

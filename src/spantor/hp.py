@@ -17,36 +17,44 @@ catches two starts that converged onto one root.  It is cached per
 (generators, dps), since every row of a table and every n of a residual sweep
 shares it.
 
-log det* is the log of the product of the nonzero Laplacian eigenvalues.  Each
-eigenvalue is a sum of sin^2 values that are symmetric under k -> l - k, so
-only half the spectrum is evaluated, from a fixed-point half table of
-sin^2(pi k / l) built by integer rotations from one rounded exp(i pi / l).
-Each eigenvalue is an exact integer sum of table entries; the sums are
-multiplied into one mpf, whose exponent cannot overflow, mirrored eigenvalues
-are counted by multiplicity, and a single log is taken at the end.  The
-table's guard bits follow from its error bound (see _guard_bits).
+log det* is the log of the product of the nonzero Laplacian eigenvalues.  The
+half-range modes come from the one mode engine of the float path,
+graphs._half_spectrum, which here reads a fixed-point half table of
+sin^2(pi k / l) built by integer rotations from one rounded exp(i pi / l)
+instead of the float table.  Each eigenvalue is then an exact integer sum of
+table entries; the sums are multiplied into one mpf per weight, whose
+exponent cannot overflow, and a single log is taken at the end.  The table's
+guard bits follow from its error bound (see _guard_bits).  The circulant and
+one-growing-side torus predictors return asym's AsymptoticReport with mpf
+values, which compare --precision prints.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
-from .asym import AsymError, _symbol_roots
-from .graphs import CirculantSpec, spanning_tree_count_exact
+from .asym import AsymError, AsymptoticReport, _symbol_roots
+from .graphs import (
+    DEFAULT_EIGENVALUE_CAP,
+    CirculantSpec,
+    EnumerationCapError,
+    GraphSpec,
+    TorusSpec,
+    _half_spectrum,
+    spanning_tree_count_exact,
+)
 
 __all__ = [
     "lead_term_circulant_hp",
-    "log_det_star_circulant_hp",
-    "log_det_star_torus_hp",
-    "circulant_residual_hp",
-    "torus_constant_predicted_hp",
-    "torus_constant_residual_hp",
+    "log_det_star_hp",
+    "predict_circulant_hp",
+    "predict_torus_constant_hp",
     "conjecture_tau_hp",
     "conjecture_surd_identities",
     "ConjectureVerdict",
@@ -148,100 +156,86 @@ def _sin2_table(l: int, bits: int) -> list[int]:
     return table
 
 
-def log_det_star_circulant_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
-    """Sum of log(4 sum_g sin^2(pi g j / n)) over j = 1..n-1 at dps digits.
+def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP) -> mp.mpf:
+    """log of the product of the nonzero Laplacian eigenvalues of ``spec`` at dps digits.
 
-    lambda_j = lambda_{n-j}, so only j = 1..floor(n/2) are evaluated and all
-    but j = n/2 count twice.  Each eigenvalue is an exact integer sum over the
-    fixed-point sin^2 table, the sums are multiplied into one mpf, whose
-    exponent cannot overflow, the factor 4^(n-1) and the table scale are
-    applied as one binary shift, and a single log is taken.  _guard_bits
-    bounds the table's error; the product's rounding adds about n 2^-prec.
+    The half-range modes and their weights come from graphs._half_spectrum
+    over the fixed-point sin^2 tables, so each eigenvalue is an exact integer
+    sum of table entries.  A mode of weight 2^e goes into the e-th partial
+    product, in mode order, and the total is the product of the partials
+    raised to 2^e; the zero mode is skipped.  The factor 4^(V-1) and the
+    table scale are one binary shift, and a single log is taken.  _guard_bits
+    bounds the tables' error; the products' rounding adds about V 2^-prec.
+    Raises EnumerationCapError above ``cap`` vertices.
     """
-    gens = tuple(int(g) for g in gens)
-    bits = _guard_bits(dps, (n,))
-    sin2 = _sin2_table(n, bits)
-    with mp.workprec(bits):
-        paired = single = mp.mpf(1)
-        for j in range(1, n // 2 + 1):
-            lam = sum(sin2[min(r, n - r)] for r in ((g * j) % n for g in gens))
-            if 2 * j == n:
-                single = lam
-            else:
-                paired *= lam
-        total = mp.ldexp(paired * paired * single, (2 - bits) * (n - 1))
-    with mp.workdps(dps + 10):
-        return +mp.log(total)
-
-
-def log_det_star_torus_hp(sides: Sequence[int], dps: int) -> mp.mpf:
-    """Exact-spectrum log det* of the diagonal discrete torus at dps digits.
-
-    A mode (k_1, ..., k_d) has eigenvalue 4 sum_i sin^2(pi k_i / l_i), which
-    depends on each k_i only through min(k_i, l_i - k_i).  The product runs
-    over those half-range modes, skipping the zero mode; a mode with e
-    coordinates strictly inside (0, l_i/2) stands for 2^e modes, so it goes
-    into the e-th partial product, which is raised to the power 2^e at the
-    end.  As for the circulant, each eigenvalue is an exact integer sum over
-    the fixed-point tables and one log is taken of the whole product.
-    """
-    sides = tuple(int(s) for s in sides)
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
     bits = _guard_bits(dps, sides)
-    halves = [[(s, int(0 < 2 * k < l)) for k, s in enumerate(_sin2_table(l, bits))]
-              for l in sides]
+    lam, weights = _half_spectrum(spec, cap,
+                                  lambda l: np.array(_sin2_table(l, bits), dtype=object))
+    powers = np.log2(weights[1:]).astype(np.int64)  # every weight is a power of 2
+    lam = lam[1:]
     with mp.workprec(bits):
-        products = [mp.mpf(1)] * (len(sides) + 1)
-        modes = itertools.product(*halves)
-        next(modes)  # the zero mode
-        for mode in modes:
-            products[sum(e for _, e in mode)] *= sum(s for s, _ in mode)
         total = mp.mpf(1)
-        for e, partial in enumerate(products):
+        for e in range(int(powers.max(initial=0)) + 1):
+            partial = mp.mpf(1)
+            for value in lam[powers == e]:
+                partial *= value
             total *= partial ** (2 ** e)
-        total = mp.ldexp(total, (2 - bits) * (math.prod(sides) - 1))
+        total = mp.ldexp(total, (2 - bits) * (spec.vertex_count - 1))
     with mp.workdps(dps + 10):
         return +mp.log(total)
 
 
-def circulant_residual_hp(n: int, gens: Sequence[int], dps: int) -> mp.mpf:
-    """residual(n) = log det* - n I - 2 log n + log c_Gamma at dps digits."""
-    gens = tuple(int(g) for g in gens)
-    c_gamma = 1 + sum(g * g for g in gens[1:])
-    with mp.workdps(dps + 10):
-        lead = lead_term_circulant_hp(gens, dps + 10)
-        logdet = log_det_star_circulant_hp(n, gens, dps + 10)
-        return +(logdet - n * lead - 2 * mp.log(n) + mp.log(c_gamma))
+def _report_hp(n: int, predicted: mp.mpf, spec: GraphSpec, dps: int, cap: int) -> AsymptoticReport:
+    """The report of ``predicted`` against log_det_star_hp(spec, dps), with mpf values.
 
-
-def torus_constant_predicted_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
-                                dps: int) -> mp.mpf:
-    """Predicted log det* of diag(alpha, beta*n) with a single growing side.
-
-    Restricted to d-p = 1, where the per-mode lead integrals have the exact
-    arccosh closed form and zeta'_{R/beta Z}(0) = -2 log beta.
+    The residual is taken at the current precision; above ``cap`` vertices
+    it and the exact value are None.
     """
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
+    try:
+        exact = log_det_star_hp(spec, dps, cap)
+    except EnumerationCapError:
+        exact = None
+    return AsymptoticReport(n=n, predicted_log_det=predicted, exact_log_det=exact,
+                            residual=None if exact is None else exact - predicted,
+                            components={"_vertices": spec.vertex_count})
+
+
+def predict_circulant_hp(n: int, gens: Sequence[int], dps: int,
+                         cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
+    """n I + 2 log n - log c_Gamma against the exact log det* of C_n^Gamma at dps digits.
+
+    The mpf counterpart of asym.predict_circulant, with the lead term from
+    lead_term_circulant_hp at dps and the exact value from log_det_star_hp.
+    """
+    spec = CirculantSpec(n, tuple(gens))
+    lead = lead_term_circulant_hp(spec.generators, dps)
+    with mp.workdps(dps):
+        predicted = n * lead + 2 * mp.log(n) - mp.log(spec.c_gamma)
+        return _report_hp(n, predicted, spec, dps, cap)
+
+
+def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int], dps: int,
+                              cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
+    """The prediction of diag(alpha, beta n) with one growing side against log det*.
+
+    The mpf counterpart of asym.predict_torus_constant, at dps + 10 digits.
+    With a single growing side b n the per-mode lead integrals have the exact
+    arccosh closed form, and zeta'_{R/bZ}(0) = -2 log b.  Raises AsymError
+    for more than one growing side.
+    """
     if len(beta) != 1:
-        raise ValueError("high-precision torus residual supports exactly one growing side")
-    b = beta[0]
+        raise AsymError("high-precision torus prediction supports exactly one growing side")
+    alpha, b = tuple(int(a) for a in alpha), int(beta[0])
+    spec = TorusSpec(alpha + (b * n,), split=len(alpha))
+    dps += 10
     with mp.workdps(dps):
         lams = [mp.mpf(0)]
         for a in alpha:
             lams = [lam + 4 * mp.sinpi(mp.mpf(m) / a) ** 2
                     for lam in lams for m in range(a)]
         lead = n * b * mp.fsum(mp.acosh(1 + lam / 2) for lam in lams)
-        return +(lead + 2 * mp.log(n) + 2 * mp.log(b))
-
-
-def torus_constant_residual_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
-                               dps: int) -> mp.mpf:
-    """Asymptotic-law residual log det* - predicted for diag(alpha, beta*n)."""
-    predicted = torus_constant_predicted_hp(n, alpha, beta, dps + 10)
-    sides = tuple(int(a) for a in alpha) + (int(beta[0]) * n,)
-    with mp.workdps(dps + 10):
-        logdet = log_det_star_torus_hp(sides, dps + 10)
-        return +(logdet - predicted)
+        return _report_hp(n, lead + 2 * mp.log(n) + 2 * mp.log(b), spec, dps, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +296,15 @@ class ConjectureVerdict:
 def verify_conjecture(n: int, min_dps: int = 60, max_dps: int = 4000) -> ConjectureVerdict:
     """Compare the conjectured closed form with the exact count of C_{5n}^{1,n}.
 
-    Precision escalates until the rounding interval around the evaluated form
-    excludes both integer neighbours (two evaluations at different precision
-    must agree and sit within 0.25 of the same integer).
+    Precision starts at max(min_dps, 60), which is always tried, and doubles
+    while it stays within ``max_dps`` until the rounding interval around the
+    evaluated form excludes both integer neighbours (two evaluations at
+    different precision must agree and sit within 0.25 of the same integer).
+    Raises AsymError when no precision tried gives such an interval.
     """
     exact = spanning_tree_count_exact(CirculantSpec(5 * n, (1, n)))
     dps = max(min_dps, 60)
-    while dps <= max_dps:
+    while True:
         v1 = conjecture_tau_hp(n, dps)
         v2 = conjecture_tau_hp(n, dps + 25)
         with mp.workdps(dps + 30):
@@ -324,5 +320,7 @@ def verify_conjecture(n: int, min_dps: int = 60, max_dps: int = 4000) -> Conject
                     digits = max(0, int(mp.floor(-mp.log10(err / max(exact, 1)))))
                 return ConjectureVerdict(n=n, exact=exact, predicted=v2, match=match,
                                          digits_agreement=digits, dps_used=dps)
+        if 2 * dps > max_dps:
+            raise AsymError(f"no unambiguous conjecture verdict for n = {n} at {dps} "
+                            f"digits; doubling would pass the limit of {max_dps}")
         dps *= 2
-    raise RuntimeError(f"precision {max_dps} digits insufficient for an unambiguous verdict")

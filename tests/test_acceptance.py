@@ -131,7 +131,7 @@ def test_criterion_06_circulant_residual_decay():
     all_ok = True
     details = []
     for gens in ((1, 2), (1, 3), (1, 2, 3)):
-        mags = [abs(hp.circulant_residual_hp(n, gens, 240)) for n in ns]
+        mags = [abs(hp.predict_circulant_hp(n, gens, 250).residual) for n in ns]
         decreasing = all(a > b for a, b in zip(mags, mags[1:]))
         small = mags[-1] < mp.mpf("1e-3")
         all_ok = all_ok and decreasing and small
@@ -176,8 +176,8 @@ def test_criterion_09_eta_special_value():
 
 
 def test_criterion_10_torus_residual_decay():
-    r100 = abs(hp.torus_constant_residual_hp(100, (2,), (1,), 120))
-    r500 = abs(hp.torus_constant_residual_hp(500, (2,), (1,), 430))
+    r100 = abs(hp.predict_torus_constant_hp(100, (2,), (1,), 120).residual)
+    r500 = abs(hp.predict_torus_constant_hp(500, (2,), (1,), 430).residual)
     ok = r500 < r100 and r500 < mp.mpf("5e-3")
     _verdict(10, "constant-block torus residual decay", ok,
              f"(|res(100)| = {mp.nstr(r100, 3)}, |res(500)| = {mp.nstr(r500, 3)})")

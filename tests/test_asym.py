@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -180,6 +181,31 @@ def test_epstein_2d_vs_brute_sum():
     assert ev.value > brute
 
 
+def _epstein_lattice_mp(sides, s, reach):
+    """(4 pi^2)^-s sum of Q(k)^-s over 0 < max|k_i| <= reach, in mpmath."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        total = mp.mpf(0)
+        for k in itertools.product(range(-reach, reach + 1), repeat=len(sides)):
+            q = mp.fsum((mp.mpf(ki) / mp.mpf(m)) ** 2 for ki, m in zip(k, sides))
+            if q:
+                total += q ** -s
+        return (4 * mp.pi ** 2) ** -s * total
+
+
+@pytest.mark.parametrize("sides, s", [((2.0, 2.0), 1e3), ((1.0, 3.0), 400.0),
+                                      ((1.0, 3.0), 150.0), ((0.3, 0.7), 40.0),
+                                      ((1.0, 1.0, 2.0), 20.0), ((2.0, 3.0), 9.0)])
+def test_epstein_lattice_sum_at_large_s_against_mpmath(sides, s):
+    # unscaled, the lattice part overflowed to inf against an underflowed
+    # (4 pi^2)^-s; the terms the reference leaves out are below 1e-24 of the value
+    ev = epstein_zeta_sum(sides, s)
+    ref = _epstein_lattice_mp(sides, s, 30 if len(sides) == 2 else 8)
+    assert math.isfinite(ev.value) and math.isfinite(ev.tail_bound)
+    assert abs(ev.value - float(ref)) <= ev.tail_bound
+    assert ev.tail_bound <= 1e-12 * ev.value + 1e-300
+
+
 def test_epstein_rejects_nonconvergent_regime():
     with pytest.raises(AsymError):
         epstein_zeta_sum((1.0,), 0.5)
@@ -265,8 +291,8 @@ def test_predict_circulant_component_sum():
 def test_predict_circulant_residual_decay_needs_precision():
     # float64 residuals sit on the n * (quadrature bias) noise floor, so the
     # monotone-decay example is checked on the high-precision path
-    r100 = hp.circulant_residual_hp(100, (1, 3), 80)
-    r200 = hp.circulant_residual_hp(200, (1, 3), 80)
+    r100 = hp.predict_circulant_hp(100, (1, 3), 90).residual
+    r200 = hp.predict_circulant_hp(200, (1, 3), 90).residual
     assert abs(r200) < abs(r100)
 
 
@@ -361,8 +387,8 @@ def test_predict_torus_constant_log_beta_constant_term():
 
 
 def test_predict_torus_constant_residual_decay_hp():
-    r100 = hp.torus_constant_residual_hp(100, (2,), (1,), 100)
-    r500 = hp.torus_constant_residual_hp(500, (2,), (1,), 430)
+    r100 = hp.predict_torus_constant_hp(100, (2,), (1,), 100).residual
+    r500 = hp.predict_torus_constant_hp(500, (2,), (1,), 430).residual
     assert abs(r500) < abs(r100)
     assert abs(r500) < 5e-3
 

@@ -237,6 +237,49 @@ def test_compare_precision_rejects_invalid_generators(capsys):
         assert err == "invalid graph specification: first generator must be 1, got 2\n"
 
 
+# The stdout of compare --precision, byte for byte: circulant and torus rows,
+# rows with and without a tree count, a row above --max-vertices, CSV and JSON
+_PRECISION_GOLDEN = [
+    (["compare", "--family", "circulant", "--gens", "1,2,5", "--n", "60,650,683",
+      "--precision", "94", "--max-vertices", "660"],
+     'circulant,60,"gens=1,2,5",98.479015197700846,98.479015197336636,3.6420923754106387e-10,'
+     '97890744890683417239042594011718750000000\n'
+     'circulant,650,"gens=1,2,5",1024.5442514351253,1024.5442514351253,1.1528708061121613e-92,\n'
+     'circulant,683,"gens=1,2,5",,1076.1736343284927,,\n'),
+    (["--format", "json", "compare", "--family", "circulant", "--gens", "1,3,5",
+      "--n", "64,620", "--precision", "240"],
+     '{\n  "rows": [\n    {\n      "exact_log_det": 105.71461824143795,\n'
+     '      "predicted_log_det": 105.71461824130576,\n      "residual": 1.321843431192407e-10,\n'
+     '      "family": "circulant",\n      "n": 64,\n      "params": "gens=1,3,5",\n'
+     '      "tree_count": 127378281322312909141622435372011648244891328\n    },\n    {\n'
+     '      "exact_log_det": 987.2785297128235,\n      "predicted_log_det": 987.2785297128235,\n'
+     '      "residual": -5.730799052138289e-99,\n      "family": "circulant",\n'
+     '      "n": 620,\n      "params": "gens=1,3,5",\n      "tree_count": null\n    }\n  ]\n}\n'),
+    (["compare", "--family", "torus-constant", "--alpha", "3", "--beta", "2",
+      "--n", "10,120", "--precision", "150"],
+     'torus-constant,10,alpha=3;beta=2,68.663434026004325,68.663434026004424,'
+     '-9.8404449012952026e-14,11015374215522395448023437500\n'
+     'torus-constant,120,alpha=3;beta=2,763.02491159344129,763.02491159344129,'
+     '-2.7822200112383237e-159,\n'),
+    (["--format", "json", "compare", "--family", "torus-constant", "--alpha", "2,2",
+      "--beta", "1", "--n", "15,40", "--precision", "70", "--max-vertices", "100"],
+     '{\n  "rows": [\n    {\n      "exact_log_det": 92.68499066678152,\n'
+     '      "predicted_log_det": 92.68499066679466,\n      "residual": -1.3148201988073397e-11,\n'
+     '      "family": "torus-constant",\n      "n": 15,\n      "params": "alpha=2,2;beta=1",\n'
+     '      "tree_count": 298145838214215771355402106085193190880\n    },\n    {\n'
+     '      "exact_log_det": null,\n      "predicted_log_det": 240.09479961380185,\n'
+     '      "residual": null,\n      "family": "torus-constant",\n      "n": 40,\n'
+     '      "params": "alpha=2,2;beta=1",\n      "tree_count": null\n    }\n  ]\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PRECISION_GOLDEN)
+def test_compare_precision_golden_output(capsys, argv, expected):
+    rc, out = run_cli(capsys, "--no-header", *argv)
+    assert rc == 0
+    assert out == expected
+
+
 # ---------------------------------------------------------------------------
 # conjecture and coefficient fitting
 # ---------------------------------------------------------------------------
@@ -250,6 +293,23 @@ def test_conjecture_table(capsys):
     assert all(r[3] == "True" for r in rows)
     assert int(rows[0][1]) == 30250
     assert all(int(r[4]) >= 15 for r in rows)
+
+
+def test_conjecture_precision_above_the_doubling_limit(capsys):
+    # 5000 digits exceed the 4000-digit limit on doublings, but the requested
+    # precision is always tried
+    rc, out = run_cli(capsys, "--no-header", "conjecture", "--n-max", "2", "--precision", "5000")
+    assert rc == 0
+    assert out.startswith("2,30250,30250.0,True,")
+
+
+def test_conjecture_without_a_verdict_is_a_numerical_failure(capsys, monkeypatch):
+    # a value half-way between two integers never gives a verdict
+    monkeypatch.setattr(hp, "conjecture_tau_hp", lambda n, dps: mp.mpf(30250.5))
+    assert cli.main(["conjecture", "--n-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: no unambiguous conjecture verdict")
 
 
 def test_estimate_alpha_beta5_recovers_conjecture():
@@ -455,13 +515,12 @@ def test_specfun_non_finite_argument_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("usage error: expected a finite number")
 
 
-def test_specfun_non_finite_result_is_a_numerical_failure(capsys):
-    # the 2-D lattice sum meets inf * 0 at s = 1000
-    with pytest.warns(RuntimeWarning):
-        assert cli.main(["specfun", "epstein", "2,2", "1e3"]) == 2
+def test_specfun_non_finite_result_is_a_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "riemann_zeta_real", lambda s: math.nan)
+    assert cli.main(["specfun", "zeta", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: specfun epstein gave the non-finite")
+    assert captured.err.startswith("numerical failure: specfun zeta gave the non-finite")
     assert cli.main(["specfun", "epstein", "1e200", "3"]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: epstein value overflows")
 
@@ -471,3 +530,15 @@ def test_specfun_epstein_circle_underflow_is_finite(capsys):
     rc, out = run_cli(capsys, "specfun", "epstein", "2", "1e3")
     doc = json.loads(out)
     assert rc == 0 and doc["value"] == 0.0 and 0.0 < doc["error"] < 1e-300
+
+
+@pytest.mark.parametrize("sides, s, value", [("2,2", "1e3", 0.0),
+                                             ("1,3", "400", 2.8453722057169132e-257)])
+def test_specfun_epstein_lattice_at_large_s_is_finite(capsys, sides, s, value):
+    # the lattice part once overflowed to inf against an underflowed prefactor;
+    # 4 (1/pi)^2000 underflows to 0, and 2 (4 pi^2 / 9)^-400 is a normal float
+    rc, out = run_cli(capsys, "specfun", "epstein", sides, s)
+    doc = json.loads(out)
+    assert rc == 0
+    assert doc["value"] == pytest.approx(value, rel=1e-13)
+    assert 0.0 < doc["error"] <= 1e-10 * value + 1e-300

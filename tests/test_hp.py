@@ -10,8 +10,10 @@ from spantor import hp
 from spantor.asym import AsymError, lead_term_circulant
 from spantor.graphs import (
     CirculantSpec,
+    EnumerationCapError,
     TorusSpec,
     _deflate,
+    _half_spectrum,
     log_det_star,
     spanning_tree_count_exact,
 )
@@ -77,10 +79,10 @@ def test_golden_ratio_closed_form():
 
 def test_hp_log_det_matches_float():
     spec = CirculantSpec(40, (1, 3))
-    assert float(hp.log_det_star_circulant_hp(40, (1, 3), 40)) == pytest.approx(
+    assert float(hp.log_det_star_hp(spec, 40)) == pytest.approx(
         log_det_star(spec), rel=1e-13)
     sides = (2, 35)
-    assert float(hp.log_det_star_torus_hp(sides, 40)) == pytest.approx(
+    assert float(hp.log_det_star_hp(TorusSpec(sides), 40)) == pytest.approx(
         log_det_star(TorusSpec(sides)), rel=1e-13)
 
 
@@ -88,7 +90,7 @@ def test_hp_log_det_matches_float():
 def _circulant_case(draw):
     n = draw(st.integers(3, 200))
     # 1 keeps the graph connected; the others may repeat or lie past n/2
-    gens = (1,) + tuple(draw(st.lists(st.integers(1, n - 1), max_size=3)))
+    gens = (1,) + tuple(sorted(draw(st.lists(st.integers(1, n - 1), max_size=3))))
     return n, gens
 
 
@@ -96,38 +98,42 @@ def _circulant_case(draw):
 @given(_circulant_case(), st.integers(15, 80))
 def test_circulant_log_det_matches_oracle(case, dps):
     n, gens = case
-    assert _agrees(hp.log_det_star_circulant_hp(n, gens, dps),
+    assert _agrees(hp.log_det_star_hp(CirculantSpec(n, gens), dps),
                    log_det_star_circulant_mp(n, gens, dps), dps)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(15, 80))
 def test_torus_log_det_matches_oracle(sides, dps):
-    assert _agrees(hp.log_det_star_torus_hp(sides, dps),
+    assert _agrees(hp.log_det_star_hp(TorusSpec(sides), dps),
                    log_det_star_torus_mp(sides, dps), dps)
 
 
 @pytest.mark.parametrize("n", [40, 41, 200, 201])
 def test_circulant_log_det_even_and_odd_n(n):
     for gens in ((1,), (1, 2), (1, 3, 7)):
-        assert _agrees(hp.log_det_star_circulant_hp(n, gens, 60),
+        assert _agrees(hp.log_det_star_hp(CirculantSpec(n, gens), 60),
                        log_det_star_circulant_mp(n, gens, 60), 60)
 
 
 def test_circulant_log_det_half_step():
     # g = n/2 is a doubled edge, and j = n/2 is the one unmirrored eigenvalue
-    for n, gens in ((20, (1, 10)), (4, (1, 2)), (2, (1,)), (30, (1, 15, 15))):
-        assert _agrees(hp.log_det_star_circulant_hp(n, gens, 50),
+    for n, gens in ((20, (1, 10)), (4, (1, 2)), (30, (1, 15, 15))):
+        assert _agrees(hp.log_det_star_hp(CirculantSpec(n, gens), 50),
                        log_det_star_circulant_mp(n, gens, 50), 50)
+    # C_2^{1} is the two-vertex doubled edge, which CirculantSpec (n >= 3)
+    # spells as the torus of side 2
+    assert _agrees(hp.log_det_star_hp(TorusSpec((2,)), 50),
+                   log_det_star_circulant_mp(2, (1,), 50), 50)
     with mp.workdps(40):
-        assert abs(hp.log_det_star_circulant_hp(2, (1,), 30) - mp.log(4)) < mp.mpf(10) ** -30
+        assert abs(hp.log_det_star_hp(TorusSpec((2,)), 30) - mp.log(4)) < mp.mpf(10) ** -30
 
 
 def test_circulant_log_det_mirrored_generators():
     # g and n - g are the same step
-    for n, gens, mirrored in ((20, (1, 3), (1, 17)), (31, (1, 4, 9), (1, 27, 22))):
-        a = hp.log_det_star_circulant_hp(n, gens, 50)
-        b = hp.log_det_star_circulant_hp(n, mirrored, 50)
+    for n, gens, mirrored in ((20, (1, 3), (1, 17)), (31, (1, 4, 9), (1, 22, 27))):
+        a = hp.log_det_star_hp(CirculantSpec(n, gens), 50)
+        b = hp.log_det_star_hp(CirculantSpec(n, mirrored), 50)
         assert abs(a - b) < mp.mpf(10) ** -50
         assert _agrees(b, log_det_star_circulant_mp(n, mirrored, 50), 50)
 
@@ -135,15 +141,15 @@ def test_circulant_log_det_mirrored_generators():
 def test_torus_log_det_sides_one_and_two_in_every_position():
     oracle = log_det_star_torus_mp((1, 2, 5), 50)
     for sides in itertools.permutations((1, 2, 5)):
-        assert _agrees(hp.log_det_star_torus_hp(sides, 50), oracle, 50)
+        assert _agrees(hp.log_det_star_hp(TorusSpec(sides), 50), oracle, 50)
     for sides in ((2, 2, 3), (2, 3, 2), (3, 2, 2), (1, 1, 4), (1, 4, 1), (4, 1, 1)):
-        assert _agrees(hp.log_det_star_torus_hp(sides, 50),
+        assert _agrees(hp.log_det_star_hp(TorusSpec(sides), 50),
                        log_det_star_torus_mp(sides, 50), 50)
 
 
 def test_torus_log_det_largest_side_not_last():
     for sides in ((7, 3), (3, 7, 2), (9, 4, 5)):
-        assert _agrees(hp.log_det_star_torus_hp(sides, 50),
+        assert _agrees(hp.log_det_star_hp(TorusSpec(sides), 50),
                        log_det_star_torus_mp(sides, 50), 50)
 
 
@@ -151,8 +157,48 @@ def test_torus_log_det_two_vertices():
     # V = 2: the one nonzero eigenvalue is 4
     with mp.workdps(40):
         for sides in ((2,), (1, 2), (2, 1, 1)):
-            assert abs(hp.log_det_star_torus_hp(sides, 30) - mp.log(4)) < mp.mpf(10) ** -30
-        assert hp.log_det_star_torus_hp((1, 1), 30) == 0
+            assert abs(hp.log_det_star_hp(TorusSpec(sides), 30) - mp.log(4)) < mp.mpf(10) ** -30
+        assert hp.log_det_star_hp(TorusSpec((1, 1)), 30) == 0
+
+
+@st.composite
+def _edge_case_spec(draw):
+    """Circulants with mirrored, duplicate and n/2 steps; tori with sides 1 and 2 anywhere."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 300))
+        steps = draw(st.lists(st.integers(1, n - 1), max_size=3))
+        steps += [n - g for g in steps if draw(st.booleans())]  # mirrors
+        steps += steps[:draw(st.integers(0, len(steps)))]       # duplicates
+        if n % 2 == 0 and draw(st.booleans()):
+            steps.append(n // 2)
+        return CirculantSpec(n, (1,) + tuple(sorted(steps)))
+    sides = draw(st.lists(st.integers(3, 12), max_size=3))
+    for small in draw(st.lists(st.sampled_from((1, 2)), max_size=3)):
+        sides.insert(draw(st.integers(0, len(sides))), small)
+    return TorusSpec(tuple(sides) or (1,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edge_case_spec(), st.integers(15, 250))
+def test_fixed_point_and_float_tables_give_one_half_spectrum(spec, dps):
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+    bits = hp._guard_bits(dps, sides)
+    values, weights = _half_spectrum(spec)
+    fixed, fixed_weights = _half_spectrum(
+        spec, table=lambda l: np.array(hp._sin2_table(l, bits), dtype=object))
+    assert fixed.dtype == object and all(type(v) is int for v in fixed)
+    np.testing.assert_array_equal(weights, fixed_weights)
+    # the float table holds 4 sin^2, the fixed-point one sin^2 2^bits
+    scaled = np.array([4 * mp.mpf(v) / 2 ** bits for v in fixed], dtype=float)
+    assert np.all(np.abs(scaled - values) <= 2.0 ** -45 * values)
+
+
+def test_log_det_star_hp_raises_above_the_cap():
+    for spec in (CirculantSpec(101, (1, 2)), TorusSpec((10, 11))):
+        assert hp.log_det_star_hp(spec, 30, cap=spec.vertex_count) == \
+            hp.log_det_star_hp(spec, 30)
+        with pytest.raises(EnumerationCapError):
+            hp.log_det_star_hp(spec, 30, cap=spec.vertex_count - 1)
 
 
 def _agrees_with_count(value, spec, digits):
@@ -182,7 +228,7 @@ def _agrees_with_count(value, spec, digits):
 ])
 def test_circulant_log_det_matches_exact_count_at_large_n(n, gens, dps):
     spec = CirculantSpec(n, gens)
-    assert _agrees_with_count(hp.log_det_star_circulant_hp(n, gens, dps), spec, dps + 9)
+    assert _agrees_with_count(hp.log_det_star_hp(spec, dps), spec, dps + 9)
 
 
 @st.composite
@@ -200,7 +246,7 @@ def _large_circulant_case(draw):
 def test_circulant_log_det_matches_exact_count_random(case, dps):
     n, gens = case
     spec = CirculantSpec(n, gens)
-    assert _agrees_with_count(hp.log_det_star_circulant_hp(n, gens, dps), spec, dps + 9)
+    assert _agrees_with_count(hp.log_det_star_hp(spec, dps), spec, dps + 9)
 
 
 @pytest.mark.parametrize("sides", [*itertools.permutations((1, 2, 5000)),
@@ -208,7 +254,7 @@ def test_circulant_log_det_matches_exact_count_random(case, dps):
                                    (4, 5000), (2, 2, 2500)])
 def test_torus_log_det_matches_exact_count_with_a_long_side(sides):
     for dps in (15, 300):
-        assert _agrees_with_count(hp.log_det_star_torus_hp(sides, dps),
+        assert _agrees_with_count(hp.log_det_star_hp(TorusSpec(sides), dps),
                                   TorusSpec(sides), dps + 9)
 
 
@@ -225,7 +271,7 @@ def test_circulant_residual_magnitudes():
         phi = (1 + mp.sqrt(5)) / 2
         for n in (10, 30, 50):
             expected = 2 * mp.log(1 - phi ** (-2 * n))
-            got = hp.circulant_residual_hp(n, (1, 2), 70)
+            got = hp.predict_circulant_hp(n, (1, 2), 80).residual
             assert abs(got - expected) < mp.mpf(10) ** -50
 
 
@@ -235,13 +281,13 @@ def test_torus_residual_closed_form():
         rho = 3 + 2 * mp.sqrt(2)
         for n in (10, 40):
             expected = 2 * mp.log(1 - rho ** -n)
-            got = hp.torus_constant_residual_hp(n, (2,), (1,), 70)
+            got = hp.predict_torus_constant_hp(n, (2,), (1,), 70).residual
             assert abs(got - expected) < mp.mpf(10) ** -45
 
 
 def test_torus_residual_requires_single_growing_side():
     with pytest.raises(ValueError):
-        hp.torus_constant_residual_hp(10, (2,), (1, 1), 40)
+        hp.predict_torus_constant_hp(10, (2,), (1, 1), 40)
 
 
 def test_conjecture_small_cases():
@@ -270,6 +316,17 @@ def test_conjecture_verdict_stable_under_precision_doubling():
         high = hp.verify_conjecture(n, min_dps=120)
         assert low.match == high.match
         assert low.exact == high.exact
+
+
+def test_conjecture_raises_when_the_doublings_run_out():
+    # tau(C_1000^{1,200}) has about 490 digits, more than 60 or 120 resolve
+    with pytest.raises(AsymError, match="no unambiguous conjecture verdict"):
+        hp.verify_conjecture(200, min_dps=60, max_dps=200)
+
+
+def test_conjecture_tries_a_precision_above_the_limit():
+    v = hp.verify_conjecture(2, min_dps=5000)
+    assert v.match and v.dps_used == 5000
 
 
 def test_surd_identities():
