@@ -30,7 +30,7 @@ from .quadrature import (
     QuadratureError,
     IntegralResult,
     integrate_mellin,
-    integrate_log_endpoint,
+    integrate_periodic_mean,
 )
 from .asym import (
     AsymError,

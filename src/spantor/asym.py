@@ -7,20 +7,29 @@ the roots rho outside the unit circle.  The roots come from numpy, and the
 value carries an a-posteriori error bound from the residual of each root.
 By Jensen's formula the same constant is
 
-  log 4 + int_0^1 log(sin^2(pi w) + sum_i sin^2(pi g_i w)) dw,
+  log 4 + int_0^1 log(sum_g sin^2(pi g w)) dw = int_0^1 log S(w) dw,
 
-and that quadrature runs as a millisecond runtime guard: a disagreement
+S(w) = sum_g sin^2(pi g w) / sin^2(pi w) >= 1, a positive trigonometric
+polynomial, since int_0^1 log sin^2(pi w) dw = -2 log 2.  log S is analytic
+and periodic, so one trapezoid rule converges to it geometrically, and its
+N-point sum is the finite spectral sum of C_N^Gamma.  That rule runs as a
+runtime guard (about a millisecond for small generators): a disagreement
 beyond both error estimates raises AsymError.  The paper's Mellin-Bessel
 integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t, a third
 route to the same constant, lives in the tests as an oracle.  The
 high-precision lead term (spantor.hp) refines the same roots by Newton steps.
 
-Torus lead terms reduce to powers of the ordinary scaled Bessel function, and
-for a single growing side to the arccosh closed form.  The regularized
-determinant of a diagonal real torus comes from the theta-split formula for
-the spectral zeta derivative at zero.  Epstein zeta values in the convergent
-regime come from the Riemann zeta function for a circle, and otherwise from
-a direct lattice sum with a certified sandwich tail.
+Torus lead terms are integrals of one A-block mode lambda over the growing
+sides.  With one growing side that is the arccosh closed form
+arccosh(1 + lambda/2); with two it is the periodic mean over x of
+arccosh(1 + (lambda + 4 sin^2(pi x))/2), by the same trapezoid rule, and
+the lambda = 0 mode is c_2 = 4G/pi (Catalan's G); with three or more it is
+the Mellin-Bessel integral of a power of the scaled Bessel function I_0.
+The regularized determinant of a diagonal real torus comes from the
+theta-split formula for the spectral zeta derivative at zero.  Epstein zeta
+values in the convergent regime come from the Riemann zeta function for a
+circle, and otherwise from a direct lattice sum with a certified sandwich
+tail.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,16 +53,18 @@ from .graphs import (
     _symbol_poly,
 )
 from .quadrature import (
+    IntegralResult,
     QuadratureConfig,
     integrate_mellin,
     integrate_mellin_head,
     integrate_mellin_tail,
-    integrate_log_endpoint,
+    integrate_periodic_mean,
 )
 from .specfun import (
     EULER_GAMMA,
     _zeta_euler_maclaurin,
     bessel_i_scaled,
+    catalan_constant,
     theta_real_torus,
     theta_real_torus_minus_leading,
 )
@@ -66,6 +77,7 @@ __all__ = [
     "MELLIN_BESSEL",
     "MAHLER_ROOTS",
     "ARCCOSH_CLOSED_FORM",
+    "CATALAN_CLOSED_FORM",
     "arccosh_lead",
     "lead_term_circulant",
     "c_d",
@@ -85,16 +97,18 @@ class AsymError(ValueError):
 MELLIN_BESSEL = "mellin_bessel"
 MAHLER_ROOTS = "mahler_roots"
 ARCCOSH_CLOSED_FORM = "arccosh_closed_form"
+CATALAN_CLOSED_FORM = "catalan_closed_form"
 
 
 @dataclass(frozen=True)
 class LeadTerm:
-    """Per-vertex lead constant, with the value of the cross-checking route."""
+    """Per-vertex lead constant, with the value and error of the cross-checking route."""
 
     value: float
     method: str
     error_estimate: float
     cross_check: float | None = None
+    cross_check_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,18 @@ def arccosh_lead(x: float) -> float:
     return math.acosh(0.5 * x)
 
 
+def _sin2pi(x: np.ndarray) -> np.ndarray:
+    """sin^2(pi x), read at the fold min(t, 1 - t) of t = x mod 1.
+
+    The argument then stays within [0, pi/2], so values near a zero of sin
+    keep their full relative accuracy; for the dyadic nodes of the periodic
+    rule the fold itself is exact.
+    """
+    t = np.mod(x, 1.0)
+    s = np.sin(np.pi * np.minimum(t, 1.0 - t))
+    return s * s
+
+
 @dataclass(frozen=True)
 class SymbolRoots:
     """Roots of the deflated symbol polynomial Q and the Mahler measure they give.
@@ -203,31 +229,47 @@ def _symbol_roots(gens: tuple[int, ...]) -> SymbolRoots:
                        error_estimate=error)
 
 
+def _log_symbol_ratio(gens: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """w -> log S(w), S = sum_g sin^2(pi g w) / sin^2(pi w), with S(0) = sum_g g^2.
+
+    ``gens`` starts with 1, whose term is the denominator itself.
+    """
+    at_zero = float(sum(g * g for g in gens))
+
+    def log_s(w: np.ndarray) -> np.ndarray:
+        denominator = _sin2pi(w)
+        numerator = denominator + sum(_sin2pi(g * w) for g in gens[1:])
+        ratio = np.full(w.shape, at_zero)
+        np.divide(numerator, denominator, out=ratio, where=denominator > 0.0)
+        return np.log(ratio)
+
+    return log_s
+
+
 @lru_cache(maxsize=None)
 def _lead_term_circulant_cached(gens: tuple[int, ...], tol: float) -> LeadTerm:
     roots = _symbol_roots(gens)
-
-    def log_sin(w: float) -> float:
-        return math.log(math.fsum(math.sin(math.pi * g * w) ** 2 for g in gens))
-
-    guard = integrate_log_endpoint(log_sin, tol=tol)
-    log_sin_value = math.log(4.0) + guard.value
+    # S has degree g_max - 1, so a first grid of at least 4 g_max nodes
+    # cannot alias it
+    start = 1 << (4 * gens[-1] - 1).bit_length()
+    guard = integrate_periodic_mean(_log_symbol_ratio(gens), tol, start)
     allowed = roots.error_estimate + guard.error_estimate + 50 * tol
-    if abs(roots.value - log_sin_value) > allowed:
+    if abs(roots.value - guard.value) > allowed:
         raise AsymError(
             f"lead-term routes disagree for {gens}: "
-            f"roots {roots.value!r} vs log-sin {log_sin_value!r} "
+            f"roots {roots.value!r} vs log-sin {guard.value!r} "
             f"(allowed {allowed:.2e})"
         )
     if gens == (1,):
         # the cycle lead term is arccosh(1) = 0 exactly
-        return LeadTerm(value=0.0, method=ARCCOSH_CLOSED_FORM,
-                        error_estimate=1e-16, cross_check=log_sin_value)
+        return LeadTerm(value=0.0, method=ARCCOSH_CLOSED_FORM, error_estimate=1e-16,
+                        cross_check=guard.value, cross_check_error=guard.error_estimate)
     return LeadTerm(
         value=roots.value,
         method=MAHLER_ROOTS,
         error_estimate=roots.error_estimate,
-        cross_check=log_sin_value,
+        cross_check=guard.value,
+        cross_check_error=guard.error_estimate,
     )
 
 
@@ -235,8 +277,9 @@ def lead_term_circulant(generators: Sequence[int], tol: float = 1e-10) -> LeadTe
     """Growth constant I_d^Gamma as the Mahler measure of the symbol polynomial.
 
     The value comes from numpy roots with its computed error bound; the
-    log-sin quadrature at ``tol`` is recorded as cross_check, and a
-    disagreement beyond the two error estimates plus 50 tol raises AsymError.
+    periodic mean of log S at ``tol`` is recorded as cross_check with its
+    error, and a disagreement beyond the two error estimates plus 50 tol
+    raises AsymError.
     """
     gens = tuple(int(g) for g in generators)
     if not gens or gens[0] != 1 or any(g < 1 for g in gens) or list(gens) != sorted(gens):
@@ -246,6 +289,10 @@ def lead_term_circulant(generators: Sequence[int], tol: float = 1e-10) -> LeadTe
 
 @lru_cache(maxsize=None)
 def _c_d_cached(d: int, tol: float) -> LeadTerm:
+    if d == 2:
+        value = 4.0 * catalan_constant() / math.pi
+        return LeadTerm(value=value, method=CATALAN_CLOSED_FORM,
+                        error_estimate=4 * math.ulp(value))
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
 
     def integrand(t: float) -> float:
@@ -257,7 +304,11 @@ def _c_d_cached(d: int, tol: float) -> LeadTerm:
 
 
 def c_d(d: int, tol: float = 1e-10) -> LeadTerm:
-    """Torus growth constant c_d = int_0^inf (e^{-t} - e^{-2dt} I_0(2t)^d) dt/t."""
+    """Torus growth constant c_d = int_0^inf (e^{-t} - e^{-2dt} I_0(2t)^d) dt/t.
+
+    c_2 is 4G/pi in closed form (G is Catalan's constant); every other d
+    is the Mellin-Bessel integral at ``tol``.
+    """
     if d < 1:
         raise AsymError(f"need d >= 1, got {d}")
     return _c_d_cached(int(d), float(tol))
@@ -424,6 +475,21 @@ def predict_circulant(n: int, generators: Sequence[int], exact: bool = True,
     return _report(n, components, exact_val)
 
 
+def _torus_mode_mean(lam: float, tol: float) -> IntegralResult:
+    """int_0^1 arccosh(1 + (lam + 4 sin^2(pi x))/2) dx, a mode with two growing sides.
+
+    The integrand is analytic for lam > 0, with its nearest singularity at
+    Im x = arcsinh(sqrt(lam)/2)/pi, so the periodic rule converges
+    geometrically.  arccosh(1 + y) is taken as log1p(y + sqrt(y (y + 2))),
+    which keeps full relative accuracy at small y.
+    """
+    def arccosh_mode(x: np.ndarray) -> np.ndarray:
+        y = 0.5 * lam + 2.0 * _sin2pi(x)
+        return np.log1p(y + np.sqrt(y * (y + 2.0)))
+
+    return integrate_periodic_mean(arccosh_mode, tol)
+
+
 @lru_cache(maxsize=None)
 def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
                           tol: float) -> tuple[float, float]:
@@ -432,7 +498,10 @@ def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
     The A-block modes come from the half spectrum with their weights, and
     each distinct eigenvalue gets one integral I; a weight is a power of 2,
     so the weighted fsum equals the fsum over the full spectrum exactly.
-    Cached per (alpha, beta, tol), since every row of a table shares it.
+    With q = 1 growing side I is the arccosh closed form; with q = 2 it is
+    c_2 at lambda = 0 and the periodic mean of _torus_mode_mean otherwise;
+    with q >= 3 it is a Mellin-Bessel integral.  Cached per (alpha, beta,
+    tol), since every row of a table shares it.
     """
     if alpha:
         values, weights = _half_spectrum(TorusSpec(alpha))
@@ -442,6 +511,9 @@ def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
     q = len(beta)
     if q == 1:
         per_mode = [arccosh_lead(2.0 + x) for x in distinct]
+    elif q == 2:
+        per_mode = [c_d(2, tol).value if x == 0.0 else _torus_mode_mean(x, tol).value
+                    for x in distinct]
     else:
         cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
         per_mode = []
@@ -464,10 +536,11 @@ def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
 
     lead = n^{d-p} det(B) sum_j int (e^{-t} - I_0(2t)^{d-p} e^{-(2(d-p)+lambda_j)t}) dt/t
     plus 2 log n - zeta'_{R^{d-p}/B Z^{d-p}}(0); for d-p = 1 each integral is
-    the arccosh closed form.  The sum runs over the A-block eigenvalues
-    lambda_j, one integral per distinct value; it and zeta'(0) do not depend
-    on n and are computed once per (alpha, beta, tol), so the rows of a
-    table share them.
+    the arccosh closed form, and for d-p = 2 the periodic mean of it over
+    the second growing side (c_2 = 4G/pi at lambda_j = 0).  The sum runs
+    over the A-block eigenvalues lambda_j, one integral per distinct value;
+    it and zeta'(0) do not depend on n and are computed once per (alpha,
+    beta, tol), so the rows of a table share them.
     """
     alpha_t = tuple(int(a) for a in alpha)
     beta_t = tuple(int(b) for b in beta)

@@ -59,8 +59,9 @@ EXIT_NUMERICAL = 2
 EXIT_CAP = 3
 
 # `compare` leaves the tree-count column blank above this many vertices.  Exact
-# counts are cheap at any size; the limit is part of the output format, which
-# callers (the benchmark's oracle among them) rely on.
+# counts are fast for narrow shapes but can take seconds to minutes within the
+# limit on wide ones (C_600^{1,3,300} takes about 30 s); the limit is part of the
+# output format, which callers (the benchmark's oracle among them) rely on.
 TREE_COUNT_VERTEX_LIMIT = 600
 
 

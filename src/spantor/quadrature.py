@@ -1,4 +1,4 @@
-"""Adaptive quadrature for the Mellin-style and log-endpoint integrals of the asymptotics.
+"""Quadrature for the Mellin-style and periodic integrals of the asymptotics.
 
 Two entry points:
 
@@ -7,8 +7,9 @@ Two entry points:
   axis; unit panels in u are integrated by nested Gauss-Legendre rules and the
   axis is extended in both directions until the panel contributions certify
   geometric decay.
-* integrate_log_endpoint -- int_0^1 h with at most logarithmic endpoint
-  singularities; dyadic panels drilling into both endpoints.
+* integrate_periodic_mean -- int_0^1 f for f analytic with period 1, by one
+  vectorised trapezoid rule that doubles its grid; for such f it converges
+  geometrically (Trefethen-Weideman).
 
 All panel orderings are deterministic, so repeated runs give bitwise-identical
 results.
@@ -27,7 +28,7 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "integrate_mellin",
-    "integrate_log_endpoint",
+    "integrate_periodic_mean",
 ]
 
 
@@ -207,61 +208,57 @@ def integrate_mellin_head(g: Callable[[float], float], hi: float,
     return IntegralResult(value, err, counter.count)
 
 
-def integrate_log_endpoint(h: Callable[[float], float], tol: float = 1e-10,
-                           max_depth: int = 60) -> IntegralResult:
-    """int_0^1 h(w) dw with at most logarithmic singularities at 0 and 1.
+# the periodic rule gives up beyond this many nodes, and evaluates f on at
+# most _PERIODIC_BLOCK nodes at a time, so its memory stays bounded
+_PERIODIC_MAX_POINTS = 1 << 26
+_PERIODIC_BLOCK = 1 << 16
 
-    Dyadic panels drill toward both endpoints; on each panel the integrand is
-    smooth and the nested Gauss rule applies.  A panel sequence that grows
-    while drilling signals a non-integrable blow-up.
+
+def integrate_periodic_mean(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
+                            start: int = 16) -> IntegralResult:
+    """int_0^1 f(x) dx for f analytic with period 1, by trapezoid doubling.
+
+    ``f`` maps a float array of nodes in [0, 1) to an array of values.  The
+    first grid has ``start`` nodes k / start; each doubling evaluates only
+    the new midpoints.  The rule stops after two consecutive doublings that
+    each move the mean by at most ``tol``; the error estimate is the last
+    move plus a few ulps of max|f| for the rounding of the values and their
+    sum, so it is never 0.  Raises QuadratureError beyond
+    _PERIODIC_MAX_POINTS nodes.
     """
-    counter = _EvalCounter(h)
-    panel_tol = 0.02 * tol
-    total = 0.0
-    err = 0.0
-    used = 0
-    for (lo, hi) in ((0.25, 0.5), (0.5, 0.75)):
-        v, e, n = _adaptive_panel(counter, lo, hi, panel_tol, 4000 - used)
-        total += v
-        err += e
-        used += n
-    for side in (0, 1):
-        prev_mag = math.inf
-        grow = 0
-        k = 2
-        while True:
-            a, b = 2.0 ** -(k + 1), 2.0 ** -k
-            if side == 1:
-                a, b = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
-            v, e, n = _adaptive_panel(counter, a, b, panel_tol, 4000 - used)
-            total += v
-            err += e
-            used += n
-            mag = abs(v)
-            if mag > prev_mag * 1.05 and mag > tol:
-                grow += 1
-                if grow >= 4:
-                    raise QuadratureError(
-                        "integrand grows while drilling into the endpoint; "
-                        "not integrable",
-                        partial=IntegralResult(total, math.inf, counter.count),
-                    )
-            else:
-                grow = 0
-            prev_mag = mag
-            if mag <= 0.125 * tol and k >= 8:
-                # remaining mass: |h| is at worst ~|log w|, so the tail is
-                # bounded by a small multiple of the last panel magnitude
-                err += 2.0 * mag
-                break
-            k += 1
-            if k > max_depth:
-                err += 2.0 * mag
-                break
-    result = IntegralResult(total, err, counter.count)
-    if err > max(tol, tol * abs(total)):
-        raise QuadratureError(
-            f"requested tolerance not met: error estimate {err:.3e}",
-            partial=result,
-        )
-    return result
+    if start < 1:
+        raise ValueError(f"start must be positive, got {start}")
+    # one correctly rounded sum per block, summed again exactly, so the
+    # rounding of the mean stays within about one ulp of max|f|
+    sums: list[float] = []
+    scale = 0.0
+
+    def add_level(count: int, offset: float, n: int) -> None:
+        """Add f at the nodes (k + offset) / n, k = 0..count-1."""
+        nonlocal scale
+        for lo in range(0, count, _PERIODIC_BLOCK):
+            k = np.arange(lo, min(lo + _PERIODIC_BLOCK, count), dtype=float)
+            values = np.asarray(f((k + offset) / n), dtype=float)
+            block = math.fsum(values)
+            if not math.isfinite(block):
+                raise QuadratureError("periodic integrand is not finite on the grid",
+                                      partial=IntegralResult(math.nan, math.inf, n))
+            sums.append(block)
+            scale = max(scale, float(np.max(np.abs(values))))
+
+    n = int(start)
+    add_level(n, 0.0, n)
+    mean = math.fsum(sums) / n
+    agreed = 0
+    while agreed < 2:
+        if 2 * n > _PERIODIC_MAX_POINTS:
+            raise QuadratureError(
+                f"periodic trapezoid did not settle within {_PERIODIC_MAX_POINTS} nodes",
+                partial=IntegralResult(mean, math.inf, n))
+        add_level(n, 0.5, n)
+        n *= 2
+        new_mean = math.fsum(sums) / n
+        move = abs(new_mean - mean)
+        mean = new_mean
+        agreed = agreed + 1 if move <= tol else 0
+    return IntegralResult(mean, move + 8 * math.ulp(scale), n)

@@ -8,10 +8,12 @@ values sum one log (float or mpmath) per nonzero eigenvalue, the
 high-precision lead term is a tanh-sinh quadrature of the log-sin integral or
 mpmath polyroots of a symbol polynomial built here, the float lead term is
 the paper's Mellin-Bessel integral over a d-dimensional Bessel function
-integrated here by its own windowed trapezoid, Bessel values come from
-mpmath/scipy, and the circulant-lattice isomorphism is realized by building
-Lambda_Gamma here and reducing explicitly.  From spantor only the spec classes
-and the quadrature engine are imported.
+integrated here by its own windowed trapezoid or the log-sin integral by
+Gauss panels drilling into its endpoints, torus mode integrals are
+Mellin-Bessel integrals of that trapezoid's Bessel function, Bessel values
+come from mpmath/scipy, and the circulant-lattice isomorphism is realized by
+building Lambda_Gamma here and reducing explicitly.  From spantor only the
+spec classes and the Mellin quadrature engine are imported.
 """
 
 from __future__ import annotations
@@ -376,3 +378,102 @@ def integrate_periodic(f: Callable[[float], float], tol: float = 1e-12,
         f"periodic trapezoid did not converge within {max_points} points",
         partial=IntegralResult(mean, math.nan, evals),
     )
+
+
+_GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(16)
+_GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(8)
+
+
+def _adaptive_gauss(h: Callable[[float], float], a: float, b: float, tol: float,
+                    budget: int) -> tuple[float, float, int]:
+    """(value, |GL16 - GL8| error, bisections) on [a, b], halving the left piece first."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    hi = half * math.fsum(w * h(mid + half * x) for x, w in zip(_GL_HI_X, _GL_HI_W))
+    lo = half * math.fsum(w * h(mid + half * x) for x, w in zip(_GL_LO_X, _GL_LO_W))
+    err = abs(hi - lo)
+    if err <= tol or budget <= 0 or (b - a) < 1e-13 * max(abs(a), abs(b), 1.0):
+        return hi, err, 0
+    lv, le, ln = _adaptive_gauss(h, a, mid, 0.5 * tol, budget - 1)
+    rv, re, rn = _adaptive_gauss(h, mid, b, 0.5 * tol, budget - 1 - ln)
+    return lv + rv, le + re, ln + rn + 1
+
+
+def integrate_log_endpoint(h: Callable[[float], float], tol: float = 1e-10,
+                           max_depth: int = 60) -> IntegralResult:
+    """int_0^1 h(w) dw with at most logarithmic singularities at 0 and 1.
+
+    Dyadic panels drill toward both endpoints; on each panel the integrand is
+    smooth and a nested Gauss-Legendre pair applies.  A panel sequence that
+    grows while drilling signals a non-integrable blow-up.  With
+    h = log sum_g sin^2(pi g w) this is the log-sin form of the circulant
+    lead term, minus log 4, by a rule that shares nothing with the periodic
+    trapezoid the library uses for it.
+    """
+    evals = [0]
+
+    def counted(w: float) -> float:
+        evals[0] += 1
+        return h(w)
+
+    panel_tol = 0.02 * tol
+    total = 0.0
+    err = 0.0
+    used = 0
+    for (lo, hi) in ((0.25, 0.5), (0.5, 0.75)):
+        v, e, n = _adaptive_gauss(counted, lo, hi, panel_tol, 4000 - used)
+        total += v
+        err += e
+        used += n
+    for side in (0, 1):
+        prev_mag = math.inf
+        grow = 0
+        k = 2
+        while True:
+            a, b = 2.0 ** -(k + 1), 2.0 ** -k
+            if side == 1:
+                a, b = 1.0 - 2.0 ** -k, 1.0 - 2.0 ** -(k + 1)
+            v, e, n = _adaptive_gauss(counted, a, b, panel_tol, 4000 - used)
+            total += v
+            err += e
+            used += n
+            mag = abs(v)
+            if mag > prev_mag * 1.05 and mag > tol:
+                grow += 1
+                if grow >= 4:
+                    raise QuadratureError(
+                        "integrand grows while drilling into the endpoint; "
+                        "not integrable",
+                        partial=IntegralResult(total, math.inf, evals[0]),
+                    )
+            else:
+                grow = 0
+            prev_mag = mag
+            if mag <= 0.125 * tol and k >= 8:
+                # remaining mass: |h| is at worst ~|log w|, so the tail is
+                # bounded by a small multiple of the last panel magnitude
+                err += 2.0 * mag
+                break
+            k += 1
+            if k > max_depth:
+                err += 2.0 * mag
+                break
+    result = IntegralResult(total, err, evals[0])
+    if err > max(tol, tol * abs(total)):
+        raise QuadratureError(
+            f"requested tolerance not met: error estimate {err:.3e}",
+            partial=result,
+        )
+    return result
+
+
+def torus_mode_mellin(lam: float, q: int, tol: float = 1e-10) -> IntegralResult:
+    """int_0^inf (e^{-t} - (e^{-2t} I_0(2t))^q e^{-lam t}) dt/t, one torus mode.
+
+    The lead integral of an A-block mode lam with q growing sides, as the
+    paper writes it; lam = 0 gives c_q.  The scaled Bessel function is this
+    module's trapezoid bessel_multi_scaled, not spantor's series.
+    """
+    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
+    return integrate_mellin(
+        lambda t: math.exp(-t) - bessel_multi_scaled((1,), 0, 2.0 * t) ** q * math.exp(-lam * t),
+        cfg)

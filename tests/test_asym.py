@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from spantor.asym import (
     AsymError,
     ARCCOSH_CLOSED_FORM,
+    CATALAN_CLOSED_FORM,
     MAHLER_ROOTS,
-    MELLIN_BESSEL,
     arccosh_lead,
     lead_term_circulant,
     c_d,
@@ -23,10 +23,16 @@ from spantor.asym import (
 )
 from spantor import asym, cli, hp
 from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec
-from spantor.quadrature import QuadratureConfig, integrate_log_endpoint, integrate_mellin
+from spantor.quadrature import integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 
-from oracles import folded_spectrum, lead_term_circulant_mellin, mahler_lead_mp
+from oracles import (
+    folded_spectrum,
+    integrate_log_endpoint,
+    lead_term_circulant_mellin,
+    mahler_lead_mp,
+    torus_mode_mellin,
+)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 ZETA3 = 1.2020569031595942854
@@ -96,8 +102,11 @@ def test_lead_error_bounds_the_mahler_oracle(extra):
     # duplicates are allowed; a repeated largest generator makes lc = -2, -3, ...
     gens = (1,) + tuple(sorted(extra))
     lead = lead_term_circulant(gens)
-    assert abs(lead.value - mahler_lead_mp(gens, 25)) <= lead.error_estimate
+    mahler = mahler_lead_mp(gens, 25)
+    assert abs(lead.value - mahler) <= lead.error_estimate
     assert lead.error_estimate <= 2e-11
+    # the periodic guard's own error bounds its distance to the oracle too
+    assert abs(lead.cross_check - mahler) <= lead.cross_check_error
 
 
 # (1,2,2) and (1,6,6) have leading coefficient -2; (1,...,9,20) has D = 38
@@ -109,15 +118,32 @@ def test_lead_named_regimes_against_the_mahler_oracle(gens):
 
 
 def test_lead_degree_78_against_the_guard():
-    # (1,40) has D = 78, where the polyroots oracle is too slow; the log-sin
-    # guard must agree within the two reported errors
+    # (1,40) has D = 78, where the polyroots oracle is too slow; the periodic
+    # guard, the roots and the oracle's endpoint-panel log-sin integral must
+    # agree within their reported errors
     gens = (1, 40)
     lead = lead_term_circulant(gens)
-    guard = integrate_log_endpoint(
+    log_sin = integrate_log_endpoint(
         lambda w: math.log(math.fsum(math.sin(math.pi * g * w) ** 2 for g in gens)))
-    assert lead.cross_check == math.log(4.0) + guard.value
-    assert abs(lead.value - lead.cross_check) <= lead.error_estimate + guard.error_estimate
+    assert (abs(lead.cross_check - (math.log(4.0) + log_sin.value))
+            <= lead.cross_check_error + log_sin.error_estimate)
+    assert abs(lead.value - lead.cross_check) <= lead.error_estimate + lead.cross_check_error
     assert lead.error_estimate <= 1e-10
+
+
+def test_lead_guard_rejects_a_wrong_root_value(monkeypatch):
+    # a root value off by 1e-6 lies far outside both error bounds
+    gens = (1, 3, 5)
+    right = asym._symbol_roots(gens)
+    wrong = asym.SymbolRoots(coeffs=right.coeffs, outside=right.outside,
+                             value=right.value + 1e-6, error_estimate=right.error_estimate)
+    monkeypatch.setattr(asym, "_symbol_roots", lambda g: wrong)
+    asym._lead_term_circulant_cached.cache_clear()
+    try:
+        with pytest.raises(AsymError, match="disagree"):
+            lead_term_circulant(gens)
+    finally:
+        asym._lead_term_circulant_cached.cache_clear()
 
 
 def test_lead_validation():
@@ -137,8 +163,12 @@ def test_c_1_vanishes():
 
 
 def test_c_2_catalan():
-    assert c_d(2).value == pytest.approx(4.0 * catalan_constant() / math.pi, abs=1e-9)
-    assert c_d(2).method == MELLIN_BESSEL
+    c_2 = c_d(2)
+    assert c_2.method == CATALAN_CLOSED_FORM
+    assert c_2.value == 4.0 * catalan_constant() / math.pi
+    # the paper's Mellin-Bessel integral, the route c_2 took before
+    oracle = torus_mode_mellin(0.0, 2)
+    assert abs(oracle.value - c_2.value) <= oracle.error_estimate + c_2.error_estimate
 
 
 def test_c_3_exceeds_c_2():
@@ -310,60 +340,63 @@ def test_exact_log_det_blank_above_the_cap():
 
 
 @pytest.fixture
-def mellin_calls(monkeypatch):
-    """Count integrate_mellin calls in asym, starting from an empty torus cache."""
+def periodic_calls(monkeypatch):
+    """Count periodic-mean calls in asym, starting from an empty torus cache."""
     calls = []
 
-    def counting(f, cfg):
-        calls.append(cfg)
-        return integrate_mellin(f, cfg)
+    def counting(f, tol=1e-10, start=16):
+        calls.append(tol)
+        return integrate_periodic_mean(f, tol, start)
 
     asym._torus_constant_terms.cache_clear()
-    monkeypatch.setattr(asym, "integrate_mellin", counting)
+    monkeypatch.setattr(asym, "integrate_periodic_mean", counting)
     yield calls
     asym._torus_constant_terms.cache_clear()
 
 
 @pytest.mark.parametrize("alpha,distinct", [((3,), 2), ((2, 2), 3)])
-def test_torus_constant_one_integral_per_distinct_mode(mellin_calls, alpha, distinct):
-    # alpha = (3) has eigenvalues 0, 3, 3 and alpha = (2, 2) has 0, 4, 4, 8
+def test_torus_constant_one_integral_per_distinct_mode(periodic_calls, alpha, distinct):
+    # alpha = (3) has eigenvalues 0, 3, 3 and alpha = (2, 2) has 0, 4, 4, 8;
+    # each nonzero one is a periodic mean, and the zero mode is c_2
     predict_torus_constant(6, alpha, (1, 1), exact=False)
-    assert len(mellin_calls) == distinct
+    assert len(periodic_calls) == distinct - 1
     predict_torus_constant(9, alpha, (1, 1), exact=False)
-    assert len(mellin_calls) == distinct
+    assert len(periodic_calls) == distinct - 1
 
 
-def test_torus_constant_table_integrates_once(mellin_calls, capsys):
+def test_torus_constant_table_integrates_once(periodic_calls, capsys):
     argv = ["--no-header", "compare", "--family", "torus-constant", "--alpha", "3",
             "--beta", "1,1", "--n", "6,8"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert len(mellin_calls) == 2
+    assert len(periodic_calls) == 1
 
 
 @pytest.mark.parametrize("n,alpha,beta", [
     (7, (3,), (1, 1)), (5, (2, 2), (1, 1)), (40, (3, 4), (2,)), (30, (1, 2, 5), (1,)),
 ])
 def test_torus_constant_lead_equals_the_full_spectrum_sum(n, alpha, beta):
-    # the sum of per-mode integrals over every A-block eigenvalue, one each
+    # the sum of per-mode integrals over every A-block eigenvalue, one each:
+    # the arccosh closed form bit for bit with one growing side; with two,
+    # the Mellin-Bessel oracle within its error bound and the periodic
+    # rule's (c_2's at the zero mode)
     q = len(beta)
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=10 * 1e-10)
-    per_mode = []
-    for lam in folded_spectrum(TorusSpec(alpha)):
-        if q == 1:
-            per_mode.append(arccosh_lead(2.0 + lam))
-        else:
-            per_mode.append(integrate_mellin(
-                lambda t, lam=lam: math.exp(-t)
-                - bessel_i_scaled(0, 2.0 * t) ** q * math.exp(-lam * t), cfg).value)
-    components = {
-        "lead": n ** q * math.prod(beta) * math.fsum(per_mode),
-        "two_log_n": 2.0 * math.log(n),
-        "minus_zeta_prime": -epstein_zeta_prime_zero(beta, tol=1e-10),
-    }
+    scale = n ** q * math.prod(beta)
     rep = predict_torus_constant(n, alpha, beta, exact=False)
-    assert {k: v for k, v in rep.components.items() if k != "_vertices"} == components
-    assert rep.predicted_log_det == math.fsum(components.values())
+    modes = folded_spectrum(TorusSpec(alpha))
+    if q == 1:
+        lead = scale * math.fsum(arccosh_lead(2.0 + lam) for lam in modes)
+        assert rep.components["lead"] == lead
+    else:
+        oracle = [torus_mode_mellin(lam, q) for lam in modes]
+        ours = [c_d(2) if lam == 0.0 else asym._torus_mode_mean(lam, 1e-10) for lam in modes]
+        lead = scale * math.fsum(r.value for r in oracle)
+        bound = scale * math.fsum(r.error_estimate for r in oracle + ours)
+        assert abs(rep.components["lead"] - lead) <= bound + 4 * math.ulp(lead)
+    assert rep.components["two_log_n"] == 2.0 * math.log(n)
+    assert rep.components["minus_zeta_prime"] == -epstein_zeta_prime_zero(beta, tol=1e-10)
+    assert rep.predicted_log_det == math.fsum(
+        v for k, v in rep.components.items() if k != "_vertices")
 
 
 def test_predict_torus_constant_trivial_block():

@@ -486,7 +486,10 @@ def spectrum_specs(draw):
     return TorusSpec(draw(st.lists(st.integers(1, 10), min_size=1, max_size=3)))
 
 
-# g = n/2, mirrored and duplicated generators; torus sides 1 and 2 in every position
+# g = n/2, mirrored and duplicated generators; torus sides 1 and 2 in every position;
+# generators on both sides of the strided/gather crossover of graphs._add_folded
+@example(CirculantSpec(2000, (1, 3, 7, 300, 1000)))
+@example(CirculantSpec(100001, (1, 2, 5, 391, 99998)))
 @example(CirculantSpec(10, (1, 5)))
 @example(CirculantSpec(9, (1, 5, 7)))
 @example(CirculantSpec(12, (1, 6, 6, 11)))
@@ -499,6 +502,25 @@ def spectrum_specs(draw):
 @settings(max_examples=100, deadline=None)
 def test_spectrum_equals_folded_oracle(spec):
     assert np.array_equal(spectrum(spec), folded_spectrum(spec))
+
+
+@pytest.mark.parametrize("min_run", [0, 10**12])  # every slice strided, or every one gathered
+@pytest.mark.parametrize("n,g", [
+    (10, 5), (11, 5), (12, 6), (3, 1), (2000, 3), (2000, 300), (2000, 1999),
+    (7, 7), (7, 14), (7, 0), (9, 16), (10, 25), (1000, 3001), (999178, 3),
+])
+def test_add_folded_equals_the_gather(monkeypatch, min_run, n, g):
+    # g >= n, g = 0 (mod n) and g = n/2 reach the helper only directly, as
+    # CirculantSpec refuses them
+    monkeypatch.setattr(graphs, "_STRIDE_MIN_RUN", min_run)
+    half = graphs._sin2_half(n)
+    lam = np.linspace(0.0, 1.0, n // 2 + 1)
+    expected = lam.copy()
+    j = np.arange(n // 2 + 1)
+    r = (g * j) % n
+    expected += half[np.minimum(r, n - r)]
+    graphs._add_folded(lam, half, n, g)
+    assert np.array_equal(lam, expected)
 
 
 @example(CirculantSpec(12, (1, 6, 6, 11)), 0.5)

@@ -1,18 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
+from spantor import quadrature
 from spantor.quadrature import (
     QuadratureConfig,
     QuadratureError,
     integrate_mellin,
     integrate_mellin_head,
     integrate_mellin_tail,
-    integrate_log_endpoint,
+    integrate_periodic_mean,
 )
 from spantor.specfun import bessel_i_scaled
 
-from oracles import integrate_periodic
+from oracles import integrate_log_endpoint, integrate_periodic
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -115,7 +117,55 @@ def test_periodic_bessel_integrand():
 
 
 # ---------------------------------------------------------------------------
-# logarithmic endpoints
+# vectorised periodic trapezoid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 0.99])
+def test_periodic_mean_poisson_kernel(r):
+    # the mean of 1/(1 - r cos 2 pi x) is 1/sqrt(1 - r^2); the rule converges
+    # like r^N, so r near 1 needs many doublings
+    res = integrate_periodic_mean(lambda x: 1.0 / (1.0 - r * np.cos(2.0 * np.pi * x)))
+    exact = 1.0 / math.sqrt(1.0 - r * r)
+    assert 0.0 < res.error_estimate <= 1e-10 + 16 * math.ulp(1.0 / (1.0 - r))
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_periodic_mean_evaluates_each_node_once():
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.cos(2.0 * np.pi * 3.0 * x)
+
+    res = integrate_periodic_mean(f, start=8)
+    nodes = np.sort(np.concatenate(seen))
+    assert res.evaluations == nodes.size == 32
+    assert np.array_equal(nodes, np.arange(32) / 32)
+    assert abs(res.value) <= res.error_estimate
+
+
+def test_periodic_mean_matches_the_oracle():
+    theirs = integrate_periodic(lambda w: math.exp(2.0 * (math.cos(w) - 1.0)))
+    ours = integrate_periodic_mean(lambda x: np.exp(2.0 * (np.cos(2.0 * np.pi * x) - 1.0)))
+    assert abs(ours.value - theirs.value) <= ours.error_estimate + theirs.error_estimate
+
+
+def test_periodic_mean_point_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "_PERIODIC_MAX_POINTS", 64)
+    with pytest.raises(QuadratureError, match="did not settle"):
+        integrate_periodic_mean(lambda x: np.abs(np.sin(np.pi * x)), tol=1e-14)
+
+
+def test_periodic_mean_refuses_non_finite_values():
+    with pytest.raises(QuadratureError, match="not finite"), np.errstate(divide="ignore"):
+        integrate_periodic_mean(lambda x: np.log(np.sin(np.pi * x) ** 2))
+    with pytest.raises(ValueError):
+        integrate_periodic_mean(lambda x: x, start=0)
+
+
+# ---------------------------------------------------------------------------
+# logarithmic endpoints (the oracle's log-sin rule)
 # ---------------------------------------------------------------------------
 
 
