@@ -26,7 +26,6 @@ from .specfun import (
     catalan_constant,
 )
 from .quadrature import (
-    QuadratureConfig,
     QuadratureError,
     IntegralResult,
     integrate_mellin,

@@ -19,17 +19,18 @@ integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t, a third
 route to the same constant, lives in the tests as an oracle.  The
 high-precision lead term (spantor.hp) refines the same roots by Newton steps.
 
-Torus lead terms are integrals of one A-block mode lambda over the growing
-sides.  With one growing side that is the arccosh closed form
-arccosh(1 + lambda/2); with two it is the periodic mean over x of
-arccosh(1 + (lambda + 4 sin^2(pi x))/2), by the same trapezoid rule, and
-the lambda = 0 mode is c_2 = 4G/pi (Catalan's G); with three or more it is
-the Mellin-Bessel integral of a power of the scaled Bessel function I_0.
-The regularized determinant of a diagonal real torus comes from the
-theta-split formula for the spectral zeta derivative at zero.  Epstein zeta
-values in the convergent regime come from the Riemann zeta function for a
-circle, and otherwise from a direct lattice sum with a certified sandwich
-tail.
+Torus lead terms are sums of one integral per A-block mode lambda,
+I_q(lambda) = int_0^inf (e^{-t} - (e^{-2t} I_0(2t))^q e^{-lambda t}) dt/t
+with q growing sides, and c_d is the lambda = 0 member I_d(0).  With one
+growing side it is the closed form arccosh(1 + lambda/2); with two it is the
+periodic mean over x of arccosh(1 + (lambda + 4 sin^2(pi x))/2), by the same
+trapezoid rule, and the lambda = 0 mode is c_2 = 4G/pi (Catalan's G); with
+three or more it is the Mellin-Bessel integral itself.  The regularized
+determinant of a diagonal real torus comes from the theta-split formula for
+the spectral zeta derivative at zero, one Mellin integral cut at the split.
+Epstein zeta values in the convergent regime come from the Riemann zeta
+function for a circle, and otherwise from a direct lattice sum with a
+certified sandwich tail.
 """
 
 from __future__ import annotations
@@ -52,14 +53,7 @@ from .graphs import (
     _half_spectrum,
     _symbol_poly,
 )
-from .quadrature import (
-    IntegralResult,
-    QuadratureConfig,
-    integrate_mellin,
-    integrate_mellin_head,
-    integrate_mellin_tail,
-    integrate_periodic_mean,
-)
+from .quadrature import integrate_mellin, integrate_periodic_mean
 from .specfun import (
     EULER_GAMMA,
     _zeta_euler_maclaurin,
@@ -78,6 +72,7 @@ __all__ = [
     "MAHLER_ROOTS",
     "ARCCOSH_CLOSED_FORM",
     "CATALAN_CLOSED_FORM",
+    "PERIODIC_ARCCOSH",
     "arccosh_lead",
     "lead_term_circulant",
     "c_d",
@@ -98,6 +93,7 @@ MELLIN_BESSEL = "mellin_bessel"
 MAHLER_ROOTS = "mahler_roots"
 ARCCOSH_CLOSED_FORM = "arccosh_closed_form"
 CATALAN_CLOSED_FORM = "catalan_closed_form"
+PERIODIC_ARCCOSH = "periodic_arccosh"
 
 
 @dataclass(frozen=True)
@@ -167,11 +163,19 @@ def _report(n: int, components: dict[str, float],
 # ---------------------------------------------------------------------------
 
 
+def _arccosh1p(y):
+    """arccosh(1 + y) for 0 <= y < 1e154 as log1p(y + sqrt(y (y + 2))).
+
+    Keeps full relative accuracy at small y; elementwise on arrays.
+    """
+    return np.log1p(y + np.sqrt(y * (y + 2.0)))
+
+
 def arccosh_lead(x: float) -> float:
     """Closed form log((x + sqrt(x^2-4))/2) of the one-Bessel Mellin integral."""
     if x < 2.0:
         raise AsymError(f"need x >= 2, got {x}")
-    return math.acosh(0.5 * x)
+    return float(_arccosh1p(0.5 * x - 1.0))
 
 
 def _sin2pi(x: np.ndarray) -> np.ndarray:
@@ -287,27 +291,46 @@ def lead_term_circulant(generators: Sequence[int], tol: float = 1e-10) -> LeadTe
     return _lead_term_circulant_cached(gens, float(tol))
 
 
-@lru_cache(maxsize=None)
-def _c_d_cached(d: int, tol: float) -> LeadTerm:
-    if d == 2:
+def _mode_lead(lam: float, q: int, tol: float) -> LeadTerm:
+    """I_q(lam) = int_0^inf (e^{-t} - (e^{-2t} I_0(2t))^q e^{-lam t}) dt/t.
+
+    The lead integral of A-block mode lam with q growing sides.  q = 1 is
+    the closed form arccosh(1 + lam/2).  q = 2 is c_2 = 4G/pi at lam = 0
+    and otherwise the periodic mean over x of
+    arccosh(1 + (lam + 4 sin^2(pi x))/2), analytic for lam > 0 with its
+    nearest singularity at Im x = arcsinh(sqrt(lam)/2)/pi, so the trapezoid
+    rule converges geometrically.  q >= 3 is the Mellin-Bessel integral at
+    ``tol``.
+    """
+    if q == 1:
+        value = float(_arccosh1p(0.5 * lam))
+        return LeadTerm(value=value, method=ARCCOSH_CLOSED_FORM,
+                        error_estimate=4 * math.ulp(value))
+    if q == 2 and lam == 0.0:
         value = 4.0 * catalan_constant() / math.pi
         return LeadTerm(value=value, method=CATALAN_CLOSED_FORM,
                         error_estimate=4 * math.ulp(value))
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
+    if q == 2:
+        res = integrate_periodic_mean(lambda x: _arccosh1p(0.5 * lam + 2.0 * _sin2pi(x)), tol)
+        method = PERIODIC_ARCCOSH
+    else:
+        res = integrate_mellin(lambda t: math.exp(-t) - bessel_i_scaled(0, 2.0 * t) ** q
+                               * math.exp(-lam * t), tol)
+        method = MELLIN_BESSEL
+    return LeadTerm(value=res.value, method=method, error_estimate=res.error_estimate)
 
-    def integrand(t: float) -> float:
-        return math.exp(-t) - bessel_i_scaled(0, 2.0 * t) ** d
 
-    res = integrate_mellin(integrand, cfg)
-    return LeadTerm(value=res.value, method=MELLIN_BESSEL,
-                    error_estimate=res.error_estimate)
+@lru_cache(maxsize=None)
+def _c_d_cached(d: int, tol: float) -> LeadTerm:
+    return _mode_lead(0.0, d, tol)
 
 
 def c_d(d: int, tol: float = 1e-10) -> LeadTerm:
     """Torus growth constant c_d = int_0^inf (e^{-t} - e^{-2dt} I_0(2t)^d) dt/t.
 
-    c_2 is 4G/pi in closed form (G is Catalan's constant); every other d
-    is the Mellin-Bessel integral at ``tol``.
+    The lambda = 0 mode I_d(0) of _mode_lead: c_1 = arccosh(1) = 0 and
+    c_2 = 4G/pi in closed form (G is Catalan's constant); every d >= 3 is
+    the Mellin-Bessel integral at ``tol``.
     """
     if d < 1:
         raise AsymError(f"need d >= 1, got {d}")
@@ -432,14 +455,16 @@ def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,
     if split <= 0:
         raise AsymError(f"split must be positive, got {split}")
     det = math.prod(sides_t)
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
-    head = integrate_mellin_head(
-        lambda t: theta_real_torus_minus_leading(sides_t, t), split, cfg)
-    tail = integrate_mellin_tail(
-        lambda t: theta_real_torus(sides_t, t) - 1.0, split, cfg)
+
+    def integrand(t: float) -> float:
+        if t < split:
+            return theta_real_torus_minus_leading(sides_t, t)
+        return theta_real_torus(sides_t, t) - 1.0
+
+    body = integrate_mellin(integrand, tol, split)
     middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)
               - math.log(split) - EULER_GAMMA)
-    return head.value + tail.value + middle
+    return body.value + middle
 
 
 # ---------------------------------------------------------------------------
@@ -475,55 +500,23 @@ def predict_circulant(n: int, generators: Sequence[int], exact: bool = True,
     return _report(n, components, exact_val)
 
 
-def _torus_mode_mean(lam: float, tol: float) -> IntegralResult:
-    """int_0^1 arccosh(1 + (lam + 4 sin^2(pi x))/2) dx, a mode with two growing sides.
-
-    The integrand is analytic for lam > 0, with its nearest singularity at
-    Im x = arcsinh(sqrt(lam)/2)/pi, so the periodic rule converges
-    geometrically.  arccosh(1 + y) is taken as log1p(y + sqrt(y (y + 2))),
-    which keeps full relative accuracy at small y.
-    """
-    def arccosh_mode(x: np.ndarray) -> np.ndarray:
-        y = 0.5 * lam + 2.0 * _sin2pi(x)
-        return np.log1p(y + np.sqrt(y * (y + 2.0)))
-
-    return integrate_periodic_mean(arccosh_mode, tol)
-
-
 @lru_cache(maxsize=None)
 def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
                           tol: float) -> tuple[float, float]:
     """(sum_j w_j I(lambda_j), zeta'(0) of R^q / diag(beta) Z^q): the n-free part.
 
     The A-block modes come from the half spectrum with their weights, and
-    each distinct eigenvalue gets one integral I; a weight is a power of 2,
-    so the weighted fsum equals the fsum over the full spectrum exactly.
-    With q = 1 growing side I is the arccosh closed form; with q = 2 it is
-    c_2 at lambda = 0 and the periodic mean of _torus_mode_mean otherwise;
-    with q >= 3 it is a Mellin-Bessel integral.  Cached per (alpha, beta,
-    tol), since every row of a table shares it.
+    each distinct eigenvalue gets one integral _mode_lead; a weight is a
+    power of 2, so the weighted fsum equals the fsum over the full spectrum
+    exactly.  Cached per (alpha, beta, tol), since every row of a table
+    shares it.
     """
     if alpha:
         values, weights = _half_spectrum(TorusSpec(alpha))
     else:
         values, weights = np.zeros(1), np.ones(1)
     distinct, where = np.unique(values, return_inverse=True)
-    q = len(beta)
-    if q == 1:
-        per_mode = [arccosh_lead(2.0 + x) for x in distinct]
-    elif q == 2:
-        per_mode = [c_d(2, tol).value if x == 0.0 else _torus_mode_mean(x, tol).value
-                    for x in distinct]
-    else:
-        cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
-        per_mode = []
-        for x in distinct:
-            res = integrate_mellin(
-                lambda t, lam=x: math.exp(-t)
-                - bessel_i_scaled(0, 2.0 * t) ** q * math.exp(-lam * t),
-                cfg,
-            )
-            per_mode.append(res.value)
+    per_mode = [_mode_lead(float(x), len(beta), tol).value for x in distinct]
     lead = math.fsum(weights * np.array(per_mode)[where])
     return lead, epstein_zeta_prime_zero(beta, tol=tol)
 

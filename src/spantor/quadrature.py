@@ -5,8 +5,9 @@ Two entry points:
 * integrate_mellin    -- improper integrals int_0^inf g(t) dt/t.  The substitution
   t = e^u turns dt/t into du and the integrand into a function on the whole real
   axis; unit panels in u are integrated by nested Gauss-Legendre rules and the
-  axis is extended in both directions until the panel contributions certify
-  geometric decay.
+  axis is extended from u = log(split) in both directions until the panel
+  contributions certify geometric decay.  An integrand that takes different
+  forms below and above the split (a theta split) is one call.
 * integrate_periodic_mean -- int_0^1 f for f analytic with period 1, by one
   vectorised trapezoid rule that doubles its grid; for such f it converges
   geometrically (Trefethen-Weideman).
@@ -24,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "IntegralResult",
     "QuadratureError",
     "integrate_mellin",
@@ -38,20 +38,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    split_point: float = 1.0
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.split_point <= 0:
-            raise ValueError("split_point must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,26 +134,34 @@ def _extend_axis(F, u0, direction, panel_tol, tiny, max_panels, budget):
     )
 
 
-def integrate_mellin(g: Callable[[float], float],
-                     cfg: QuadratureConfig | None = None) -> IntegralResult:
+# bisections one Mellin integral may spend across all its panels
+_MELLIN_SUBDIVISIONS = 4000
+
+
+def integrate_mellin(g: Callable[[float], float], tol: float = 1e-10,
+                     split: float = 1.0) -> IntegralResult:
     """int_0^inf g(t) dt/t for g vanishing at 0 and decaying at infinity.
 
     g must vanish at least linearly as t -> 0+ and decay like e^{-ct} or
     t^{-1/2-eps} as t -> infinity; decay is verified empirically from the
-    panel contributions and a QuadratureError is raised when it fails.
+    panel contributions.  Panels start at t = ``split`` and run to the right,
+    then to the left.  Raises QuadratureError when the decay does not
+    certify or the error estimate exceeds max(tol, 10 tol |value|).
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not split > 0:
+        raise ValueError(f"split must be positive, got {split}")
     counter = _EvalCounter(g)
     F = lambda u: counter(math.exp(u))
-    u0 = math.log(cfg.split_point)
-    tiny = 0.05 * cfg.abs_tol
-    panel_tol = 0.02 * cfg.abs_tol
-    budget = cfg.max_subdivisions
+    u0 = math.log(split)
+    tiny = 0.05 * tol
+    panel_tol = 0.02 * tol
     try:
-        right, err_r, used_r = _extend_axis(F, u0, +1, panel_tol, tiny, 200, budget)
-        left, err_l, used_l = _extend_axis(F, u0, -1, panel_tol, tiny, 200,
-                                           budget - used_r)
+        right, err_r, used_r = _extend_axis(F, u0, +1, panel_tol, tiny, 200,
+                                            _MELLIN_SUBDIVISIONS)
+        left, err_l, _ = _extend_axis(F, u0, -1, panel_tol, tiny, 200,
+                                      _MELLIN_SUBDIVISIONS - used_r)
     except QuadratureError as exc:
         exc.partial = IntegralResult(
             exc.partial.value if exc.partial else math.nan,
@@ -176,36 +170,12 @@ def integrate_mellin(g: Callable[[float], float],
     value = right + left
     error = err_r + err_l
     result = IntegralResult(value, error, counter.count)
-    if error > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if error > max(tol, 10 * tol * abs(value)):
         raise QuadratureError(
             f"requested tolerance not met: error estimate {error:.3e}",
             partial=result,
         )
     return result
-
-
-def integrate_mellin_tail(g: Callable[[float], float], lo: float,
-                          cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """int_lo^infinity g(t) dt/t, same panel engine as integrate_mellin."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    counter = _EvalCounter(g)
-    F = lambda u: counter(math.exp(u))
-    value, err, _ = _extend_axis(F, math.log(lo), +1, 0.02 * cfg.abs_tol,
-                                 0.05 * cfg.abs_tol, 200, cfg.max_subdivisions)
-    return IntegralResult(value, err, counter.count)
-
-
-def integrate_mellin_head(g: Callable[[float], float], hi: float,
-                          cfg: QuadratureConfig | None = None) -> IntegralResult:
-    """int_0^hi g(t) dt/t, extending panels toward t = 0."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    counter = _EvalCounter(g)
-    F = lambda u: counter(math.exp(u))
-    value, err, _ = _extend_axis(F, math.log(hi), -1, 0.02 * cfg.abs_tol,
-                                 0.05 * cfg.abs_tol, 200, cfg.max_subdivisions)
-    return IntegralResult(value, err, counter.count)
 
 
 # the periodic rule gives up beyond this many nodes, and evaluates f on at

@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from spantor.graphs import CirculantSpec
-from spantor.quadrature import IntegralResult, QuadratureConfig, QuadratureError, integrate_mellin
+from spantor.quadrature import IntegralResult, QuadratureError, integrate_mellin
 
 
 def fibonacci(n: int) -> int:
@@ -311,8 +311,7 @@ def lead_term_circulant_mellin(gens, tol: float = 1e-10) -> IntegralResult:
     the symbol polynomial's roots and of the log-sin integral.
     """
     gens = tuple(int(g) for g in gens)
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
-    return integrate_mellin(lambda t: math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t), cfg)
+    return integrate_mellin(lambda t: math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t), tol)
 
 
 def mahler_lead_mp(gens, dps: int) -> mp.mpf:
@@ -473,7 +472,6 @@ def torus_mode_mellin(lam: float, q: int, tol: float = 1e-10) -> IntegralResult:
     paper writes it; lam = 0 gives c_q.  The scaled Bessel function is this
     module's trapezoid bessel_multi_scaled, not spantor's series.
     """
-    cfg = QuadratureConfig(abs_tol=tol, rel_tol=10 * tol)
     return integrate_mellin(
         lambda t: math.exp(-t) - bessel_multi_scaled((1,), 0, 2.0 * t) ** q * math.exp(-lam * t),
-        cfg)
+        tol)

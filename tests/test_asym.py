@@ -162,6 +162,13 @@ def test_c_1_vanishes():
     assert c_d(1).value == pytest.approx(0.0, abs=1e-9)
 
 
+def test_c_1_is_exactly_the_arccosh_closed_form():
+    # c_1 = arccosh(1) = 0: the lambda = 0 mode with one growing side, no quadrature
+    c_1 = c_d(1)
+    assert c_1.value == 0.0
+    assert c_1.method == ARCCOSH_CLOSED_FORM
+
+
 def test_c_2_catalan():
     c_2 = c_d(2)
     assert c_2.method == CATALAN_CLOSED_FORM
@@ -372,27 +379,41 @@ def test_torus_constant_table_integrates_once(periodic_calls, capsys):
     assert len(periodic_calls) == 1
 
 
+def test_one_growing_side_modes_keep_full_accuracy_at_small_lambda():
+    # the first modes of A-block side 1000 have lambda near 4e-5, where
+    # acosh(1 + lambda/2) of the rounded argument loses about eps/sqrt(lambda)
+    for k in (1, 2, 3):
+        lam = 4.0 * math.sin(math.pi * k / 1000) ** 2
+        with mp.workdps(40):
+            exact = mp.acosh(1 + mp.mpf(lam) / 2)
+        lead = asym._mode_lead(lam, 1, 1e-10)
+        assert lead.method == ARCCOSH_CLOSED_FORM
+        assert abs(lead.value - exact) <= 1e-15 * exact
+
+
 @pytest.mark.parametrize("n,alpha,beta", [
     (7, (3,), (1, 1)), (5, (2, 2), (1, 1)), (40, (3, 4), (2,)), (30, (1, 2, 5), (1,)),
 ])
 def test_torus_constant_lead_equals_the_full_spectrum_sum(n, alpha, beta):
     # the sum of per-mode integrals over every A-block eigenvalue, one each:
-    # the arccosh closed form bit for bit with one growing side; with two,
-    # the Mellin-Bessel oracle within its error bound and the periodic
-    # rule's (c_2's at the zero mode)
+    # with one growing side each mode is within a few ulps of mpmath's
+    # arccosh(1 + lambda/2); with two, the Mellin-Bessel oracle within its
+    # error bound and the periodic rule's (c_2's at the zero mode)
     q = len(beta)
     scale = n ** q * math.prod(beta)
     rep = predict_torus_constant(n, alpha, beta, exact=False)
     modes = folded_spectrum(TorusSpec(alpha))
+    ours = [asym._mode_lead(lam, q, 1e-10) for lam in modes]
     if q == 1:
-        lead = scale * math.fsum(arccosh_lead(2.0 + lam) for lam in modes)
-        assert rep.components["lead"] == lead
+        with mp.workdps(30):
+            oracle = [(float(mp.acosh(1 + mp.mpf(lam) / 2)), 0.0) for lam in modes]
+        for mine, (theirs, _) in zip(ours, oracle):
+            assert abs(mine.value - theirs) <= 4 * math.ulp(theirs)
     else:
-        oracle = [torus_mode_mellin(lam, q) for lam in modes]
-        ours = [c_d(2) if lam == 0.0 else asym._torus_mode_mean(lam, 1e-10) for lam in modes]
-        lead = scale * math.fsum(r.value for r in oracle)
-        bound = scale * math.fsum(r.error_estimate for r in oracle + ours)
-        assert abs(rep.components["lead"] - lead) <= bound + 4 * math.ulp(lead)
+        oracle = [(r.value, r.error_estimate) for r in (torus_mode_mellin(lam, q) for lam in modes)]
+    lead = scale * math.fsum(value for value, _ in oracle)
+    bound = scale * math.fsum([e for _, e in oracle] + [r.error_estimate for r in ours])
+    assert abs(rep.components["lead"] - lead) <= bound + 4 * math.ulp(lead)
     assert rep.components["two_log_n"] == 2.0 * math.log(n)
     assert rep.components["minus_zeta_prime"] == -epstein_zeta_prime_zero(beta, tol=1e-10)
     assert rep.predicted_log_det == math.fsum(

@@ -504,6 +504,20 @@ def test_exit_numerical(capsys):
     capsys.readouterr()
 
 
+def test_specfun_cd_1_is_exactly_zero(capsys):
+    rc, out = run_cli(capsys, "specfun", "cd", "1")
+    assert rc == 0
+    assert out == '{"name": "cd", "value": 0.0, "error": 2e-323}\n'
+
+
+def test_specfun_zeta_prime_zero_refuses_an_unmeetable_tol(capsys):
+    # the theta-split quadrature reaches about 1e-13 here, not the 1e-16 asked for
+    assert cli.main(["specfun", "zeta-prime-zero", "2", "--tol", "1e-16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: requested tolerance not met")
+
+
 @pytest.mark.parametrize("argv", [["zeta", "nan"], ["zeta", "inf"], ["eta", "nan"],
                                   ["epstein", "1", "nan"], ["epstein", "1,inf", "2"],
                                   ["bessel", "0", "nan"],

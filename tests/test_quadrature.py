@@ -1,17 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from spantor import quadrature
-from spantor.quadrature import (
-    QuadratureConfig,
-    QuadratureError,
-    integrate_mellin,
-    integrate_mellin_head,
-    integrate_mellin_tail,
-    integrate_periodic_mean,
-)
+from spantor.quadrature import QuadratureError, integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled
 
 from oracles import integrate_log_endpoint, integrate_periodic
@@ -62,19 +56,16 @@ def test_slow_tail_x_equals_2():
 
 @pytest.mark.parametrize("split", [0.5, 1.0, 5.0])
 def test_split_invariance(split):
-    cfg = QuadratureConfig(split_point=split)
-    res = integrate_mellin(lambda t: math.exp(-t) - math.exp(-2.0 * t), cfg)
+    res = integrate_mellin(lambda t: math.exp(-t) - math.exp(-2.0 * t), split=split)
     assert res.value == pytest.approx(math.log(2.0), abs=2e-10)
 
 
 def test_error_honesty():
-    loose = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-7)
-    tight = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-8)
     for g in (lambda t: math.exp(-t) - math.exp(-3.0 * t),
               scaled_i0_with_shift(2.5),
               scaled_i0_with_shift(2.0)):
-        a = integrate_mellin(g, loose)
-        b = integrate_mellin(g, tight)
+        a = integrate_mellin(g, tol=1e-7)
+        b = integrate_mellin(g, tol=1e-8)
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
 
@@ -83,18 +74,26 @@ def test_nonconvergent_tail_detected():
         integrate_mellin(lambda t: t / (1.0 + t))  # -> 1, dt/t tail diverges
 
 
-def test_halfline_pieces_recombine():
-    g = lambda t: math.exp(-t) - math.exp(-5.0 * t)
-    head = integrate_mellin_head(g, 1.0)
-    tail = integrate_mellin_tail(g, 1.0)
-    assert head.value + tail.value == pytest.approx(math.log(5.0), abs=1e-9)
+def test_integrand_switching_at_the_split():
+    # t below the split c and e^{-t} above it: int_0^c dt + int_c^inf e^{-t} dt/t = c + E_1(c)
+    for split in (0.5, 1.0, 2.0):
+        res = integrate_mellin(lambda t: t if t < split else math.exp(-t), split=split)
+        exact = split + float(mp.e1(split))
+        assert res.error_estimate <= 1e-10
+        assert abs(res.value - exact) <= res.error_estimate + 4 * math.ulp(exact)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(split_point=-1.0)
+def test_unmeetable_tolerance_raises():
+    with pytest.raises(QuadratureError, match="tolerance not met") as caught:
+        integrate_mellin(scaled_i0_with_shift(2.0), tol=1e-17)
+    assert caught.value.partial.error_estimate > 1e-17
+
+
+def test_rejects_nonpositive_tol_and_split():
+    for kwargs in ({"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
+                   {"split": 0.0}, {"split": -1.0}):
+        with pytest.raises(ValueError):
+            integrate_mellin(lambda t: math.exp(-t) - math.exp(-2.0 * t), **kwargs)
 
 
 # ---------------------------------------------------------------------------
