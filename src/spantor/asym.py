@@ -506,18 +506,22 @@ def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
     """(sum_j w_j I(lambda_j), zeta'(0) of R^q / diag(beta) Z^q): the n-free part.
 
     The A-block modes come from the half spectrum with their weights, and
-    each distinct eigenvalue gets one integral _mode_lead; a weight is a
-    power of 2, so the weighted fsum equals the fsum over the full spectrum
-    exactly.  Cached per (alpha, beta, tol), since every row of a table
-    shares it.
+    each distinct eigenvalue gets one integral _mode_lead; with one growing
+    side that is _mode_lead's closed form, taken over all of them in one
+    call.  A weight is a power of 2, so the weighted fsum equals the fsum
+    over the full spectrum exactly.  Cached per (alpha, beta, tol), since
+    every row of a table shares it.
     """
     if alpha:
         values, weights = _half_spectrum(TorusSpec(alpha))
     else:
         values, weights = np.zeros(1), np.ones(1)
     distinct, where = np.unique(values, return_inverse=True)
-    per_mode = [_mode_lead(float(x), len(beta), tol).value for x in distinct]
-    lead = math.fsum(weights * np.array(per_mode)[where])
+    if len(beta) == 1:
+        per_mode = _arccosh1p(0.5 * distinct)
+    else:
+        per_mode = np.array([_mode_lead(float(x), len(beta), tol).value for x in distinct])
+    lead = math.fsum(weights * per_mode[where])
     return lead, epstein_zeta_prime_zero(beta, tol=tol)
 
 

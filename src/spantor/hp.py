@@ -10,21 +10,23 @@ z^g (2d - sum_gamma (z^gamma + z^-gamma)) with its double root at z = 1
 divided out: log|lc| plus the sum of log|rho| over the roots outside the unit
 circle.  The float lead term (spantor.asym) finds those roots with numpy;
 here each real root and one root of each conjugate pair is refined by Newton
-steps at the working precision on the sparse symbol, one power of rho per
-generator, so one root routine serves every precision.  The refined value
-must agree with the float one within the float's computed error, which
-catches two starts that converged onto one root.  It is cached per
-(generators, dps), since every row of a table and every n of a residual sweep
-shares it.
+steps on Gaussian integers in fixed point (see _newton_bits for the guard
+bits) on the sparse symbol, one power of rho and one of 1/rho per generator,
+so one root routine serves every precision.  lc^2 and the |rho|^2 multiply
+into one fixed-point product, and one log gives the value.  It must agree
+with the float one within the float's computed error, which catches two
+starts that converged onto one root.  It is cached per (generators, dps),
+since every row of a table and every n of a residual sweep shares it.
 
 log det* is the log of the product of the nonzero Laplacian eigenvalues.  The
 half-range modes come from the one mode engine of the float path,
 graphs._half_spectrum, which here reads a fixed-point half table of
-sin^2(pi k / l) built by integer rotations from one rounded exp(i pi / l)
-instead of the float table.  Each eigenvalue is then an exact integer sum of
-table entries; the sums are multiplied into one mpf per weight, whose
-exponent cannot overflow, and a single log is taken at the end.  The table's
-guard bits follow from its error bound (see _guard_bits).  The circulant and
+sin^2(pi k / l) built by three-product integer rotations from one rounded
+exp(i pi / l) instead of the float table.  Each eigenvalue is then an exact
+integer sum of table entries; the sums are multiplied into one plain-int
+product per weight, rounded after each factor exactly as an mpf product
+would be, and a single log is taken at the end.  The table's guard bits
+follow from its error bound (see _guard_bits).  The circulant and
 one-growing-side torus predictors return asym's AsymptoticReport with mpf
 values, which compare --precision prints.
 """
@@ -32,6 +34,7 @@ values, which compare --precision prints.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -78,40 +81,93 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
 _NEWTON_STEPS = 100
 
 
-def _symbol_and_slope(gens: tuple[int, ...], z):
-    """f(z) = sum_g (2 - z^g - z^-g) and f'(z) from the 2d + 1 terms of the symbol.
+def _newton_bits(dps: int, gens: tuple[int, ...], radius: float) -> int:
+    """Fixed-point bits P for Newton on f(z) = sum_g (2 - z^g - z^-g).
+
+    z = (x + iy) 2^-P with integer x, y is exact, and every complex product
+    is truncated to P bits, one unit of 2^-P per part.  Powering by squaring
+    doubles the relative error at each square and adds a unit at each
+    product, so for |z| >= 1 the computed z^g is off by at most 4 g units
+    relative, 4 g |z|^g units absolute; the powers of |1/z| < 1 are off by at
+    most 4 g units absolute.  Near a root f is about 0 while its terms reach
+    R^g_max, R = max |rho| (1 with no root outside the circle), so f is off
+    by at most 8 (sum_g g) R^g_max units: that cancellation costs
+    g_max log2 R bits and the powering error bitlen(8 sum_g g).  The
+    remaining (dps + 20) log2 10 bits give f, and so each Newton step, the
+    absolute accuracy that dps + 20 digits give a term of size 1.  The
+    product of the |rho|^2 adds at most 3 units relative per root, which the
+    powering bits also cover: there are D / 2 = g_max - 1 roots outside.
+    """
+    target = math.ceil((dps + 20) * math.log2(10))
+    cancellation = math.ceil(gens[-1] * math.log2(radius)) + 1
+    return target + cancellation + (8 * sum(gens)).bit_length()
+
+
+def _fixed_power(x: int, y: int, g: int, bits: int) -> tuple[int, int]:
+    """(x + iy)^g 2^(-bits (g - 1)) by squaring: z^g for z = (x + iy) 2^-bits, in the same units."""
+    rx, ry = x, y
+    for bit in bin(g)[3:]:
+        rx, ry = ((rx + ry) * (rx - ry)) >> bits, (2 * rx * ry) >> bits
+        if bit == "1":
+            rx, ry = (rx * x - ry * y) >> bits, (rx * y + ry * x) >> bits
+    return rx, ry
+
+
+def _newton_root(x: int, y: int, gens: tuple[int, ...], bits: int,
+                 scale: int) -> tuple[int, int] | None:
+    """A root of f(z) = sum_g (2 - z^g - z^-g) from z = (x + iy) 2^-bits, in the same units.
 
     f has the roots of the deflated symbol polynomial Q away from z = 1, so
-    Newton steps on f refine Q's roots at a cost of one power per generator.
+    the steps cost one power of z and one of 1/z per distinct generator
+    instead of a dense evaluation of Q.  The Newton step f / f' is
+    -f z / h with h = sum_g g (z^g - z^-g).  Stops once |step|^2 scale <=
+    |z|^2, scale = 10^(2 (dps + 10)); None when the steps run out.
     """
-    value, slope = mp.mpf(2 * len(gens)), mp.mpf(0)
-    for g in gens:
-        up = z ** g
-        down = 1 / up
-        value -= up + down
-        slope -= g * (up - down)
-    return value, slope / z
+    multiplicity = Counter(gens)
+    constant = (2 * len(gens)) << bits
+    for _ in range(_NEWTON_STEPS):
+        norm = x * x + y * y
+        ux, uy = (x << 2 * bits) // norm, -((y << 2 * bits) // norm)
+        f_re, f_im, h_re, h_im = constant, 0, 0, 0
+        for g, m in multiplicity.items():
+            wx, wy = _fixed_power(x, y, g, bits)
+            vx, vy = _fixed_power(ux, uy, g, bits)
+            f_re -= m * (wx + vx)
+            f_im -= m * (wy + vy)
+            h_re += m * g * (wx - vx)
+            h_im += m * g * (wy - vy)
+        num_re, num_im = (f_re * x - f_im * y) >> bits, (f_re * y + f_im * x) >> bits
+        h_norm = h_re * h_re + h_im * h_im
+        # z - step = z + f z / h
+        sx = ((num_re * h_re + num_im * h_im) << bits) // h_norm
+        sy = ((num_im * h_re - num_re * h_im) << bits) // h_norm
+        x, y = x + sx, y + sy
+        if (sx * sx + sy * sy) * scale <= x * x + y * y:
+            return x, y
+    return None
 
 
 @lru_cache(maxsize=None)
 def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
     roots = _symbol_roots(gens)
+    # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
+    # refine the one with Im rho > 0 and count its |rho|^2 twice
+    starts = roots.outside[roots.outside.imag >= 0]
+    bits = _newton_bits(dps, gens, float(np.abs(starts).max(initial=1.0)))
+    scale = 10 ** (2 * (dps + 10))
+    # lc^2 prod |rho|^2 in fixed point, each factor >= 1 truncated once
+    product = roots.coeffs[0] ** 2 << bits
+    for start in starts:
+        root = _newton_root(int(math.ldexp(start.real, 64)) << (bits - 64),
+                            int(math.ldexp(start.imag, 64)) << (bits - 64), gens, bits, scale)
+        if root is None:
+            raise AsymError(f"Newton steps from {start} did not converge for {gens}")
+        x, y = root
+        square = (x * x + y * y) >> bits
+        for _ in range(2 if start.imag > 0 else 1):
+            product = (product * square) >> bits
     with mp.workdps(dps + 20):
-        target = mp.mpf(10) ** -(dps + 10)
-        total = mp.log(abs(roots.coeffs[0]))
-        # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
-        # refine the one with Im rho > 0 and count its log twice
-        for start in roots.outside[roots.outside.imag >= 0]:
-            rho = mp.mpc(complex(start))
-            for _ in range(_NEWTON_STEPS):
-                value, slope = _symbol_and_slope(gens, rho)
-                step = value / slope
-                rho -= step
-                if abs(step) <= target * abs(rho):
-                    break
-            else:
-                raise AsymError(f"Newton steps from {start} did not converge for {gens}")
-            total += (2 if start.imag > 0 else 1) * mp.log(abs(rho))
+        total = mp.log(mp.mpf((product, -bits))) / 2
         if abs(total - roots.value) > roots.error_estimate:
             raise AsymError(f"refined lead term {mp.nstr(total, 20)} of {gens} is off the "
                             f"float value {roots.value!r} by more than its error "
@@ -143,17 +199,45 @@ def _sin2_table(l: int, bits: int) -> list[int]:
     table covers every residue k mod l.  One exp(i pi / l) is rounded to a
     fixed-point pair (c, s), and the point (x, y) = 2^bits exp(i pi k / l) is
     advanced by integer complex rotations; each step adds about one unit of
-    error, so step k is good to about k units.
+    error, so step k is good to about k units.  A rotation takes three
+    products: with t = c (x + y), x c - y s = t - y (c + s) and
+    x s + y c = t + x (s - c), the same integers as the four-product form.
     """
     with mp.workprec(bits + 10):
         w = mp.expjpi(mp.mpf(1) / l)
         c, s = int(mp.nint(mp.ldexp(w.real, bits))), int(mp.nint(mp.ldexp(w.imag, bits)))
+    c_plus_s, s_minus_c = c + s, s - c
     x, y = 1 << bits, 0
     table = [0]
     for _ in range(l // 2):
-        x, y = (x * c - y * s) >> bits, (x * s + y * c) >> bits
+        t = c * (x + y)
+        x, y = (t - y * c_plus_s) >> bits, (t + x * s_minus_c) >> bits
         table.append((y * y) >> bits)
     return table
+
+
+def _rounded_product(values, bits: int) -> mp.mpf:
+    """The product of the non-negative ints ``values``, rounded to ``bits`` after each factor.
+
+    A plain-int running product man 2^exp that, once man passes ``bits``
+    bits, is cut back to them with round half to even, as mpmath's
+    mpf_mul_int and _normalize do at round_nearest.  So the result equals the
+    mpf chain mp.mpf(1) * v_1 * v_2 * ... at prec ``bits`` bit for bit, at a
+    fraction of the chain's per-call cost.
+    """
+    man, exp = 1, 0
+    for value in values:
+        man *= value
+        shift = man.bit_length() - bits
+        if shift > 0:
+            t = man >> (shift - 1)
+            if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += shift
+    with mp.workprec(bits):
+        return mp.mpf((man, exp))
 
 
 def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP) -> mp.mpf:
@@ -177,10 +261,7 @@ def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP
     with mp.workprec(bits):
         total = mp.mpf(1)
         for e in range(int(powers.max(initial=0)) + 1):
-            partial = mp.mpf(1)
-            for value in lam[powers == e]:
-                partial *= value
-            total *= partial ** (2 ** e)
+            total *= _rounded_product(lam[powers == e], bits) ** (2 ** e)
         total = mp.ldexp(total, (2 - bits) * (spec.vertex_count - 1))
     with mp.workdps(dps + 10):
         return +mp.log(total)
@@ -243,8 +324,13 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _conjecture_factors(dps: int):
-    """x_plus, y_plus and the two algebraic offsets of the closed form."""
+    """x_plus, y_plus and the two algebraic offsets of the closed form.
+
+    Cached per dps: the mpf values are immutable and depend on nothing else,
+    and verify_conjecture asks for them twice per n.
+    """
     with mp.workdps(dps):
         s5 = mp.sqrt(5)
         x_plus = (9 - s5 + mp.sqrt(70 - 18 * s5)) / 4

@@ -5,8 +5,10 @@ enumerated edge subsets or dense matrix-tree determinants of a Laplacian
 assembled from an explicit edge list, spectra come from a dense symmetric
 eigensolver or the eigenvalue formula evaluated at every mode, log det*
 values sum one log (float or mpmath) per nonzero eigenvalue, the
-high-precision lead term is a tanh-sinh quadrature of the log-sin integral or
-mpmath polyroots of a symbol polynomial built here, the float lead term is
+high-precision lead term is a tanh-sinh quadrature of the log-sin integral,
+mpmath polyroots of a symbol polynomial built here or mpc Newton steps from
+numpy roots of it, fixed-point sin^2 tables and mpf products follow their
+textbook four-product and mpf-chain forms, the float lead term is
 the paper's Mellin-Bessel integral over a d-dimensional Bessel function
 integrated here by its own windowed trapezoid or the log-sin integral by
 Gauss panels drilling into its endpoints, torus mode integrals are
@@ -314,14 +316,13 @@ def lead_term_circulant_mellin(gens, tol: float = 1e-10) -> IntegralResult:
     return integrate_mellin(lambda t: math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t), tol)
 
 
-def mahler_lead_mp(gens, dps: int) -> mp.mpf:
-    """Mahler measure of the symbol z^g (2d - sum (z^g + z^-g)) by mpmath polyroots.
+def _deflated_symbol(gens: tuple[int, ...]) -> list[int]:
+    """Integer coefficients, highest first, of the symbol z^g (2d - sum (z^g + z^-g)) / (z - 1)^2.
 
     The symbol is built from its definition as a Laurent polynomial, and its
     double root at z = 1 is divided out by polynomial division, so nothing
     here shares code with spantor's symbol helpers.
     """
-    gens = tuple(int(g) for g in gens)
     g_max = max(gens)
     laurent = {0: 2 * len(gens)}
     for g in gens:
@@ -331,13 +332,98 @@ def mahler_lead_mp(gens, dps: int) -> mp.mpf:
     quotient, remainder = np.polynomial.polynomial.polydiv(symbol[::-1], [1, -2, 1])
     if np.any(remainder):
         raise ArithmeticError(f"z = 1 is not a double root of the symbol of {gens}")
-    coeffs = [int(round(c)) for c in quotient[::-1]]
+    return [int(round(c)) for c in quotient[::-1]]
+
+
+def mahler_lead_mp(gens, dps: int) -> mp.mpf:
+    """Mahler measure of the deflated symbol polynomial by mpmath polyroots."""
+    coeffs = _deflated_symbol(tuple(int(g) for g in gens))
     with mp.workdps(dps + 10):
         total = mp.log(abs(coeffs[0]))
         if len(coeffs) > 1:
             roots = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * dps)
             total += mp.fsum(mp.log(abs(r)) for r in roots if abs(r) > 1)
         return +total
+
+
+def mahler_lead_newton_mpc(gens, dps: int) -> mp.mpf:
+    """Mahler measure by mpc Newton steps on the sparse symbol from numpy root starts.
+
+    Each root outside the unit circle with Im >= 0 is refined at dps + 20
+    digits by Newton on f(z) = sum_g (2 - z^g - z^-g), which has the
+    deflated symbol's roots, until |step| <= 10^-(dps + 10) |rho|; a root
+    with Im > 0 stands for its conjugate pair and counts twice.
+    """
+    gens = tuple(int(g) for g in gens)
+    coeffs = _deflated_symbol(gens)
+    starts = np.roots(np.array(coeffs, dtype=float)) if len(coeffs) > 1 else np.zeros(0)
+    with mp.workdps(dps + 20):
+        target = mp.mpf(10) ** -(dps + 10)
+        total = mp.log(abs(coeffs[0]))
+        for start in starts[(np.abs(starts) > 1) & (starts.imag >= 0)]:
+            rho = mp.mpc(complex(start))
+            for _ in range(100):
+                value, slope = mp.mpf(2 * len(gens)), mp.mpf(0)
+                for g in gens:
+                    up = rho ** g
+                    down = 1 / up
+                    value -= up + down
+                    slope -= g * (up - down)
+                step = value / (slope / rho)
+                rho -= step
+                if abs(step) <= target * abs(rho):
+                    break
+            else:
+                raise ArithmeticError(f"Newton steps from {start} did not converge for {gens}")
+            total += (2 if start.imag > 0 else 1) * mp.log(abs(rho))
+        return +total
+
+
+def mpf_product_chain(values, prec: int) -> mp.mpf:
+    """mp.mpf(1) * v_1 * v_2 * ... by mpf-times-int products at ``prec`` bits."""
+    with mp.workprec(prec):
+        product = mp.mpf(1)
+        for value in values:
+            product *= int(value)
+        return product
+
+
+def sin2_table_four_products(l: int, bits: int) -> list[int]:
+    """sin^2(pi k / l) 2^bits for k = 0..floor(l/2) by four-product integer rotations.
+
+    One exp(i pi / l) is rounded to a fixed-point pair (c, s), and
+    2^bits exp(i pi k / l) is advanced by (x, y) -> ((x c - y s), (x s + y c)) >> bits.
+    """
+    with mp.workprec(bits + 10):
+        w = mp.expjpi(mp.mpf(1) / l)
+        c, s = int(mp.nint(mp.ldexp(w.real, bits))), int(mp.nint(mp.ldexp(w.imag, bits)))
+    x, y = 1 << bits, 0
+    table = [0]
+    for _ in range(l // 2):
+        x, y = (x * c - y * s) >> bits, (x * s + y * c) >> bits
+        table.append((y * y) >> bits)
+    return table
+
+
+def log_det_star_from_modes(values, weights, bits: int, vertex_count: int,
+                            dps: int) -> mp.mpf:
+    """log of prod_j (4 values_j 2^-bits)^weights_j over the nonzero modes, by mpf chains.
+
+    ``values`` are fixed-point sin^2 sums with power-of-2 ``weights``, the
+    zero mode first.  The modes of weight 2^e multiply into one mpf at
+    ``bits`` bits, in order, which is raised to 2^e; one shift and one log
+    finish.
+    """
+    powers = [int(w).bit_length() - 1 for w in weights[1:]]
+    values = list(values[1:])
+    with mp.workprec(bits):
+        total = mp.mpf(1)
+        for e in range(max(powers, default=0) + 1):
+            partial = mpf_product_chain([v for v, p in zip(values, powers) if p == e], bits)
+            total *= partial ** (2 ** e)
+        total = mp.ldexp(total, (2 - bits) * (vertex_count - 1))
+    with mp.workdps(dps + 10):
+        return +mp.log(total)
 
 
 def integrate_periodic(f: Callable[[float], float], tol: float = 1e-12,

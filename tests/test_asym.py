@@ -22,7 +22,7 @@ from spantor.asym import (
     gamma_half_integer,
 )
 from spantor import asym, cli, hp
-from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec
+from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec, _half_spectrum
 from spantor.quadrature import integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 
@@ -389,6 +389,18 @@ def test_one_growing_side_modes_keep_full_accuracy_at_small_lambda():
         lead = asym._mode_lead(lam, 1, 1e-10)
         assert lead.method == ARCCOSH_CLOSED_FORM
         assert abs(lead.value - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("alpha", [(3,), (30, 30), (7, 7, 7)])
+def test_one_growing_side_mode_sum_equals_the_per_mode_path(alpha):
+    # the closed form taken over every distinct A-block mode in one call
+    # gives the float of one _mode_lead per mode, bit for bit
+    values, weights = _half_spectrum(TorusSpec(alpha))
+    distinct, where = np.unique(values, return_inverse=True)
+    per_mode = np.array([asym._mode_lead(float(x), 1, 1e-10).value for x in distinct])
+    asym._torus_constant_terms.cache_clear()
+    lead, _ = asym._torus_constant_terms(alpha, (1,), 1e-10)
+    assert lead == math.fsum(weights * per_mode[where])
 
 
 @pytest.mark.parametrize("n,alpha,beta", [

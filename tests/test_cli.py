@@ -270,6 +270,27 @@ _PRECISION_GOLDEN = [
      '      "exact_log_det": null,\n      "predicted_log_det": 240.09479961380185,\n'
      '      "residual": null,\n      "family": "torus-constant",\n      "n": 40,\n'
      '      "params": "alpha=2,2;beta=1",\n      "tree_count": null\n    }\n  ]\n}\n'),
+    # six generators below and above the 60..240 digits of the benchmark: at
+    # 30 digits the n = 900 residual is the rounding floor, at 400 it is resolved
+    (["compare", "--family", "circulant", "--gens", "1,2,3,5,7,11", "--n", "40,900",
+      "--precision", "30"],
+     'circulant,40,"gens=1,2,3,5,7,11",96.524842737719993,96.525947195228056,'
+     '-0.0011044575080640239,20803987120818726690615592509219495845000\n'
+     'circulant,900,"gens=1,2,3,5,7,11",2134.2992124013963,2134.2992124013963,'
+     '-4.5381379457689977e-29,\n'),
+    (["compare", "--family", "circulant", "--gens", "1,2,3,5,7,11", "--n", "40,900",
+      "--precision", "400"],
+     'circulant,40,"gens=1,2,3,5,7,11",96.524842737719993,96.525947195228056,'
+     '-0.0011044575080640239,20803987120818726690615592509219495845000\n'
+     'circulant,900,"gens=1,2,3,5,7,11",2134.2992124013963,2134.2992124013963,'
+     '-2.9946847157379289e-86,\n'),
+    # a 2-D A-block
+    (["compare", "--family", "torus-constant", "--alpha", "3,4", "--beta", "1",
+      "--n", "6,60", "--precision", "300"],
+     'torus-constant,6,"alpha=3,4;beta=1",121.17520069380544,121.1771482944406,'
+     '-0.0019476006351615582,586662742883632512381971425908070809600000000000000\n'
+     'torus-constant,60,"alpha=3,4;beta=1",1184.1249826842891,1184.1249826842891,'
+     '-1.9284450724579295e-34,\n'),
 ]
 
 

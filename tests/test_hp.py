@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -22,8 +24,12 @@ from oracles import (
     dense_tree_count,
     lead_term_circulant_hp_quad,
     log_det_star_circulant_mp,
+    log_det_star_from_modes,
     log_det_star_torus_mp,
     mahler_lead_mp,
+    mahler_lead_newton_mpc,
+    mpf_product_chain,
+    sin2_table_four_products,
 )
 
 
@@ -47,11 +53,20 @@ def test_mahler_route_matches_float_module():
             lead_term_circulant(gens).value, abs=1e-8)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.lists(st.integers(2, 10), max_size=3), st.sampled_from([40, 60, 150]))
+def _relative(value, oracle, digits):
+    with mp.workdps(digits + 10):
+        return abs(value - oracle) <= mp.mpf(10) ** -digits * abs(oracle)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=4), st.integers(15, 400))
 def test_newton_lead_matches_polyroots_oracle(extra, dps):
+    # the Newton steps stop at 10^-(dps + 10) relative, and the value must
+    # hold that against both independent root routes
     gens = (1,) + tuple(sorted(extra))
-    assert _agrees(hp.lead_term_circulant_hp(gens, dps), mahler_lead_mp(gens, dps + 10), dps)
+    lead = hp.lead_term_circulant_hp(gens, dps)
+    assert _relative(lead, mahler_lead_mp(gens, dps + 10), dps + 10)
+    assert _relative(lead, mahler_lead_newton_mpc(gens, dps), dps + 10)
 
 
 def test_newton_lead_at_degree_38():
@@ -72,9 +87,34 @@ def test_newton_lead_rejects_collapsed_roots(monkeypatch):
 
 
 def test_golden_ratio_closed_form():
-    with mp.workdps(60):
-        phi = (1 + mp.sqrt(5)) / 2
-        assert abs(hp.lead_term_circulant_hp((1, 2), 60) - 2 * mp.log(phi)) < mp.mpf(10) ** -55
+    for dps in (15, 60, 238, 400):
+        with mp.workdps(dps + 20):
+            expected = 2 * mp.log((1 + mp.sqrt(5)) / 2)
+        assert _relative(hp.lead_term_circulant_hp((1, 2), dps), expected, dps + 10)
+
+
+@pytest.mark.parametrize("gens, lc", [((1,), 1), ((1, 1), 2)])
+def test_newton_lead_without_roots_outside_the_circle(gens, lc):
+    # the cycle and the doubled cycle: Q is the constant -1 or -2, so the
+    # lead term is log|lc| alone
+    for dps in (15, 60, 400):
+        lead = hp.lead_term_circulant_hp(gens, dps)
+        with mp.workdps(dps + 20):
+            assert abs(lead - mp.log(lc)) <= mp.mpf(10) ** -(dps + 10)
+
+
+def test_newton_lead_wall_time_with_a_large_generator():
+    # the steps evaluate the sparse symbol, one power per generator, in about
+    # 0.02 s on a 2-vCPU VM; a dense evaluation of Q (degree 598) in every
+    # step takes several times the bound
+    gens = (1, 300)
+    hp._symbol_roots(gens)  # numpy's roots, cached, are not the Newton steps
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        hp._lead_term_circulant_hp_cached.__wrapped__(gens, 60)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
 
 
 def test_hp_log_det_matches_float():
@@ -191,6 +231,84 @@ def test_fixed_point_and_float_tables_give_one_half_spectrum(spec, dps):
     # the float table holds 4 sin^2, the fixed-point one sin^2 2^bits
     scaled = np.array([4 * mp.mpf(v) / 2 ** bits for v in fixed], dtype=float)
     assert np.all(np.abs(scaled - values) <= 2.0 ** -45 * values)
+
+
+# constructed rounding cases of the int product: a first factor exactly
+# half-way between two prec-bit mantissas (either parity), one that rounds up
+# to 2^prec, and a tie made by a later factor: an odd m < 2^(prec+1) / 3 of
+# prec bits is exact, and m 3 2^j has prec + 1 + j bits, of which the dropped
+# j + 1 are a one and j zeros
+@st.composite
+def _product_case(draw):
+    prec = draw(st.integers(3, 600))
+    prefix = [1 << k for k in draw(st.lists(st.integers(0, 300), max_size=3))]
+    kind = draw(st.sampled_from(["tie", "round_up", "later_tie", "random"]))
+    if kind == "tie":
+        m = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+        k = draw(st.integers(1, 200))
+        special = [(m << k) + (1 << (k - 1))]
+    elif kind == "round_up":
+        k = draw(st.integers(1, 200))
+        special = [(((1 << prec) - 1) << k) + (1 << (k - 1)) + draw(st.integers(0, 1))]
+    elif kind == "later_tie":
+        half = draw(st.integers(1 << (prec - 2), ((1 << (prec + 1)) // 3 - 1) // 2))
+        special = [2 * half + 1, 3 << draw(st.integers(0, 200))]
+    else:
+        special = []
+    tail = draw(st.lists(st.integers(0, 1 << draw(st.integers(1, 1200))), max_size=30))
+    return prec, prefix + special + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_case())
+def test_int_product_rounds_as_the_mpf_chain(case):
+    prec, values = case
+    assert hp._rounded_product(values, prec)._mpf_ == mpf_product_chain(values, prec)._mpf_
+
+
+def test_int_product_named_rounding_cases():
+    prec = 8
+    cases = [
+        [0b100000001],         # 257 = 256 + 1 has 9 bits: a tie, kept even at 256
+        [0b100000011],         # 259: a tie, odd 129 rounds up to 130 (260)
+        [0b111111111],         # 511 rounds up to 512 = 2^prec 2
+        [0b111111111, 0b111111111, 3],
+        [0b100000001, 0],      # a zero factor stays zero
+        [],
+    ]
+    for values in cases:
+        assert hp._rounded_product(values, prec)._mpf_ == \
+            mpf_product_chain(values, prec)._mpf_
+    assert hp._rounded_product([511], 8) == 512
+    assert hp._rounded_product([257], 8) == 256 and hp._rounded_product([259], 8) == 260
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2000), st.integers(2, 1500))
+def test_three_product_rotation_gives_the_four_product_table(l, bits):
+    assert hp._sin2_table(l, bits) == sin2_table_four_products(l, bits)
+
+
+@st.composite
+def _bit_exact_spec(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 800))
+        steps = draw(st.lists(st.integers(1, n - 1), max_size=3))
+        return CirculantSpec(n, (1,) + tuple(sorted(steps)))
+    return TorusSpec(tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bit_exact_spec(), st.integers(15, 300))
+def test_log_det_star_hp_equals_the_mpf_chain_route(spec, dps):
+    # the four-product tables and the mpf-times-int chains, mode for mode
+    # over the same half spectrum, give the same mpf bit for bit
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+    bits = hp._guard_bits(dps, sides)
+    values, weights = _half_spectrum(
+        spec, table=lambda l: np.array(sin2_table_four_products(l, bits), dtype=object))
+    oracle = log_det_star_from_modes(values, weights, bits, spec.vertex_count, dps)
+    assert hp.log_det_star_hp(spec, dps)._mpf_ == oracle._mpf_
 
 
 def test_log_det_star_hp_raises_above_the_cap():
