@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -538,10 +539,12 @@ def cmd_specfun(args, sink, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    # the shared flags are accepted both before and after the subcommand;
-    # SUPPRESS keeps an unset subcommand-level flag from clobbering one
-    # given at the top level
+    # built once per process: parsing leaves the parser unchanged, and each
+    # parse_args call fills a fresh namespace.  The shared flags are accepted
+    # both before and after the subcommand; SUPPRESS keeps an unset
+    # subcommand-level flag from clobbering one given at the top level
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("csv", "json"))

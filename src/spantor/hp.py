@@ -21,8 +21,10 @@ since every row of a table and every n of a residual sweep shares it.
 log det* is the log of the product of the nonzero Laplacian eigenvalues.  The
 half-range modes come from the one mode engine of the float path,
 graphs._half_spectrum, which here reads a fixed-point half table of
-sin^2(pi k / l) built by three-product integer rotations from one rounded
-exp(i pi / l) instead of the float table.  Each eigenvalue is then an exact
+sin^2(pi k / l) instead of the float table: the cosine recurrence
+cos((k + 1) t) = 2 cos t cos kt - cos((k - 1) t), t = 2 pi / l, in integers
+from one rounded 2 cos t, one product per entry, with an error that grows
+as k^2 (see _guard_bits).  Each eigenvalue is then an exact
 integer sum of table entries; the sums are multiplied into one plain-int
 product per weight, rounded after each factor exactly as an mpf product
 would be, and a single log is taken at the end.  The table's guard bits
@@ -178,15 +180,20 @@ def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
 def _guard_bits(dps: int, sides: Sequence[int]) -> int:
     """Fixed-point bits that give log det* to dps + 10 digits.
 
-    Entry k of _sin2_table(l, bits) is sin^2(pi k / l) 2^bits with two errors.
-    The rotations leave y off by about 1.5 l units relative (k units absolute
-    against y >= 2^bits 2k / l), which squaring doubles to 3 l; the final
-    shift is one unit absolute, at most l^2 / 4 units relative, since
-    sin^2(pi k / l) >= (2k / l)^2 >= 4 / l^2 on the half range.  So an entry,
-    and an eigenvalue, being a sum of entries, is good to 2 l^2 units
-    relative, and the V - 1 eigenvalues of the product add V times that, with
-    l the largest side.  The bits are (dps + 10) log2 10 plus
-    2 bitlen(l) + bitlen(V) + 2, which also covers the product's own rounding.
+    Entry k of _sin2_table(l, bits) is sin^2(pi k / l) 2^bits to within
+    (k^2 + 1) / 2 units.  Without truncation its C_k would be 2^bits T_k(x)
+    for the rounded cosine x = c2 2^-(bits + 1), which lies in [-1, 1] and
+    is off cos(2 pi / l) by about 1/4 unit, so T_k(x) is off cos(2 pi k / l)
+    by about k^2 / 4 units (|T_k'| <= k^2 on [-1, 1]).  The truncations,
+    under one unit per step and half a unit in C_1, travel through the
+    recurrence as U_m(x) with |U_m| <= m + 1, which adds k^2 / 2 units to
+    C_k in all; halving C_k and the final shift leave about 3/8 k^2 + 1/2
+    units.  Since sin^2(pi k / l) >= (2k / l)^2 on the half range, an entry,
+    and an eigenvalue, being a sum of entries, is good to l^2 / 4 units
+    relative.  The V - 1 eigenvalues of the product add V times that, with l
+    the largest side, and the product's own rounding about V units more.
+    The bits are (dps + 10) log2 10 plus 2 bitlen(l) + bitlen(V) + 2, which
+    leave room for 2 l^2 units relative per eigenvalue and so for both.
     """
     target = math.ceil((dps + 10) * math.log2(10))
     return target + 2 * max(sides).bit_length() + math.prod(sides).bit_length() + 2
@@ -196,23 +203,20 @@ def _sin2_table(l: int, bits: int) -> list[int]:
     """sin^2(pi k / l) 2^bits as integers, for k = 0..floor(l/2).
 
     sin^2(pi k / l) = sin^2(pi (l - k) / l), so index min(k, l - k) of this
-    table covers every residue k mod l.  One exp(i pi / l) is rounded to a
-    fixed-point pair (c, s), and the point (x, y) = 2^bits exp(i pi k / l) is
-    advanced by integer complex rotations; each step adds about one unit of
-    error, so step k is good to about k units.  A rotation takes three
-    products: with t = c (x + y), x c - y s = t - y (c + s) and
-    x s + y c = t + x (s - c), the same integers as the four-product form.
+    table covers every residue k mod l.  With c2 = 2 cos(2 pi / l) 2^bits
+    rounded once, C_0 = 2^bits and C_1 = c2 >> 1, the recurrence
+    C_(k+1) = ((c2 C_k) >> bits) - C_(k-1) gives C_k = cos(2 pi k / l) 2^bits
+    with one product per entry, and entry k is (2^bits - C_k) >> 1.  Its
+    error grows as k^2; _guard_bits states the bound.
     """
     with mp.workprec(bits + 10):
-        w = mp.expjpi(mp.mpf(1) / l)
-        c, s = int(mp.nint(mp.ldexp(w.real, bits))), int(mp.nint(mp.ldexp(w.imag, bits)))
-    c_plus_s, s_minus_c = c + s, s - c
-    x, y = 1 << bits, 0
+        c2 = int(mp.nint(mp.ldexp(2 * mp.cospi(mp.mpf(2) / l), bits)))
+    one = 1 << bits
+    previous, current = one, c2 >> 1
     table = [0]
     for _ in range(l // 2):
-        t = c * (x + y)
-        x, y = (t - y * c_plus_s) >> bits, (t + x * s_minus_c) >> bits
-        table.append((y * y) >> bits)
+        table.append((one - current) >> 1)
+        previous, current = current, ((c2 * current) >> bits) - previous
     return table
 
 

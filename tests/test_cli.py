@@ -1,8 +1,10 @@
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -577,3 +579,67 @@ def test_specfun_epstein_lattice_at_large_s_is_finite(capsys, sides, s, value):
     assert rc == 0
     assert doc["value"] == pytest.approx(value, rel=1e-13)
     assert 0.0 < doc["error"] <= 1e-10 * value + 1e-300
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_build_parser_returns_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _in_a_fresh_interpreter(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "spantor", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _untimed(text):
+    return re.sub(r"\d{4}-\d\d-\d\dT[\d:.+]+", "<time>", text)
+
+
+# a usage error raised inside argparse, then flags that must not carry over:
+# JSON, then CSV, then --no-header after the subcommand, then the header again
+_REUSE_SEQUENCE = [
+    (["compare", "--family", "spiral", "--n", "5"], 1),
+    (["--format", "json", "compare", "--family", "circulant", "--gens", "1,2",
+      "--n", "10,12"], 0),
+    (["compare", "--family", "circulant", "--gens", "1,2", "--n", "10,12"], 0),
+    (["conjecture", "--n-max", "3", "--no-header"], 0),
+    (["conjecture", "--n-max", "3"], 0),
+]
+
+
+def test_one_parser_gives_a_fresh_interpreters_bytes_call_after_call(capsys):
+    cli.build_parser()
+    for argv, code in _REUSE_SEQUENCE:
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = _in_a_fresh_interpreter(argv)
+        assert (rc, _untimed(captured.out), captured.err) == \
+            (fresh[0], _untimed(fresh[1]), fresh[2])
+        assert rc == code
+    assert captured.out.startswith("# spantor")
+
+
+def test_main_builds_no_parser_after_the_first(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    argv = ["--no-header", "count", "--circulant", "10", "1,2"]
+    assert cli.main(argv) == 0
+    first = len(built)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "30250\n" * 2
+    assert first > 0 and len(built) == first

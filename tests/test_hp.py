@@ -283,10 +283,33 @@ def test_int_product_named_rounding_cases():
     assert hp._rounded_product([257], 8) == 256 and hp._rounded_product([259], 8) == 260
 
 
+def _sin2_error_bound_holds(table, l, bits):
+    """Entry k within (k^2 + 1) / 2 units of sin^2(pi k / l) 2^bits, the bound in _guard_bits.
+
+    The reference is mpmath's sinpi at 64 more bits; (k^2 + 1) / 2 units is
+    at most l^2 / 4 units relative on the half range.
+    """
+    assert len(table) == l // 2 + 1 and table[0] == 0
+    with mp.workprec(bits + 64):
+        scale = mp.ldexp(1, bits)
+        return all(abs(entry - mp.sinpi(mp.mpf(k) / l) ** 2 * scale) <= (k * k + 1) / mp.mpf(2)
+                   for k, entry in enumerate(table))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 2000), st.integers(2, 1500))
-def test_three_product_rotation_gives_the_four_product_table(l, bits):
-    assert hp._sin2_table(l, bits) == sin2_table_four_products(l, bits)
+def test_sin2_table_is_within_the_guard_bits_bound(l, bits):
+    assert _sin2_error_bound_holds(hp._sin2_table(l, bits), l, bits)
+
+
+def test_sin2_table_named_cases():
+    bits = 100
+    one = 1 << bits
+    assert hp._sin2_table(1, bits) == [0]
+    assert hp._sin2_table(2, bits) == [0, one]            # the doubled edge: 4 sin^2 = 4
+    assert hp._sin2_table(3, bits) == [0, 3 * one // 4]
+    assert hp._sin2_table(4, bits) == [0, one // 2, one]
+    assert _sin2_error_bound_holds(hp._sin2_table(10**5, 200), 10**5, 200)
 
 
 @st.composite
@@ -301,14 +324,29 @@ def _bit_exact_spec(draw):
 @settings(max_examples=60, deadline=None)
 @given(_bit_exact_spec(), st.integers(15, 300))
 def test_log_det_star_hp_equals_the_mpf_chain_route(spec, dps):
-    # the four-product tables and the mpf-times-int chains, mode for mode
-    # over the same half spectrum, give the same mpf bit for bit
+    # over hp's own tables, the mpf-times-int chains of the same modes give
+    # the same products and log bit for bit
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+    bits = hp._guard_bits(dps, sides)
+    values, weights = _half_spectrum(
+        spec, table=lambda l: np.array(hp._sin2_table(l, bits), dtype=object))
+    oracle = log_det_star_from_modes(values, weights, bits, spec.vertex_count, dps)
+    assert hp.log_det_star_hp(spec, dps)._mpf_ == oracle._mpf_
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bit_exact_spec(), st.integers(15, 300))
+def test_log_det_star_hp_is_within_an_ulp_of_the_four_product_route(spec, dps):
+    # the rotation tables err differently, and both stay far below the last
+    # of the dps + 10 digits that log_det_star_hp returns
     sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
     bits = hp._guard_bits(dps, sides)
     values, weights = _half_spectrum(
         spec, table=lambda l: np.array(sin2_table_four_products(l, bits), dtype=object))
     oracle = log_det_star_from_modes(values, weights, bits, spec.vertex_count, dps)
-    assert hp.log_det_star_hp(spec, dps)._mpf_ == oracle._mpf_
+    with mp.workdps(dps + 10):
+        ulp = mp.ldexp(1, mp.mag(oracle) - mp.mp.prec) if oracle else mp.mpf(0)
+        assert abs(hp.log_det_star_hp(spec, dps) - oracle) <= ulp
 
 
 def test_log_det_star_hp_raises_above_the_cap():
