@@ -25,9 +25,10 @@ with q growing sides, and c_d is the lambda = 0 member I_d(0).  With one
 growing side it is the closed form arccosh(1 + lambda/2); with two it is the
 periodic mean over x of arccosh(1 + (lambda + 4 sin^2(pi x))/2), by the same
 trapezoid rule, and the lambda = 0 mode is c_2 = 4G/pi (Catalan's G); with
-three or more it is the Mellin-Bessel integral itself.  The regularized
-determinant of a diagonal real torus comes from the theta-split formula for
-the spectral zeta derivative at zero, one Mellin integral cut at the split.
+three or more it is the Mellin-Bessel integral itself, on one trapezoid
+grid.  The regularized determinant of a diagonal real torus comes from the
+spectral zeta derivative at zero: -2 log b for a circle of length b, and
+otherwise the theta-split formula, one Mellin integral cut at the split.
 Epstein zeta values in the convergent regime come from the Riemann zeta
 function for a circle, and otherwise from a direct lattice sum with a
 certified sandwich tail.
@@ -53,7 +54,7 @@ from .graphs import (
     _half_spectrum,
     _symbol_poly,
 )
-from .quadrature import integrate_mellin, integrate_periodic_mean
+from .quadrature import IntegralResult, QuadratureError, integrate_mellin, integrate_periodic_mean
 from .specfun import (
     EULER_GAMMA,
     _zeta_euler_maclaurin,
@@ -314,8 +315,8 @@ def _mode_lead(lam: float, q: int, tol: float) -> LeadTerm:
         res = integrate_periodic_mean(lambda x: _arccosh1p(0.5 * lam + 2.0 * _sin2pi(x)), tol)
         method = PERIODIC_ARCCOSH
     else:
-        res = integrate_mellin(lambda t: math.exp(-t) - bessel_i_scaled(0, 2.0 * t) ** q
-                               * math.exp(-lam * t), tol)
+        res = integrate_mellin(lambda t: np.exp(-t) - bessel_i_scaled(0, 2.0 * t) ** q
+                               * np.exp(-lam * t), tol)
         method = MELLIN_BESSEL
     return LeadTerm(value=res.value, method=method, error_estimate=res.error_estimate)
 
@@ -439,6 +440,30 @@ def epstein_zeta_sum(sides: Sequence[float], s: float,
 
 def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,
                             tol: float = 1e-9) -> float:
+    """zeta'(0) of the diagonal real torus R^r / diag(sides) Z^r.
+
+    A circle of length b has the closed form -2 log b; ``split`` plays no
+    part there, and a ``tol`` below its rounding (4 ulps) raises
+    QuadratureError.  Two or more sides take the theta-split formula
+    (_zeta_prime_zero_theta_split).
+    """
+    sides_t = tuple(float(m) for m in sides)
+    if len(sides_t) != 1:
+        return _zeta_prime_zero_theta_split(sides_t, split, tol)
+    if not sides_t[0] > 0:
+        raise AsymError(f"sides must be positive: {sides}")
+    if split <= 0:
+        raise AsymError(f"split must be positive, got {split}")
+    value = 0.0 - 2.0 * math.log(sides_t[0])  # 0.0 - keeps b = 1 at +0.0
+    error = 4 * math.ulp(value)
+    if error > tol:
+        raise QuadratureError(f"requested tolerance not met: error estimate {error:.3e}",
+                              partial=IntegralResult(value, error, 0))
+    return value
+
+
+def _zeta_prime_zero_theta_split(sides: tuple[float, ...], split: float,
+                                 tol: float) -> float:
     """zeta'(0) of the diagonal real torus via the theta-split formula.
 
     zeta'(0) = int_0^c (Theta(t) - det(M)(4 pi t)^{-r/2}) dt/t
@@ -446,20 +471,24 @@ def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,
                + int_c^inf (Theta(t) - 1) dt/t
 
     with Gamma'(1) = -euler_gamma and c the split point; the result is
-    split-invariant (c = 1 and c = c_Gamma are the natural choices).
+    split-invariant (c = 1 and c = c_Gamma are the natural choices).  The
+    two integrals are one integrate_mellin call cut at c.
     """
-    sides_t = tuple(float(m) for m in sides)
-    r = len(sides_t)
-    if r == 0 or any(m <= 0 for m in sides_t):
+    r = len(sides)
+    if r == 0 or any(m <= 0 for m in sides):
         raise AsymError(f"sides must be positive: {sides}")
     if split <= 0:
         raise AsymError(f"split must be positive, got {split}")
-    det = math.prod(sides_t)
+    det = math.prod(sides)
 
-    def integrand(t: float) -> float:
-        if t < split:
-            return theta_real_torus_minus_leading(sides_t, t)
-        return theta_real_torus(sides_t, t) - 1.0
+    def integrand(t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape)
+        below = t < split
+        if below.any():
+            out[below] = theta_real_torus_minus_leading(sides, t[below])
+        if not below.all():
+            out[~below] = theta_real_torus(sides, t[~below]) - 1.0
+        return out
 
     body = integrate_mellin(integrand, tol, split)
     middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)

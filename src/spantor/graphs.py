@@ -22,7 +22,7 @@ integers of spantor.hp, whose eigenvalues are exact integer sums.  log det*
 (``log_det_star``) takes a spec, not a spectrum: it sums w log(lambda) over
 the half-range modes only and equals the sum over the full spectrum exactly.
 That sum, and theta's sum of w e^{-lambda t}, run in blocks of 2^15 terms
-through one exact summation (``_exact_parts``), whose few parts one
+through one split per block (``_exact_parts``), whose few parts one
 math.fsum rounds: the float that math.fsum over the full spectrum returns,
 bit for bit.  ``spectrum(spec, cap)`` expands the half-range values into the
 full spectrum by indexing them at min(r, l - r).
@@ -44,6 +44,7 @@ The count takes whichever of the two matrices is smaller.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -290,41 +291,40 @@ def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
     return table[np.ix_(*[_folded(l) for l in spec.sides])].ravel()
 
 
-def _exact_parts(x: np.ndarray, parts: list[float]) -> None:
-    """Append to ``parts`` a few floats whose exact sum is the exact sum of x.
+def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
+    """Append to ``parts`` two floats within the returned bound of the exact sum of x.
 
-    With n = x.size and n max|x| < 2^e, take u = 52 - e and
-    sigma = 1.5 2^(52 - u).  Every x + sigma lies in [2^e, 2^(e + 1)), where
-    the float spacing is 2^-u, so hi = (x + sigma) - sigma is x rounded to a
-    multiple of 2^-u, and x - hi is exact.  Each partial sum of hi is a
-    multiple of 2^-u below 2^(53 - u) in magnitude, hence a float:
-    np.add.reduce sums hi exactly in whatever order it takes.  The residuals are at most
-    2^-(u + 1) each, and the next level splits them with that bound.  Once
-    fewer than a quarter of the residuals are nonzero they are compressed to
-    those, and the last 64 or fewer are appended as they are.  At and below
-    the subnormal range every term is a multiple of 2^-1074 and hi = x.  So
-    math.fsum of the parts, being correctly rounded, returns math.fsum(x).  A
-    non-finite term, or one too large to split, is appended as it is.
+    With n = x.size and n max|x| < 2^e, sigma = 1.5 2^e puts every x + sigma
+    in [2^e, 2^(e + 1)), where the float spacing is 2^(e - 52), so
+    hi = (x + sigma) - sigma is x rounded to a multiple of 2^(e - 52), and
+    lo = x - hi is exact.  Each partial sum of hi is such a multiple below
+    2^(e + 1) in magnitude, hence a float: np.add.reduce sums hi exactly in
+    whatever order it takes.  The float sum of lo errs by at most
+    (n - 1) 2^-53 sum|lo| in any order (additions that land among the
+    subnormals are exact); the bound returned is that times 1 + 2^-20,
+    for the rounding of sum|lo| itself.  A block of 64 or fewer terms, one
+    of zeros (which keeps the sign of an all -0.0 block), and one with a
+    non-finite term or a term too large to split, is appended exactly: as
+    its terms or its exact sum, with bound 0.
     """
-    if x.size > 64:
-        top = float(np.max(np.abs(x)))
-        if top == 0.0:
-            parts.append(float(np.add.reduce(x)))  # keeps the sign of an all -0.0 block
-            return
-        bound = x.size * top
-        e = math.frexp(bound)[1]
-        if not math.isfinite(bound) or e > 1023:
-            parts.extend(x.tolist())
-            return
-    while x.size > 64:
-        sigma = math.ldexp(1.5, e)
-        hi = (x + sigma) - sigma
-        parts.append(float(np.add.reduce(hi)))
-        x = x - hi
-        if 4 * np.count_nonzero(x) < x.size:
-            x = x[x != 0.0]
-        e += x.size.bit_length() - 53
-    parts.extend(x.tolist())
+    if x.size <= 64:
+        parts.extend(x.tolist())
+        return 0.0
+    top = float(np.max(np.abs(x)))
+    if top == 0.0:
+        parts.append(float(np.add.reduce(x)))
+        return 0.0
+    bound = x.size * top
+    e = math.frexp(bound)[1]
+    if not math.isfinite(bound) or e > 1023:
+        parts.extend(x.tolist())
+        return 0.0
+    sigma = math.ldexp(1.5, e)
+    hi = (x + sigma) - sigma
+    lo = x - hi
+    parts.append(float(np.add.reduce(hi)))
+    parts.append(float(np.add.reduce(lo)))
+    return (x.size - 1) * 2.0 ** -53 * float(np.add.reduce(np.abs(lo))) * (1.0 + 2.0 ** -20)
 
 
 # terms per block of an exact weighted sum: the block's temporaries stay in cache
@@ -332,12 +332,21 @@ _BLOCK = 1 << 15
 
 
 def _weighted_fsum(values: np.ndarray, weights: np.ndarray, f) -> float:
-    """math.fsum(weights * f(values)), bit for bit, evaluated in blocks of _BLOCK terms."""
+    """math.fsum(weights * f(values)), bit for bit, evaluated in blocks of _BLOCK terms.
+
+    The blocks' parts (``_exact_parts``) sum to within ``err`` of the exact
+    sum.  When the parts shifted by -err and by +err round to the same
+    float, so does the exact sum, and math.fsum of the parts is returned;
+    otherwise one math.fsum over the terms, block by block.
+    """
+    blocks = [slice(start, start + _BLOCK) for start in range(0, values.size, _BLOCK)]
     parts: list[float] = []
-    for start in range(0, values.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        _exact_parts(weights[block] * f(values[block]), parts)
-    return math.fsum(parts)
+    err = math.fsum(_exact_parts(weights[block] * f(values[block]), parts) for block in blocks)
+    total = math.fsum(parts)
+    if err == 0.0 or math.fsum(parts + [-err]) == math.fsum(parts + [err]):
+        return total
+    return math.fsum(itertools.chain.from_iterable(
+        (weights[block] * f(values[block])).tolist() for block in blocks))
 
 
 def _log_nonzero(values: np.ndarray) -> np.ndarray:

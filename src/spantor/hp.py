@@ -403,11 +403,11 @@ def verify_conjecture(n: int, min_dps: int = 60, max_dps: int = 4000) -> Conject
             offset = abs(v2 - nearest)
             if drift < mp.mpf("0.01") and offset + 10 * drift < mp.mpf("0.25"):
                 match = int(nearest) == exact
+                # v2 is evaluated at dps + 25 digits, which bounds the agreement
                 err = abs(v2 - exact)
-                if err == 0:
-                    digits = dps
-                else:
-                    digits = max(0, int(mp.floor(-mp.log10(err / max(exact, 1)))))
+                digits = dps + 25
+                if err != 0:
+                    digits = min(digits, max(0, int(mp.floor(-mp.log10(err / max(exact, 1))))))
                 return ConjectureVerdict(n=n, exact=exact, predicted=v2, match=match,
                                          digits_agreement=digits, dps_used=dps)
         if 2 * dps > max_dps:

@@ -1,24 +1,25 @@
 """Quadrature for the Mellin-style and periodic integrals of the asymptotics.
 
-Two entry points:
+Two entry points, both trapezoid rules over whole vectorised grids that
+halve their step and reuse their nodes; for integrands analytic in a strip
+around the line of integration they converge geometrically
+(Trefethen-Weideman):
 
-* integrate_mellin    -- improper integrals int_0^inf g(t) dt/t.  The substitution
-  t = e^u turns dt/t into du and the integrand into a function on the whole real
-  axis; unit panels in u are integrated by nested Gauss-Legendre rules and the
-  axis is extended from u = log(split) in both directions until the panel
-  contributions certify geometric decay.  An integrand that takes different
-  forms below and above the split (a theta split) is one call.
-* integrate_periodic_mean -- int_0^1 f for f analytic with period 1, by one
-  vectorised trapezoid rule that doubles its grid; for such f it converges
-  geometrically (Trefethen-Weideman).
+* integrate_mellin    -- improper integrals int_0^inf g(t) dt/t.  Each half
+  line of u = log t, above and below u = log(split), is mapped onto the
+  real s axis by u = log(split) +- softplus(s), where both of its ends decay.
+  An integrand that takes different forms below and above the split (a
+  theta split) is one call.
+* integrate_periodic_mean -- int_0^1 f for f analytic with period 1.
 
-All panel orderings are deterministic, so repeated runs give bitwise-identical
-results.
+Sums are fixed-order (math.fsum of per-grid sums), so repeated runs give
+bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,129 +48,153 @@ class IntegralResult:
     evaluations: int
 
 
-# Nested Gauss-Legendre pair; nodes/weights computed once at import, not typed in.
-_GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(8)
-_GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(16)
+# the Mellin rule: its first step in s, the halvings it may take after it,
+# the half-width of its first grid, and the reach |s| of either half line,
+# which keeps t within split e^{+-640}
+_MELLIN_STEP = 0.5
+_MELLIN_HALVINGS = 6
+_MELLIN_START = 8.0
+_MELLIN_REACH = 640.0
 
 
-class _EvalCounter:
-    __slots__ = ("f", "count")
+def _end_growth(last: np.ndarray, tiny: float, width: int) -> int:
+    """Coarse nodes to add beyond an end whose two outermost terms are ``last``.
 
-    def __init__(self, f):
-        self.f = f
-        self.count = 0
-
-    def __call__(self, x):
-        self.count += 1
-        return self.f(x)
-
-
-def _gl_panel(f, a, b):
-    """(GL16 value, |GL16 - GL8| error estimate) on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    hi = half * math.fsum(w * f(mid + half * x) for x, w in zip(_GL_HI_X, _GL_HI_W))
-    lo = half * math.fsum(w * f(mid + half * x) for x, w in zip(_GL_LO_X, _GL_LO_W))
-    return hi, abs(hi - lo)
-
-
-def _adaptive_panel(f, a, b, tol, budget):
-    """Bisect [a, b] (left first) until each piece meets tol or budget runs out.
-
-    Returns (value, error_estimate, subdivisions_used).
+    0 once both are at most ``tiny``; otherwise as many as the decay of the
+    two predicts (at least 2), or ``width`` when they do not decay.
     """
-    value, err = _gl_panel(f, a, b)
-    if err <= tol or budget <= 0 or (b - a) < 1e-13 * max(abs(a), abs(b), 1.0):
-        return value, err, 0
-    mid = 0.5 * (a + b)
-    lv, le, ln = _adaptive_panel(f, a, mid, 0.5 * tol, budget - 1)
-    rv, re, rn = _adaptive_panel(f, mid, b, 0.5 * tol, budget - 1 - ln)
-    return lv + rv, le + re, ln + rn + 1
+    outer, inner = abs(last[0]), abs(last[1])
+    if outer <= tiny and inner <= tiny:
+        return 0
+    if 0.0 < outer < inner:
+        return min(width, max(2, math.ceil(math.log(outer / tiny) / math.log(inner / outer)) + 2))
+    return width
 
 
-# deciding when a sequence of outward panels has certified geometric decay
-_DECAY_RATIO_CAP = 0.85
-_DECAY_RUN = 3
+def _end_tail(last: np.ndarray, ratio: float) -> float:
+    """Trapezoid terms beyond an end, with outermost terms ``last``, as a geometric tail.
 
-
-def _extend_axis(F, u0, direction, panel_tol, tiny, max_panels, budget):
-    """Integrate sum of unit panels from u0 outward in +-1 direction.
-
-    Stops once the last _DECAY_RUN panel magnitudes decrease geometrically and
-    the extrapolated tail falls below ``tiny``.  Raises QuadratureError if the
-    decay never certifies.
+    ``ratio`` is the step over the coarse step.  A pair that does not decay
+    with one sign has no tail.
     """
-    total = 0.0
-    err = 0.0
-    mags: list[float] = []
-    used = 0
-    for k in range(max_panels):
-        a = u0 + direction * k
-        b = a + direction
-        lo, hi = (a, b) if direction > 0 else (b, a)
-        v, e, n = _adaptive_panel(F, lo, hi, panel_tol, budget - used)
-        used += n
-        total += v
-        err += e
-        mags.append(abs(v))
-        if len(mags) >= _DECAY_RUN:
-            tail_window = mags[-_DECAY_RUN:]
-            if all(m <= tiny for m in tail_window):
-                return total, err, used
-            ratios = [
-                tail_window[i + 1] / tail_window[i]
-                for i in range(_DECAY_RUN - 1)
-                if tail_window[i] > 0.0
-            ]
-            if ratios and max(ratios) < _DECAY_RATIO_CAP:
-                r = max(ratios)
-                tail = mags[-1] * r / (1.0 - r)
-                if tail <= tiny:
-                    err += tail
-                    return total, err, used
-    raise QuadratureError(
-        f"tail decay not certified after {max_panels} log-axis panels "
-        f"(direction {direction:+d})",
-        partial=IntegralResult(total, err, 0),
-    )
+    outer, inner = last
+    if inner == 0.0 or not 0.0 < outer / inner < 1.0:
+        return 0.0
+    r = (outer / inner) ** ratio
+    return outer * r / (1.0 - r)
 
 
-# bisections one Mellin integral may spend across all its panels
-_MELLIN_SUBDIVISIONS = 4000
-
-
-def integrate_mellin(g: Callable[[float], float], tol: float = 1e-10,
+def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
                      split: float = 1.0) -> IntegralResult:
     """int_0^inf g(t) dt/t for g vanishing at 0 and decaying at infinity.
 
-    g must vanish at least linearly as t -> 0+ and decay like e^{-ct} or
-    t^{-1/2-eps} as t -> infinity; decay is verified empirically from the
-    panel contributions.  Panels start at t = ``split`` and run to the right,
-    then to the left.  Raises QuadratureError when the decay does not
-    certify or the error estimate exceeds max(tol, 10 tol |value|).
+    ``g`` maps a float array of t to an array of values.  Each half line of
+    u = log t is mapped by u = log(split) + softplus(s) (t > split) or
+    u = log(split) - softplus(s) (t < split), so dt/t = sigmoid(s) ds and
+    both ends of either line decay in s; the nodes of the lower line stay
+    below ``split`` and those of the upper line do not, so g may change
+    form there.  One trapezoid rule in s
+    sums both lines, one call of g per grid: the first grid has step 1/2,
+    and each end grows until its two outermost terms fall below 0.05 tol;
+    then the step halves, adding only the midpoints, until two sums agree
+    within tol.  The terms beyond each end are added as the geometric tail
+    of the two outermost, so the truncation errs at second order.  For g
+    analytic near the positive axis the rule converges geometrically in
+    1/h (Trefethen-Weideman).  The first grid spans t from about
+    split e^-8 to split e^8, and g must not be negligible on all of it,
+    or the ends never grow and the value reads 0.  The error estimate is
+    the last move plus the end tails plus 8 ulps of the sum of |terms|.
+    Raises QuadratureError when an end does not decay within
+    |s| <= _MELLIN_REACH or the error exceeds max(tol, 10 tol |value|).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not split > 0:
         raise ValueError(f"split must be positive, got {split}")
-    counter = _EvalCounter(g)
-    F = lambda u: counter(math.exp(u))
     u0 = math.log(split)
+    below = math.nextafter(split, 0.0)
     tiny = 0.05 * tol
-    panel_tol = 0.02 * tol
-    try:
-        right, err_r, used_r = _extend_axis(F, u0, +1, panel_tol, tiny, 200,
-                                            _MELLIN_SUBDIVISIONS)
-        left, err_l, _ = _extend_axis(F, u0, -1, panel_tol, tiny, 200,
-                                      _MELLIN_SUBDIVISIONS - used_r)
-    except QuadratureError as exc:
-        exc.partial = IntegralResult(
-            exc.partial.value if exc.partial else math.nan,
-            math.inf, counter.count)
-        raise
-    value = right + left
-    error = err_r + err_l
-    result = IntegralResult(value, error, counter.count)
+    h = _MELLIN_STEP
+    sums: list[float] = []
+    scale = 0.0
+    evaluations = 0
+
+    def terms(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """g(t) dt/t per ds at nodes s of the upper and the lower half line, in one call."""
+        nonlocal evaluations
+        s = np.concatenate([upper, lower])
+        shift = np.logaddexp(0.0, s)
+        shift[upper.size:] *= -1.0
+        t = np.exp(u0 + shift)
+        np.maximum(t[:upper.size], split, out=t[:upper.size])
+        np.minimum(t[upper.size:], below, out=t[upper.size:])
+        f = np.asarray(g(t), dtype=float) / (1.0 + np.exp(-s))
+        evaluations += s.size
+        if not np.isfinite(f).all():
+            raise QuadratureError("Mellin integrand is not finite on the grid",
+                                  partial=IntegralResult(math.nan, math.inf, evaluations))
+        return f[:upper.size], f[upper.size:]
+
+    def add(*parts: np.ndarray) -> None:
+        """Add the terms of one grid to the sums."""
+        nonlocal scale
+        f = np.concatenate(parts)
+        sums.append(float(np.sum(f)))
+        scale += float(np.sum(np.abs(f)))
+
+    # coarse grids j h, j = -lo..hi, per line: they start where sigmoid(s)
+    # alone falls below tiny near the split and at s = _MELLIN_START beyond it
+    lo, hi = math.ceil(-math.log(tiny) / h), int(_MELLIN_START / h)
+    lines = [[lo, hi], [lo, hi]]
+    grid = h * np.arange(-lo, hi + 1, dtype=float)
+    coarse = list(terms(grid, grid))
+    while True:
+        growth = [[_end_growth(f[:2], tiny, max(16, lo + hi)),
+                   _end_growth(f[:-3:-1], tiny, max(16, lo + hi))]
+                  for f, (lo, hi) in zip(coarse, lines)]
+        if not any(map(any, growth)):
+            break
+        for (lo, hi), (down, up) in zip(lines, growth):
+            if max(lo + down, hi + up) * h > _MELLIN_REACH:
+                where = "near the split" if lo + down > hi + up else "at its far end"
+                raise QuadratureError(
+                    f"Mellin integrand does not decay {where} within |s| <= {_MELLIN_REACH:g}",
+                    partial=IntegralResult(math.nan, math.inf, evaluations))
+        new = [np.concatenate([np.arange(-lo - down, -lo), np.arange(hi + 1, hi + up + 1)]) * h
+               for (lo, hi), (down, up) in zip(lines, growth)]
+        for i, f in enumerate(terms(*new)):
+            (lo, hi), (down, up) = lines[i], growth[i]
+            coarse[i] = np.concatenate([f[:down], coarse[i], f[down:]])
+            lines[i] = [lo + down, hi + up]
+    # drop the coarse nodes beyond the second tiny term from either end, so the
+    # finer grids do not fill a stretch where g has long vanished
+    for i, f in enumerate(coarse):
+        big = np.flatnonzero(np.abs(f) > tiny)
+        first, last = (big[0], big[-1]) if big.size else (lines[i][0],) * 2
+        first, last = max(0, first - 2), min(f.size - 1, last + 2)
+        coarse[i] = f[first:last + 1]
+        lines[i] = [lines[i][0] - first, last - lines[i][0]]
+    add(*coarse)
+    ends = [pair for f in coarse for pair in (f[:2], f[:-3:-1])]
+
+    def value_at(step: float) -> tuple[float, float]:
+        """(the trapezoid sum with step ``step`` plus its end tails, the tails' size)."""
+        tails = [_end_tail(pair, step / _MELLIN_STEP) * step for pair in ends]
+        return step * math.fsum(sums) + math.fsum(tails), math.fsum(map(abs, tails))
+
+    value, tail = value_at(h)
+    move = math.inf
+    for level in range(_MELLIN_HALVINGS):
+        h *= 0.5
+        m = 2 << level
+        add(*terms(*[h * np.arange(1 - lo * m, hi * m, 2, dtype=float) for lo, hi in lines]))
+        new_value, tail = value_at(h)
+        move = abs(new_value - value)
+        value = new_value
+        if move <= tol:
+            break
+    error = move + tail + 8 * sys.float_info.epsilon * h * scale
+    result = IntegralResult(value, error, evaluations)
     if error > max(tol, 10 * tol * abs(value)):
         raise QuadratureError(
             f"requested tolerance not met: error estimate {error:.3e}",

@@ -55,35 +55,77 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_SWITCH = 30.0
 _MAX_QUAD_POINTS = 1 << 23
+_SERIES_MAX_TERMS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
-# Scaled I-Bessel: power series branch
+# Scaled I-Bessel: power series, Hankel expansion and window trapezoid
 # ---------------------------------------------------------------------------
 
 
-def _series_scalar(m: int, z: float) -> float:
-    """e^{-z} I_m(z) by the power series; intended for z below the switch point."""
-    if z == 0.0:
-        return 1.0 if m == 0 else 0.0
-    log_base = m * math.log(z / 2.0) - math.lgamma(m + 1) - z
-    if log_base < -760.0:
-        return 0.0
-    q = 0.25 * z * z
-    s = 1.0
-    term = 1.0
-    k = 1
-    while True:
-        term *= q / (k * (k + m))
-        s += term
-        if term < 1e-18 * s:
-            break
-        if s > 1e290:
-            return math.inf  # normalized series overflows; caller falls back
-        k += 1
-    if log_base > -600.0:
-        return math.exp(log_base) * s
-    return math.exp(log_base + math.log(s))
+def _series_sum(m: int, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """1 + sum_k prod_{j<=k} q / (j (j + m)) per row, corrected by rho; nan if unsettled."""
+    width = 2 * math.isqrt(int(q.max())) + 24
+    rows = np.arange(q.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            k = np.arange(width + 1, dtype=float)
+            terms = np.empty((q.size, width + 1))
+            terms[:, 0] = 1.0
+            np.divide(q[:, None], k[1:] * (k[1:] + m), out=terms[:, 1:])
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            sums = np.add.accumulate(terms, axis=1)
+            done = terms < 1e-18 * sums
+            stop = np.argmax(done, axis=1)
+            settled = done[rows, stop]
+            if settled.all() or width >= _SERIES_MAX_TERMS:
+                break
+            width *= 2
+        used = slice(0, int(stop.max()) + 1)
+        weighted = np.add.accumulate(terms[:, used] * k[used], axis=1)[rows, stop]
+        return np.where(settled, sums[rows, stop] + rho * weighted, math.nan)
+
+
+def _series(m: int, z: np.ndarray) -> np.ndarray:
+    """e^{-z} I_m(z) by the power series, elementwise; nan where it does not settle.
+
+    Row i sums the normalised series 1 + sum_k prod_{j<=k} q_i / (j (j + m)),
+    q = z^2/4, term by term in order and stops at the first term below
+    1e-18 of its partial sum (``_series_sum``); the rows with q <= 4 and
+    the rest are summed apart, each to the length its largest q needs, and
+    a row's value does not depend on the other rows.  The prefactor
+    (z/2)^m e^{-z} / m! is a product of correctly rounded factors below the
+    switch point (orders up to 20), and exp(m log(z/2) - log m! - z) for
+    the tail orders beyond it, whose factors would under- or overflow.
+    """
+    x = 0.5 * z
+    q = x * x
+    # term k carries k times the rounding of q; Dekker's exact square gives
+    # that rounding, and the sum is corrected for it to first order
+    split = x * 134217729.0
+    hi = split - (split - x)
+    lo = x - hi
+    rho = np.divide(((hi * hi - q) + 2.0 * hi * lo) + lo * lo, q,
+                    out=np.zeros(z.size), where=q > 0.0)
+    s = np.empty(z.size)
+    small = q <= 4.0
+    for rows in (small, ~small):
+        if rows.any():
+            s[rows] = _series_sum(m, q[rows], rho[rows])
+    s[~(s <= 1e290)] = math.nan
+    out = np.empty(z.size)
+    low = (z < _SERIES_SWITCH) & (m <= 20)
+    base = np.fromiter(map(math.exp, -z[low]), float, np.count_nonzero(low))
+    if m and base.size:
+        base *= np.fromiter((math.pow(v, m) for v in x[low]), float, base.size) \
+            / math.factorial(m)
+    out[low] = base * s[low]
+    if not low.all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_base = m * np.log(x[~low]) - math.lgamma(m + 1) - z[~low]
+            out[~low] = np.where(log_base < -760.0, 0.0,
+                                 np.exp(np.maximum(log_base, -760.0) + np.log(s[~low])))
+    return out
 
 
 def _series_orders(z: float, m_max: int) -> np.ndarray:
@@ -107,9 +149,31 @@ def _series_orders(z: float, m_max: int) -> np.ndarray:
     return base * s
 
 
-# ---------------------------------------------------------------------------
-# Scaled I-Bessel: window-trapezoid branch (large argument)
-# ---------------------------------------------------------------------------
+# terms of the Hankel expansion tried before the window trapezoid
+_HANKEL_TERMS = 24
+
+
+def _hankel(m: int, x: np.ndarray) -> np.ndarray:
+    """e^{-x} I_m(x) by Hankel's expansion, elementwise; nan where it does not apply.
+
+    (2 pi x)^{-1/2} sum_k prod_{j<=k} ((2j - 1)^2 - 4m^2) / (8 j x), summed in
+    order to the first term below 1e-17 of its partial sum.  The expansion
+    is asymptotic; it applies where such a term comes within _HANKEL_TERMS
+    terms and the sum of |terms| up to it is at most twice |sum|, so the
+    rounding stays within a few ulps.  The exponentially small companion
+    term is below e^{-2x} of the value, under 1e-26 for x >= 30.
+    """
+    k = np.arange(1, _HANKEL_TERMS + 1, dtype=float)
+    terms = np.multiply.accumulate(((2.0 * k - 1.0) ** 2 - 4.0 * m * m)
+                                   / (8.0 * k * x[:, None]), axis=1)
+    sums = 1.0 + np.add.accumulate(terms, axis=1)
+    done = np.abs(terms) < 1e-17 * np.abs(sums)
+    stop = np.argmax(done, axis=1)
+    rows = np.arange(x.size)
+    s = sums[rows, stop]
+    spread = 1.0 + np.add.accumulate(np.abs(terms), axis=1)[rows, stop]
+    s[~done.any(axis=1) | (spread > 2.0 * np.abs(s))] = math.nan
+    return s / np.sqrt(2.0 * math.pi * x)
 
 
 def _window_quad(t: float, orders: np.ndarray, window: float, n0: int) -> np.ndarray:
@@ -152,24 +216,33 @@ def _quad_orders(t: float, orders: np.ndarray) -> np.ndarray:
     return _window_quad(t, orders, w, n0)
 
 
-def bessel_i_scaled(order: int, t: float) -> float:
-    """Scaled modified Bessel function e^{-t} I_|order|(t).
+def bessel_i_scaled(order: int, t):
+    """Scaled modified Bessel function e^{-t} I_|order|(t), elementwise in t.
 
-    Series for t below the switch point, window quadrature of the integral
-    representation above it.  The quadrature has an absolute accuracy floor
-    of order 1e-17, so tail orders at moderate t (where the series is still
-    affordable) are routed to the series to keep relative accuracy; beyond
-    that, values under ~1e-13 of the order-0 value are absolute-accurate
-    only.
+    ``t`` is a float or an array of floats; an array gives an array of the
+    same shape, whose entries have the bits of the scalar calls.  The power
+    series serves t below the switch point, and the tail orders
+    (m^2 >= 20 t) up to t = 900; Hankel's expansion serves the rest
+    wherever it applies (``_hankel``), and the window trapezoid of the
+    integral representation whatever is left.  The trapezoid has an
+    absolute accuracy floor of order 1e-17, so values under ~1e-13 of the
+    order-0 value are absolute-accurate only.
     """
-    if t < 0.0:
-        raise SpecfunError(f"t must be non-negative, got {t}")
+    z = np.asarray(t, dtype=float)
+    if (z < 0.0).any():
+        raise SpecfunError(f"t must be non-negative, got {float(z.min())}")
     m = abs(int(order))
-    if t < _SERIES_SWITCH or (t <= 900.0 and m * m >= 20.0 * t):
-        val = _series_scalar(m, t)
-        if math.isfinite(val):
-            return val
-    return float(_quad_orders(t, np.array([m], dtype=float))[0])
+    flat = z.ravel()
+    out = np.full(flat.size, math.nan)
+    series = (flat < _SERIES_SWITCH) | ((flat <= 900.0) & (m * m >= 20.0 * flat))
+    if series.any():
+        out[series] = _series(m, flat[series])
+    rest = np.isnan(out) & ~np.isnan(flat)
+    if rest.any():
+        out[rest] = _hankel(m, flat[rest])
+    for i in np.flatnonzero(np.isnan(out)):
+        out[i] = _quad_orders(float(flat[i]), np.array([m], dtype=float))[0]
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def bessel_i_scaled_orders(t: float, m_max: int) -> np.ndarray:
@@ -328,78 +401,94 @@ def theta_discrete_bessel(spec: GraphSpec, t: float, truncation: int | None = No
     return ThetaValue(t=t, value=value, tail_bound=tail_bound(cutoff), terms=terms)
 
 
-def theta_circle(t: float) -> float:
-    """Theta function of the unit circle R/Z.
+def _gauss_tail(a: np.ndarray) -> np.ndarray:
+    """sum_{k >= 1} 2 e^{-k^2 a} for a > 0, elementwise, to below 1e-17 of 1.
+
+    Each entry sums its own ceil(sqrt(40 / a)) terms in order, so it does
+    not depend on the other entries.
+    """
+    if not a.size:
+        return a
+    need = np.ceil(np.sqrt(40.0 / a))
+    if need.max() == 1.0:
+        return 2.0 * np.exp(-a)
+    k = np.arange(1.0, need.max() + 1.0)
+    terms = np.exp(np.multiply.outer(a, -k * k))
+    terms[k > need[:, None]] = 0.0
+    return 2.0 * np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _positive_times(t) -> np.ndarray:
+    """t as a 1-D float array, all of it positive."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (times > 0.0).all():
+        raise SpecfunError(f"t must be positive, got {t}")
+    return times
+
+
+def _like(values: np.ndarray, t):
+    """A float for a scalar t, the array otherwise."""
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def _theta_circle(times: np.ndarray) -> np.ndarray:
+    eigen = times >= 1.0
+    s = 1.0 + _gauss_tail(np.where(eigen, 4.0 * math.pi * math.pi * times, 0.25 / times))
+    return np.where(eigen, s, s / np.sqrt(4.0 * math.pi * times))
+
+
+def theta_circle(t):
+    """Theta function of the unit circle R/Z, elementwise in t.
 
     Eigenvalue form sum_k e^{-4 pi^2 k^2 t} for t >= 1, Gaussian (inverted)
-    form (4 pi t)^{-1/2} sum_k e^{-k^2/(4t)} for t < 1; both tails below 1e-14
+    form (4 pi t)^{-1/2} sum_k e^{-k^2/(4t)} for t < 1; both tails below 1e-17
     of the value.
     """
-    if t <= 0.0:
-        raise SpecfunError(f"t must be positive, got {t}")
-    if t >= 1.0:
-        s = 1.0
-        k = 1
-        while True:
-            term = 2.0 * math.exp(-4.0 * math.pi * math.pi * k * k * t)
-            s += term
-            if term < 1e-16 * s:
-                break
-            k += 1
-        return s
-    s = 1.0
-    k = 1
-    while True:
-        term = 2.0 * math.exp(-k * k / (4.0 * t))
-        s += term
-        if term < 1e-16 * s:
-            break
-        k += 1
-    return s / math.sqrt(4.0 * math.pi * t)
+    return _like(_theta_circle(_positive_times(t)), t)
 
 
-def theta_real_torus(sides: Sequence[float], t: float) -> float:
-    """Theta of the diagonal real torus R^r / diag(sides) Z^r.
+def _torus_sides(sides: Sequence[float]) -> tuple[float, ...]:
+    sides = tuple(float(m) for m in sides)
+    if not sides or any(m <= 0 for m in sides):
+        raise SpecfunError(f"sides must be positive: {sides}")
+    return sides
+
+
+def _theta_torus(sides: tuple[float, ...], times: np.ndarray) -> np.ndarray:
+    return math.prod(_theta_circle(times / (m * m)) for m in sides)
+
+
+def theta_real_torus(sides: Sequence[float], t):
+    """Theta of the diagonal real torus R^r / diag(sides) Z^r, elementwise in t.
 
     Eigenvalues are (2 pi)^2 sum (k_i / m_i)^2, so the theta factorizes into
     circle thetas with per-factor rescaled time t / m_i^2.
     """
-    if t <= 0.0:
-        raise SpecfunError(f"t must be positive, got {t}")
-    sides = tuple(float(m) for m in sides)
-    if not sides or any(m <= 0 for m in sides):
-        raise SpecfunError(f"sides must be positive: {sides}")
-    return math.prod(theta_circle(t / (m * m)) for m in sides)
+    return _like(_theta_torus(_torus_sides(sides), _positive_times(t)), t)
 
 
-def theta_real_torus_minus_leading(sides: Sequence[float], t: float) -> float:
-    """Theta(t) - det(M) (4 pi t)^{-r/2}, computed without cancellation for small t.
+def theta_real_torus_minus_leading(sides: Sequence[float], t):
+    """Theta(t) - det(M) (4 pi t)^{-r/2}, without cancellation for small t; elementwise.
 
-    Each Gaussian-form circle factor is m_i (4 pi t)^{-1/2} (1 + eps_i); the
-    difference is the leading coefficient times prod(1+eps_i) - 1, accumulated
-    stably.  Used by the spectral zeta derivative integrals.
+    Below t = min m_i^2 each circle factor is in Gaussian form,
+    m_i (4 pi t)^{-1/2} (1 + eps_i); the difference is the leading coefficient
+    times prod(1+eps_i) - 1, accumulated stably.  Used by the spectral zeta
+    derivative integrals.
     """
-    sides = tuple(float(m) for m in sides)
-    if t >= min(m * m for m in sides):
-        lead = math.prod(sides) * (4.0 * math.pi * t) ** (-0.5 * len(sides))
-        return theta_real_torus(sides, t) - lead
-    eps = []
-    for m in sides:
-        tt = t / (m * m)
-        e = 0.0
-        k = 1
-        while True:
-            term = 2.0 * math.exp(-k * k / (4.0 * tt))
-            e += term
-            if term < 1e-17 * (1.0 + e):
-                break
-            k += 1
-        eps.append(e)
-    prod_minus_one = 0.0
-    for e in eps:
-        prod_minus_one += e + prod_minus_one * e
-    lead = math.prod(sides) * (4.0 * math.pi * t) ** (-0.5 * len(sides))
-    return lead * prod_minus_one
+    sides = _torus_sides(sides)
+    times = _positive_times(t)
+    out = math.prod(sides) * (4.0 * math.pi * times) ** (-0.5 * len(sides))
+    far = times >= min(m * m for m in sides)
+    if far.any():
+        out[far] = _theta_torus(sides, times[far]) - out[far]
+    if not far.all():
+        near = times[~far]
+        prod_minus_one = 0.0
+        for m in sides:
+            e = _gauss_tail(0.25 * m * m / near)
+            prod_minus_one = prod_minus_one + e + prod_minus_one * e
+        out[~far] *= prod_minus_one
+    return _like(out, t)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,9 @@ def lead_term_circulant_mellin(gens, tol: float = 1e-10) -> IntegralResult:
     the symbol polynomial's roots and of the log-sin integral.
     """
     gens = tuple(int(g) for g in gens)
-    return integrate_mellin(lambda t: math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t), tol)
+    return integrate_mellin(
+        lambda ts: np.array([math.exp(-t) - bessel_multi_scaled(gens, 0, 2.0 * t) for t in ts]),
+        tol)
 
 
 def _deflated_symbol(gens: tuple[int, ...]) -> list[int]:
@@ -559,5 +561,6 @@ def torus_mode_mellin(lam: float, q: int, tol: float = 1e-10) -> IntegralResult:
     module's trapezoid bessel_multi_scaled, not spantor's series.
     """
     return integrate_mellin(
-        lambda t: math.exp(-t) - bessel_multi_scaled((1,), 0, 2.0 * t) ** q * math.exp(-lam * t),
+        lambda ts: np.array([math.exp(-t) - bessel_multi_scaled((1,), 0, 2.0 * t) ** q
+                             * math.exp(-lam * t) for t in ts]),
         tol)

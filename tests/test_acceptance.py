@@ -32,7 +32,7 @@ from spantor.asym import (
     epstein_zeta_prime_zero,
     predict_torus_sublinear,
 )
-from spantor import hp
+from spantor import asym, hp
 from spantor.cli import estimate_alpha
 
 from oracles import fibonacci, lead_term_circulant_mellin
@@ -96,9 +96,7 @@ def test_criterion_03_arccosh_identity():
     worst = 0.0
     for x in (2.0, 2.5, 3.0, 4.0, 10.0):
         def g(t, x=x):
-            decay = (x - 2.0) * t
-            bess = 0.0 if decay > 745.0 else math.exp(-decay) * bessel_i_scaled(0, 2.0 * t)
-            return math.exp(-t) - bess
+            return np.exp(-t) - np.exp(-(x - 2.0) * t) * bessel_i_scaled(0, 2.0 * t)
         res = integrate_mellin(g)
         worst = max(worst, abs(res.value - arccosh_lead(x)))
     ok = worst < 1e-9
@@ -154,9 +152,11 @@ def test_criterion_07_c_squared_law():
 
 
 def test_criterion_08_zeta_prime_anchors():
+    # a circle's zeta'(0) is the closed form -2 log beta; its anchor tests the
+    # theta-split route that r >= 2 takes
     worst_1d = 0.0
     for beta in (1.0, 2.0, 3.0):
-        worst_1d = max(worst_1d, abs(epstein_zeta_prime_zero((beta,))
+        worst_1d = max(worst_1d, abs(asym._zeta_prime_zero_theta_split((beta,), 1.0, 1e-9)
                                      + 2.0 * math.log(beta)))
     worst_2d = 0.0
     for b1, b2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 3.0)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from spantor.asym import (
     ARCCOSH_CLOSED_FORM,
     CATALAN_CLOSED_FORM,
     MAHLER_ROOTS,
+    MELLIN_BESSEL,
     arccosh_lead,
     lead_term_circulant,
     c_d,
@@ -23,7 +25,7 @@ from spantor.asym import (
 )
 from spantor import asym, cli, hp
 from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec, _half_spectrum
-from spantor.quadrature import integrate_mellin, integrate_periodic_mean
+from spantor.quadrature import QuadratureError, integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 
 from oracles import (
@@ -40,9 +42,7 @@ ZETA3 = 1.2020569031595942854
 
 def mellin_arccosh_integrand(x):
     def g(t):
-        decay = (x - 2.0) * t
-        bess = 0.0 if decay > 745.0 else math.exp(-decay) * bessel_i_scaled(0, 2.0 * t)
-        return math.exp(-t) - bess
+        return np.exp(-t) - np.exp(-(x - 2.0) * t) * bessel_i_scaled(0, 2.0 * t)
     return g
 
 
@@ -182,6 +182,57 @@ def test_c_3_exceeds_c_2():
     assert c_d(3).value > c_d(2).value > 0.0
 
 
+def _mode_mp(q, lam):
+    """I_q(lam) by mpmath quadrature over u = log t in [-50, 45], at 25 digits.
+
+    Outside that range the integrand's mass is below 1e-20.  e^{-x} I_0(x)
+    is mpmath's besseli below x = 60 and Hankel's expansion, to 1e-28,
+    above it.
+    """
+    with mp.workdps(25):
+        def i0_scaled(x):
+            if x < 60:
+                return mp.besseli(0, x) * mp.exp(-x)
+            total = term = mp.mpf(1)
+            k = 0
+            while abs(term) > mp.mpf(10) ** -28:
+                k += 1
+                term *= mp.mpf((2 * k - 1) ** 2) / (8 * k * x)
+                total += term
+            return total / mp.sqrt(2 * mp.pi * x)
+
+        def f(u):
+            t = mp.exp(u)
+            return ((mp.exp(-t) if t < 1e4 else 0)
+                    - i0_scaled(2 * t) ** q * (mp.exp(-lam * t) if lam else 1))
+
+        return float(mp.quad(f, mp.linspace(-50, 45, 20)))
+
+
+@pytest.mark.parametrize("q,lam", [(3, 0.0), (4, 0.0), (5, 0.0), (6, 0.0),
+                                   (3, 4 * math.sin(math.pi / 7) ** 2), (3, 0.3), (3, 5.0)])
+def test_mellin_modes_match_mpmath_and_the_oracle(q, lam):
+    # c_d is the lam = 0 mode; every value is within its own error estimate,
+    # and within 1e-13, of both references
+    mine = asym._mode_lead(lam, q, 1e-10) if lam else c_d(q)
+    assert mine.method == MELLIN_BESSEL
+    oracle = torus_mode_mellin(lam, q)
+    for ref in (_mode_mp(q, lam), oracle.value):
+        assert abs(mine.value - ref) <= min(mine.error_estimate, 1e-13)
+
+
+def test_c_3_wall_time():
+    # one trapezoid grid of about 800 nodes, about a millisecond on a 2-vCPU
+    # VM; the adaptive Gauss panels it replaced took about 20 ms
+    best = math.inf
+    for _ in range(5):
+        asym._c_d_cached.cache_clear()
+        start = time.perf_counter()
+        c_d(3)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.005
+
+
 def test_gamma_half_integer():
     for d in range(1, 9):
         assert gamma_half_integer(d) == pytest.approx(math.gamma(d / 2.0), rel=1e-14)
@@ -283,11 +334,23 @@ def test_zeta_prime_zero_circle_anchor(beta):
 
 
 def test_zeta_prime_zero_split_invariance():
-    base = epstein_zeta_prime_zero((1.0,), tol=1e-9)
+    # the theta-split route, which a circle no longer takes, tested at r = 1
+    base = asym._zeta_prime_zero_theta_split((1.0,), 1.0, 1e-9)
     assert base == pytest.approx(0.0, abs=1e-9)
     for c in (2.0, 5.0):
-        moved = epstein_zeta_prime_zero((1.0,), split=c, tol=1e-9)
+        moved = asym._zeta_prime_zero_theta_split((1.0,), c, 1e-9)
         assert abs(moved - base) <= 2e-9
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0, 9.0])
+def test_zeta_prime_zero_circle_closed_form(beta):
+    value = epstein_zeta_prime_zero((beta,))
+    assert value == 0.0 - 2.0 * math.log(beta)
+    assert math.copysign(1.0, value) == (1.0 if beta <= 1.0 else -1.0)  # +0.0 at beta = 1
+    assert epstein_zeta_prime_zero((beta,), split=3.0) == value
+    if value:
+        with pytest.raises(QuadratureError, match="requested tolerance not met"):
+            epstein_zeta_prime_zero((beta,), tol=2 * math.ulp(value))
 
 
 @pytest.mark.parametrize("b1,b2", [(1.0, 1.0), (1.0, 2.0), (2.0, 3.0)])

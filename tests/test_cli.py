@@ -418,6 +418,21 @@ def test_estimate_alpha_refuses_a_fit_that_misses_the_counts():
             cli._fit_residual_norm(rows, weights, [exact[0], exact[1] + mp.mpf("1e-9")])
 
 
+def test_cli_import_loads_no_gauss_legendre_tables():
+    # the Mellin rule is a trapezoid rule; only the test oracles build
+    # Gauss-Legendre tables (numpy.polynomial)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "import spantor.cli\n"
+            "sys.stderr.write(repr(sorted(m for m in sys.modules\n"
+            "                             if m.startswith('numpy.polynomial'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stderr == "[]"
+
+
 def test_estimate_alpha_runs_without_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys\n"
@@ -531,6 +546,13 @@ def test_specfun_cd_1_is_exactly_zero(capsys):
     rc, out = run_cli(capsys, "specfun", "cd", "1")
     assert rc == 0
     assert out == '{"name": "cd", "value": 0.0, "error": 2e-323}\n'
+
+
+def test_specfun_zeta_prime_zero_of_the_unit_circle_is_exactly_zero(capsys):
+    # -2 log 1 in closed form: +0.0, never -0.0 or a rounding residue
+    rc, out = run_cli(capsys, "specfun", "zeta-prime-zero", "1")
+    assert rc == 0
+    assert out == '{"name": "zeta-prime-zero", "value": 0.0, "error": 1e-10}\n'
 
 
 def test_specfun_zeta_prime_zero_refuses_an_unmeetable_tol(capsys):

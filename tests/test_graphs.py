@@ -405,9 +405,7 @@ def _random_floats(seed, size, lo, hi, zero_share):
 
 
 def _exact_fsum(x):
-    parts = []
-    graphs._exact_parts(x, parts)
-    return math.fsum(parts)
+    return graphs._weighted_fsum(x, np.ones(x.size), lambda v: v)
 
 
 @example(0, 2**15, -1074, 900, 0.1)
@@ -420,6 +418,32 @@ def _exact_fsum(x):
 def test_exact_parts_sum_to_fsum(seed, size, lo, width, zero_share):
     x = _random_floats(seed, size, lo, min(lo + width, 900), zero_share)
     assert _exact_fsum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@example(0, 2**15, -1074, 900, 0.1)
+@example(1, 3 * 2**15 + 7, -60, 65, 0.0)
+@given(st.integers(0, 2**32), st.sampled_from(_EXACT_SUM_LENGTHS),
+       st.integers(-1074, 900), st.integers(0, 2000), st.sampled_from([0.0, 0.01, 0.9]))
+@settings(max_examples=40, deadline=None)
+def test_weighted_fsum_fallback_is_fsum_too(seed, size, lo, width, zero_share):
+    # an unbounded error sends every sum to the fallback, one math.fsum over
+    # the terms, which evaluates each block a second time
+    x = _random_floats(seed, size, lo, min(lo + width, 900), zero_share)
+    evaluated = []
+
+    def f(v):
+        evaluated.append(v.size)
+        return v
+
+    def unbounded(block, parts):
+        parts.extend(block.tolist())
+        return math.inf
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_exact_parts", unbounded)
+        total = graphs._weighted_fsum(x, np.ones(size), f)
+    assert total.hex() == math.fsum(x.tolist()).hex()
+    assert sum(evaluated) == 2 * size
 
 
 @pytest.mark.parametrize("size", _EXACT_SUM_LENGTHS[2:])

@@ -454,6 +454,14 @@ def test_conjecture_small_cases():
     assert hp.verify_conjecture(2).exact == 30250  # 10 * F_10^2 via the Fibonacci anchor
 
 
+def test_conjecture_digits_are_capped_at_the_evaluation_precision():
+    # v2 is evaluated at dps + 25 digits: an exact row reports that, and an
+    # inexact row never more (n = 6 and 7 are exact at 60 digits, n = 2 is not)
+    for n in (2, 6, 7):
+        assert hp.verify_conjecture(n).digits_agreement == 85
+    assert hp.verify_conjecture(6, min_dps=100).digits_agreement == 125
+
+
 @pytest.mark.parametrize("n", [20, 40])
 def test_conjecture_at_cover_route_sizes(n):
     v = hp.verify_conjecture(n)

@@ -15,11 +15,9 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def scaled_i0_with_shift(x):
-    """t -> e^{-t} - e^{-xt} I_0(2t) via the scaled Bessel combination."""
+    """t -> e^{-t} - e^{-xt} I_0(2t) via the scaled Bessel combination, on arrays."""
     def g(t):
-        decay = (x - 2.0) * t
-        bess = 0.0 if decay > 745.0 else math.exp(-decay) * bessel_i_scaled(0, 2.0 * t)
-        return math.exp(-t) - bess
+        return np.exp(-t) - np.exp(-(x - 2.0) * t) * bessel_i_scaled(0, 2.0 * t)
     return g
 
 
@@ -30,14 +28,14 @@ def scaled_i0_with_shift(x):
 
 @pytest.mark.parametrize("x", [1.0, 2.0, math.e, 10.0])
 def test_frullani_family(x):
-    res = integrate_mellin(lambda t: math.exp(-t) - math.exp(-x * t))
+    res = integrate_mellin(lambda t: np.exp(-t) - np.exp(-x * t))
     assert res.value == pytest.approx(math.log(x), abs=1e-10)
     assert res.error_estimate <= 1e-10
     assert res.evaluations > 0
 
 
 def test_zero_integrand():
-    res = integrate_mellin(lambda t: 0.0)
+    res = integrate_mellin(lambda t: np.zeros(t.shape))
     assert res.value == 0.0
 
 
@@ -56,12 +54,12 @@ def test_slow_tail_x_equals_2():
 
 @pytest.mark.parametrize("split", [0.5, 1.0, 5.0])
 def test_split_invariance(split):
-    res = integrate_mellin(lambda t: math.exp(-t) - math.exp(-2.0 * t), split=split)
+    res = integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), split=split)
     assert res.value == pytest.approx(math.log(2.0), abs=2e-10)
 
 
 def test_error_honesty():
-    for g in (lambda t: math.exp(-t) - math.exp(-3.0 * t),
+    for g in (lambda t: np.exp(-t) - np.exp(-3.0 * t),
               scaled_i0_with_shift(2.5),
               scaled_i0_with_shift(2.0)):
         a = integrate_mellin(g, tol=1e-7)
@@ -74,10 +72,24 @@ def test_nonconvergent_tail_detected():
         integrate_mellin(lambda t: t / (1.0 + t))  # -> 1, dt/t tail diverges
 
 
+def test_mellin_calls_g_once_per_grid_and_refuses_non_finite_values():
+    sizes = []
+
+    def g(t):
+        sizes.append(t.size)
+        return np.exp(-t) - np.exp(-2.0 * t)
+
+    res = integrate_mellin(g)
+    assert res.evaluations == sum(sizes)
+    assert len(sizes) <= 2 + quadrature._MELLIN_HALVINGS
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate_mellin(lambda t: np.where(t < 5.0, np.exp(-t), np.nan) - np.exp(-2.0 * t))
+
+
 def test_integrand_switching_at_the_split():
     # t below the split c and e^{-t} above it: int_0^c dt + int_c^inf e^{-t} dt/t = c + E_1(c)
     for split in (0.5, 1.0, 2.0):
-        res = integrate_mellin(lambda t: t if t < split else math.exp(-t), split=split)
+        res = integrate_mellin(lambda t: np.where(t < split, t, np.exp(-t)), split=split)
         exact = split + float(mp.e1(split))
         assert res.error_estimate <= 1e-10
         assert abs(res.value - exact) <= res.error_estimate + 4 * math.ulp(exact)
@@ -93,7 +105,7 @@ def test_rejects_nonpositive_tol_and_split():
     for kwargs in ({"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
                    {"split": 0.0}, {"split": -1.0}):
         with pytest.raises(ValueError):
-            integrate_mellin(lambda t: math.exp(-t) - math.exp(-2.0 * t), **kwargs)
+            integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -60,6 +61,47 @@ def test_bessel_huge_argument_vs_mpmath(t):
     with mp.workdps(40):
         expected = float(mp.besseli(3, t) * mp.exp(mp.mpf(-t)))
     assert bessel_i_scaled(3, t) == pytest.approx(expected, rel=1e-12)
+
+
+# nodes on every branch of the kernel: the series below 30, Hankel's
+# expansion, and the window trapezoid where Hankel's terms stay too large
+# (orders 5 to 8 just above 30)
+_KERNEL_T = sorted({0.0, 1e-300, 1e-12, 29.9, 30.0, 30.1, 1e12,
+                    *np.logspace(-8.0, 12.0, 81).tolist(), *np.linspace(25.0, 40.0, 31).tolist()})
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_bessel_kernel_within_8_ulps_of_mpmath(m):
+    values = bessel_i_scaled(m, np.array(_KERNEL_T))
+    with mp.workdps(40):
+        for t, value in zip(_KERNEL_T, values):
+            ref = mp.besseli(m, t) * mp.exp(-mp.mpf(t))
+            if ref < sys.float_info.min:
+                assert abs(value - ref) <= 8 * 2.0 ** -1074, (m, t)  # subnormal or 0
+            else:
+                assert abs(value - ref) <= 8 * 2.0 ** -52 * ref, (m, t)
+
+
+def test_bessel_array_call_has_the_scalar_bits():
+    t = np.array(_KERNEL_T + [45.0, 100.0, 880.0, 1234.5, 1e5, 1e20])
+    for m in (0, 1, 5, 8, 40, 300):
+        assert np.array_equal(bessel_i_scaled(m, t), [bessel_i_scaled(m, float(x)) for x in t])
+    assert bessel_i_scaled(0, np.array([[1.0, 40.0]])).shape == (1, 2)
+    assert isinstance(bessel_i_scaled(0, 2.0), float)
+    with pytest.raises(SpecfunError):
+        bessel_i_scaled(0, np.array([1.0, -1.0]))
+
+
+def test_theta_array_calls_have_the_scalar_bits():
+    t = np.array([0.01, 0.3, 0.99, 1.0, 1.7, 4.0, 25.0])
+    for sides in ((1.0,), (2.0,), (1.0, 2.0), (1.0, 1.0, 3.0)):
+        assert np.array_equal(theta_real_torus(sides, t),
+                              [theta_real_torus(sides, float(x)) for x in t])
+        assert np.array_equal(theta_real_torus_minus_leading(sides, t),
+                              [theta_real_torus_minus_leading(sides, float(x)) for x in t])
+    assert np.array_equal(theta_circle(t), [theta_circle(float(x)) for x in t])
+    with pytest.raises(SpecfunError):
+        theta_circle(np.array([1.0, 0.0]))
 
 
 def test_bessel_orders_vector_matches_scalar():
