@@ -541,10 +541,8 @@ def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
     over the full spectrum exactly.  Cached per (alpha, beta, tol), since
     every row of a table shares it.
     """
-    if alpha:
-        values, weights = _half_spectrum(TorusSpec(alpha))
-    else:
-        values, weights = np.zeros(1), np.ones(1)
+    # with no A-block, the one mode of the one-vertex torus Z/1Z: lambda = 0, weight 1
+    values, weights = _half_spectrum(TorusSpec(alpha or (1,)))
     distinct, where = np.unique(values, return_inverse=True)
     if len(beta) == 1:
         per_mode = _arccosh1p(0.5 * distinct)

@@ -15,17 +15,13 @@ matrix-tree count and the eigenvalue product agree.
 
 Every eigenvalue is a sum of terms 4 sin^2(pi r / l), each read from a half
 table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
-One evaluator, ``_half_spectrum``, computes the eigenvalues of the half-range
-modes with the number of modes each stands for; every eigenvalue consumer
-reads it, at either of two tables: the float64 one here, or the fixed-point
-integers of spantor.hp, whose eigenvalues are exact integer sums.  log det*
-(``log_det_star``) takes a spec, not a spectrum: it sums w log(lambda) over
-the half-range modes only and equals the sum over the full spectrum exactly.
-That sum, and theta's sum of w e^{-lambda t}, run in blocks of 2^15 terms
-through one split per block (``_exact_parts``), whose few parts one
-math.fsum rounds: the float that math.fsum over the full spectrum returns,
-bit for bit.  ``spectrum(spec, cap)`` expands the half-range values into the
-full spectrum by indexing them at min(r, l - r).
+``_half_blocks`` streams the half-range modes and the number of modes each
+stands for in blocks of at most 2^15; ``_half_spectrum`` joins them for
+``spectrum`` and spantor.hp.  log det* (``log_det_star``) and theta's sum of
+w e^{-lambda t} take one exact split per block (``_exact_parts``) and one
+math.fsum of the parts, the full spectrum's math.fsum bit for bit.  No array
+outgrows a block, a circulant's half range or a torus's outer sum of all but
+its last side.
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -170,28 +166,22 @@ def _sin2_half(l: int) -> np.ndarray:
     same rounded value, and the modes near r = l keep the full relative
     accuracy of those near r = 0: evaluated directly, sin(pi r / l) there
     takes the rounding error of an argument near pi relative to a value
-    near zero.
+    near zero.  Built in place in one array; 4 (s s) is (4 s) s exactly.
     """
-    s = np.sin(np.pi * (np.arange(l // 2 + 1) / l))
-    return 4.0 * s * s
+    out = np.arange(l // 2 + 1, dtype=np.float64)
+    out /= l
+    out *= np.pi
+    np.sin(out, out)
+    out *= out
+    out *= 4.0
+    return out
 
 
 def _half_weights(l: int) -> np.ndarray:
     """How many residues r mod l share index k = min(r, l - r), for k = 0..floor(l/2)."""
     weights = np.full(l // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if l % 2 == 0:
-        weights[-1] = 1.0
+    weights[::l - l // 2] = 1.0  # k = 0, and k = l/2 for even l
     return weights
-
-
-def _check_cap(spec: GraphSpec, cap: int) -> None:
-    total = spec.vertex_count
-    if total > cap:
-        kind = "circulant" if isinstance(spec, CirculantSpec) else "torus"
-        raise EnumerationCapError(
-            f"{kind} has {total} eigenvalues, exceeding the cap {cap}"
-        )
 
 
 # _add_folded takes strided slices when the runs of constant floor(g j / n),
@@ -216,10 +206,7 @@ def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int) -> None:
     g %= n
     g = min(g, n - g)
     m = lam.size
-    if g == 0:
-        lam += half[0]
-        return
-    if g * _STRIDE_MIN_RUN > n:
+    if g == 0 or g * _STRIDE_MIN_RUN > n:
         r = (g * np.arange(m, dtype=np.int64)) % n
         lam += half[np.minimum(r, n - r)]
         return
@@ -235,42 +222,58 @@ def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int) -> None:
             lam[b:c] += half[top:top - g * (c - b - 1) - 1:-g]
 
 
-def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
-                   table=_sin2_half) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the half-range modes and their multiplicities.
+# modes per block of the half-range stream, whose block-sized arrays then stay in cache
+_BLOCK = 1 << 15
+
+
+def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2_half,
+                 block: int = _BLOCK):
+    """The half-range modes as a stream of (values, weights) blocks of at most ``block`` modes.
 
     An eigenvalue depends on each index only through min(r, l - r).  A
-    circulant's half-range modes are j = 0..floor(n/2), where lambda_j sums
-    the half table of n at min(r, n - r), r = g j mod n, over the generators
-    in order; their weights are 2 except at j = 0 and j = n/2.  A torus's are
-    the outer sum of the per-side half tables, with the outer product of the
-    per-side weights, which are 1 at k = 0 and k = l/2 and 2 otherwise.
-    Every weight is a power of 2, and the weights add up to the vertex count.
-    ``table(l)`` gives the half table of a side l: 4 sin^2(pi k / l) in
-    float64 by default, or the fixed-point integers of spantor.hp in an
-    object array, whose sums stay exact integers.
-    Raises EnumerationCapError above ``cap`` vertices.
+    circulant's modes are one array over j = 0..floor(n/2), summing the half
+    table of n at min(r, n - r), r = g j mod n, over the generators; past one
+    block it comes in slices of weight 2, with j = 0 and n/2 apart.  A torus
+    block is a few rows of the leading sides' outer sum, built whole, plus a
+    slice of the last side's table.  ``weights`` are power-of-2 factors that
+    broadcast against it.  ``table(l)`` gives a side's 4 sin^2(pi k / l), or
+    spantor.hp's integers.  Raises EnumerationCapError above ``cap``.
     """
-    _check_cap(spec, cap)
+    if spec.vertex_count > cap:
+        kind = "circulant" if isinstance(spec, CirculantSpec) else "torus"
+        raise EnumerationCapError(
+            f"{kind} has {spec.vertex_count} eigenvalues, exceeding the cap {cap}")
     if isinstance(spec, CirculantSpec):
-        n = spec.n
-        half = table(n)
-        lam = np.zeros(n // 2 + 1, dtype=half.dtype)
+        n, half = spec.n, table(spec.n)
+        lam = np.zeros_like(half)  # written zeros: a page faults once, not on read and write
         for g in spec.generators:
             _add_folded(lam, half, n, g)
-        return lam, _half_weights(n)
+        if lam.size <= block:
+            yield lam, (_half_weights(n),)
+            return
+        end = n - n // 2  # modes 1..end-1 have weight 2, j = 0 and j = n/2 (if any) 1
+        yield lam[::end], ()
+        for start in range(1, end, block):
+            yield lam[start:min(start + block, end)], (2.0,)
+        return
     halves = [table(l) for l in spec.sides]
-    lam, weights = np.zeros((1,), dtype=halves[0].dtype), np.ones((1,))
-    for l, half in zip(spec.sides, halves):
-        lam = (lam[:, None] + half).ravel()
-        weights = (weights[:, None] * _half_weights(l)).ravel()
-    return lam, weights
+    rows, row_weights = np.zeros(1, dtype=halves[0].dtype), np.ones(1)
+    for l, half in zip(spec.sides[:-1], halves):
+        rows = (rows[:, None] + half).ravel()
+        row_weights = (row_weights[:, None] * _half_weights(l)).ravel()
+    last, last_weights = halves[-1], _half_weights(spec.sides[-1])
+    height, width = max(1, block // last.size), min(last.size, block)
+    for r in range(0, rows.size, height):
+        for c in range(0, last.size, width):
+            yield (rows[r:r + height, None] + last[c:c + width],
+                   (row_weights[r:r + height, None], last_weights[c:c + width]))
 
 
-def _folded(l: int) -> np.ndarray:
-    """min(r, l - r) for every residue r = 0..l-1: its index in a half table."""
-    r = np.arange(l, dtype=np.int64)
-    return np.minimum(r, l - r)
+def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
+                   table=_sin2_half) -> tuple[np.ndarray, np.ndarray]:
+    """Every half-range mode and its weight: the stream of ``_half_blocks`` as one block."""
+    (values, weights), = _half_blocks(spec, cap, table, block=spec.vertex_count)
+    return values.ravel(), math.prod(weights).ravel()
 
 
 def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
@@ -285,10 +288,9 @@ def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
     relative accuracy.  Raises EnumerationCapError above ``cap`` vertices.
     """
     values, _ = _half_spectrum(spec, cap)
-    if isinstance(spec, CirculantSpec):
-        return values[_folded(spec.n)]
-    table = values.reshape([l // 2 + 1 for l in spec.sides])
-    return table[np.ix_(*[_folded(l) for l in spec.sides])].ravel()
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+    folded = [np.minimum(np.arange(l), l - np.arange(l)) for l in sides]  # min(r, l - r)
+    return values.reshape([l // 2 + 1 for l in sides])[np.ix_(*folded)].ravel()
 
 
 def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
@@ -305,12 +307,13 @@ def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
     for the rounding of sum|lo| itself.  A block of 64 or fewer terms, one
     of zeros (which keeps the sign of an all -0.0 block), and one with a
     non-finite term or a term too large to split, is appended exactly: as
-    its terms or its exact sum, with bound 0.
+    its terms or its exact sum, with bound 0.  x is left holding lo.
     """
     if x.size <= 64:
         parts.extend(x.tolist())
         return 0.0
-    top = float(np.max(np.abs(x)))
+    hi = np.empty_like(x)
+    top = float(np.abs(x, hi).max())
     if top == 0.0:
         parts.append(float(np.add.reduce(x)))
         return 0.0
@@ -320,75 +323,72 @@ def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
         parts.extend(x.tolist())
         return 0.0
     sigma = math.ldexp(1.5, e)
-    hi = (x + sigma) - sigma
-    lo = x - hi
+    np.add(x, sigma, hi)
+    hi -= sigma
+    x -= hi
     parts.append(float(np.add.reduce(hi)))
-    parts.append(float(np.add.reduce(lo)))
-    return (x.size - 1) * 2.0 ** -53 * float(np.add.reduce(np.abs(lo))) * (1.0 + 2.0 ** -20)
+    parts.append(float(np.add.reduce(x)))
+    return (x.size - 1) * 2.0 ** -53 * float(np.add.reduce(np.abs(x, hi))) * (1.0 + 2.0 ** -20)
 
 
-# terms per block of an exact weighted sum: the block's temporaries stay in cache
-_BLOCK = 1 << 15
+def _weighted_fsum(blocks, f) -> float:
+    """math.fsum of w f(lambda) over the stream ``blocks()`` of ``_half_blocks``, bit for bit.
 
-
-def _weighted_fsum(values: np.ndarray, weights: np.ndarray, f) -> float:
-    """math.fsum(weights * f(values)), bit for bit, evaluated in blocks of _BLOCK terms.
-
-    The blocks' parts (``_exact_parts``) sum to within ``err`` of the exact
-    sum.  When the parts shifted by -err and by +err round to the same
-    float, so does the exact sum, and math.fsum of the parts is returned;
-    otherwise one math.fsum over the terms, block by block.
+    ``f(values, out)`` writes into ``out``.  Each block's terms are computed in
+    place in one block-sized array and split (``_exact_parts``) into parts within
+    ``err`` of the exact sum.  When the parts shifted by -err and +err round
+    alike, so does the exact sum; else the stream runs again into one math.fsum.
     """
-    blocks = [slice(start, start + _BLOCK) for start in range(0, values.size, _BLOCK)]
+    def terms():
+        for values, weights in blocks():
+            out = np.empty(values.shape)
+            f(values, out)
+            for w in weights:
+                out *= w
+            yield out.reshape(-1)
+
     parts: list[float] = []
-    err = math.fsum(_exact_parts(weights[block] * f(values[block]), parts) for block in blocks)
-    total = math.fsum(parts)
+    err = math.fsum(_exact_parts(x, parts) for x in terms())
     if err == 0.0 or math.fsum(parts + [-err]) == math.fsum(parts + [err]):
-        return total
-    return math.fsum(itertools.chain.from_iterable(
-        (weights[block] * f(values[block])).tolist() for block in blocks))
+        return math.fsum(parts)
+    return math.fsum(itertools.chain.from_iterable(x.tolist() for x in terms()))
 
 
-def _log_nonzero(values: np.ndarray) -> np.ndarray:
-    """log(lambda), with 0 in place of log 0, so that a zero mode adds nothing."""
-    zero = values == 0.0
-    if zero.any():
-        values = np.where(zero, 1.0, values)
-    return np.log(values)
+def _nonzero_blocks(blocks):
+    """``blocks`` with 1 (log 1 = 0) for each mode that is not positive, then the checks.
 
-
-def _weighted_log_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    """math.fsum of w log(lambda) over the nonzero values, after the spectrum checks.
-
-    The zero values must carry total weight 1 (a connected graph); a negative
-    value, or no nonzero value at all, is an error.  The sum is exact and
-    blocked (``_weighted_fsum``), so it returns the single math.fsum's float.
+    GraphSpecError unless the zero modes weigh 1 in all (a connected graph),
+    some mode is nonzero and none is negative.
     """
-    zero = np.flatnonzero(values == 0.0)
-    zeros = int(weights[zero].sum())
+    zeros, modes, negative = 0, 0, False
+    for values, weights in blocks:
+        modes += values.size
+        if (low := values.min()) <= 0.0:
+            zero = values == 0.0
+            zeros += int(math.prod(weights, start=zero).sum())
+            negative = negative or low < 0.0
+            values = np.where(zero if low == 0.0 else values <= 0.0, 1.0, values)
+        yield values, weights
     if zeros != 1:
         raise GraphSpecError(f"expected exactly one zero eigenvalue, got {zeros}")
-    if zero.size == values.size:
+    if modes == 1:  # that one zero mode is the whole spectrum
         raise GraphSpecError("spectrum has no nonzero eigenvalues")
-    if values.min() < 0.0:
+    if negative:
         raise GraphSpecError("spectrum has a negative eigenvalue")
-    return _weighted_fsum(values, weights, _log_nonzero)
 
 
 def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
     """log of the product of the nonzero Laplacian eigenvalues of ``spec``.
 
-    The sum of w log(lambda) over the half-range modes of ``_half_spectrum``,
-    so about half the logs of a circulant and a 2^-d share of a
-    d-dimensional torus's are taken.  A mirrored mode's eigenvalue is bitwise
-    its own, and w log(lambda) is exact for a power of 2, so the exact sum
-    is that over the full spectrum.  It is summed exactly in blocks and
-    rounded once, so the result equals the math.fsum of log(lambda) over the
-    full spectrum bit for bit, whatever the order.
-    Raises EnumerationCapError above ``cap`` vertices and GraphSpecError for
-    a disconnected graph (more than one zero eigenvalue) or a single vertex.
+    The sum of w log(lambda) over the half-range modes of ``_half_blocks``,
+    about half the logs of a circulant and a 2^-d share of a torus's.  A
+    mirrored mode's eigenvalue is bitwise its own and w is a power of 2, so
+    the sum, exact block by block (``_weighted_fsum``) and rounded once, is
+    the math.fsum of log(lambda) over the full spectrum bit for bit.  Raises
+    EnumerationCapError above ``cap`` vertices and GraphSpecError for a
+    disconnected graph (more than one zero eigenvalue) or a single vertex.
     """
-    return _weighted_log_sum(*_half_spectrum(spec, cap))
+    return _weighted_fsum(lambda: _nonzero_blocks(_half_blocks(spec, cap)), np.log)
 
 
 # ---------------------------------------------------------------------------

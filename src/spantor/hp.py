@@ -306,8 +306,8 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
 
     The mpf counterpart of asym.predict_torus_constant, at dps + 10 digits.
     With a single growing side b n the per-mode lead integrals have the exact
-    arccosh closed form, and zeta'_{R/bZ}(0) = -2 log b.  Raises AsymError
-    for more than one growing side.
+    arccosh closed form, one per distinct mode, and zeta'_{R/bZ}(0) = -2 log b.
+    Raises AsymError for more than one growing side.
     """
     if len(beta) != 1:
         raise AsymError("high-precision torus prediction supports exactly one growing side")
@@ -317,9 +317,10 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
     with mp.workdps(dps):
         lams = [mp.mpf(0)]
         for a in alpha:
-            lams = [lam + 4 * mp.sinpi(mp.mpf(m) / a) ** 2
-                    for lam in lams for m in range(a)]
-        lead = n * b * mp.fsum(mp.acosh(1 + lam / 2) for lam in lams)
+            side = [4 * mp.sinpi(mp.mpf(m) / a) ** 2 for m in range(a)]
+            lams = [lam + term for lam in lams for term in side]
+        acosh = {lam: mp.acosh(1 + lam / 2) for lam in set(lams)}
+        lead = n * b * mp.fsum(acosh[lam] for lam in lams)
         return _report_hp(n, lead + 2 * mp.log(n) + 2 * mp.log(b), spec, dps, cap)
 
 

@@ -26,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import (DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_spectrum,
-                     _weighted_fsum)
+from .graphs import DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_blocks, _weighted_fsum
 
 __all__ = [
     "SpecfunError",
@@ -129,12 +128,14 @@ def _series(m: int, z: np.ndarray) -> np.ndarray:
 
 
 def _series_orders(z: float, m_max: int) -> np.ndarray:
-    """e^{-z} I_m(z) for m = 0..m_max, vectorized over orders."""
+    """e^{-z} I_m(z) for m = 0..m_max below z = 30, vectorized over orders.
+
+    Accurate in absolute terms only, as _quad_orders is above z = 30 (3.6e-17):
+    exp(m log(z/2) - log m! - z) keeps its exponent's rounding (order 8, z = 1e-8: 64.6 ulps).
+    """
     ms = np.arange(m_max + 1, dtype=float)
     if z == 0.0:
-        out = np.zeros(m_max + 1)
-        out[0] = 1.0
-        return out
+        return (ms == 0.0).astype(float)
     lgam = np.array([math.lgamma(m + 1.0) for m in range(m_max + 1)])
     log_base = ms * math.log(z / 2.0) - lgam - z
     base = np.where(log_base < -760.0, 0.0, np.exp(np.maximum(log_base, -760.0)))
@@ -300,15 +301,15 @@ class ThetaValue:
 def theta_discrete_spectral(spec: GraphSpec, t: float) -> ThetaValue:
     """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
 
-    The sum of w e^{-lambda t} over the half-range modes of ``_half_spectrum``,
-    summed exactly in blocks by ``graphs._weighted_fsum``; the weights are
+    The sum of w e^{-lambda t} over the half-range modes of ``_half_blocks``,
+    summed exactly block by block by ``graphs._weighted_fsum``; the weights are
     powers of 2, so it equals the math.fsum over every mode bit for bit.  A
     torus above DEFAULT_EIGENVALUE_CAP vertices raises EnumerationCapError; a
     circulant has no cap.
     """
     cap = spec.n if isinstance(spec, CirculantSpec) else DEFAULT_EIGENVALUE_CAP
-    values, weights = _half_spectrum(spec, cap)
-    value = _weighted_fsum(values, weights, lambda v: np.exp(-v * t))
+    value = _weighted_fsum(lambda: _half_blocks(spec, cap),
+                           lambda v, out: np.exp(np.multiply(v, -t, out), out))
     return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)
 
 

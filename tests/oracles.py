@@ -407,6 +407,21 @@ def sin2_table_four_products(l: int, bits: int) -> list[int]:
     return table
 
 
+def torus_constant_prediction_per_mode(n: int, alpha, b: int, dps: int) -> mp.mpf:
+    """n b sum_m arccosh(1 + lambda_m / 2) + 2 log n + 2 log b at dps + 10 digits.
+
+    One arccosh per mode, in mode order.  Every A-block mode lambda_m sums 4 sin^2(pi m_i / a_i) over the sides in
+    order, each term from its own mp.sinpi, with the last side's index
+    moving fastest.
+    """
+    with mp.workdps(dps + 10):
+        lams = [mp.mpf(0)]
+        for a in alpha:
+            lams = [lam + 4 * mp.sinpi(mp.mpf(m) / a) ** 2 for lam in lams for m in range(a)]
+        lead = n * b * mp.fsum(mp.acosh(1 + lam / 2) for lam in lams)
+        return lead + 2 * mp.log(n) + 2 * mp.log(b)
+
+
 def log_det_star_from_modes(values, weights, bits: int, vertex_count: int,
                             dps: int) -> mp.mpf:
     """log of prod_j (4 values_j 2^-bits)^weights_j over the nonzero modes, by mpf chains.

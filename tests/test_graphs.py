@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,8 +338,8 @@ def test_log_det_star_examples():
 
 def test_log_det_star_degenerate_inputs():
     def weighted(*values):
-        values = np.array(values)
-        return graphs._weighted_log_sum(values, np.ones_like(values))
+        return graphs._weighted_fsum(
+            lambda: graphs._nonzero_blocks([(np.array(values), ())]), np.log)
 
     with pytest.raises(GraphSpecError):
         weighted(0.0)
@@ -404,8 +405,13 @@ def _random_floats(seed, size, lo, hi, zero_share):
     return x
 
 
+def _stream(x):
+    """x as a stream of blocks of weight 1, as graphs._weighted_fsum reads it."""
+    return [(x[start:start + graphs._BLOCK], ()) for start in range(0, x.size, graphs._BLOCK)]
+
+
 def _exact_fsum(x):
-    return graphs._weighted_fsum(x, np.ones(x.size), lambda v: v)
+    return graphs._weighted_fsum(lambda: _stream(x), lambda v, out: np.copyto(out, v))
 
 
 @example(0, 2**15, -1074, 900, 0.1)
@@ -431,9 +437,9 @@ def test_weighted_fsum_fallback_is_fsum_too(seed, size, lo, width, zero_share):
     x = _random_floats(seed, size, lo, min(lo + width, 900), zero_share)
     evaluated = []
 
-    def f(v):
+    def f(v, out):
         evaluated.append(v.size)
-        return v
+        np.copyto(out, v)
 
     def unbounded(block, parts):
         parts.extend(block.tolist())
@@ -441,7 +447,7 @@ def test_weighted_fsum_fallback_is_fsum_too(seed, size, lo, width, zero_share):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs, "_exact_parts", unbounded)
-        total = graphs._weighted_fsum(x, np.ones(size), f)
+        total = graphs._weighted_fsum(lambda: _stream(x), f)
     assert total.hex() == math.fsum(x.tolist()).hex()
     assert sum(evaluated) == 2 * size
 
@@ -499,6 +505,67 @@ def large_circulant_specs(draw):
 @settings(max_examples=12, deadline=None)
 def test_log_det_star_equals_full_folded_sum_large(spec):
     assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
+
+
+_B = graphs._BLOCK
+
+# the block stream's edges: n/2 (even n) and floor(n/2) (odd n) at k _BLOCK - 1,
+# k _BLOCK and k _BLOCK + 1; torus last half tables longer than _BLOCK, and rows
+# that split into several blocks; 3-D tori for the order of addition; sides 1
+# and 2, g = n/2, mirrored and duplicate generators
+_STREAM_EDGE_SPECS = [
+    *(CirculantSpec(2 * (k * _B + e), (1, 3)) for k in (1, 2) for e in (-1, 0, 1)),
+    *(CirculantSpec(2 * (_B + e) + 1, (1, 2)) for e in (-1, 0, 1)),
+    CirculantSpec(2 * _B, (1, 7, _B)),
+    CirculantSpec(2 * _B + 1, (1, 5, 5, 2 * _B - 4)),
+    CirculantSpec(2 * _B + 2, (1, 1, _B + 1)),
+    TorusSpec((3, 2 * _B + 5)),
+    TorusSpec((2 * _B + 2,)),
+    TorusSpec((2, 4 * _B, 1)),
+    TorusSpec((7, 5, 30001)),
+    TorusSpec((5, 7, 9)),
+    TorusSpec((9, 4, 7)),
+    TorusSpec((40, 41, 40)),
+    TorusSpec((1, 2, 3, 700)),
+    TorusSpec((2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("spec", _STREAM_EDGE_SPECS, ids=str)
+def test_block_stream_sums_equal_the_fsum_over_the_spectrum(spec):
+    full = spectrum(spec)
+    assert log_det_star(spec).hex() == math.fsum(np.log(full[full != 0.0])).hex()
+    for t in (0.01, 1.5):
+        assert theta_discrete_spectral(spec, t).value.hex() == math.fsum(np.exp(-full * t)).hex()
+
+
+def test_block_stream_keeps_the_spectrum_messages():
+    # zero modes of weight 1 and 2, in one block and in two
+    for n, gens, zeros in [(8, (2, 4), 2), (12, (3, 6), 3), (6 * _B, (3,), 3)]:
+        with pytest.raises(GraphSpecError,
+                           match=f"^expected exactly one zero eigenvalue, got {zeros}$"):
+            log_det_star(_unvalidated_circulant(n, gens))
+    for sides in [(1,), (1, 1)]:
+        with pytest.raises(GraphSpecError, match="^spectrum has no nonzero eigenvalues$"):
+            log_det_star(TorusSpec(sides))
+
+
+@pytest.mark.parametrize("spec,limit_mb", [
+    (CirculantSpec(10**6, (1, 2)), 9.0),
+    (TorusSpec((252, 16000)), 2.0),
+])
+def test_log_det_star_builds_no_full_spectrum_temporaries(spec, limit_mb):
+    # the circulant keeps its half table and one folded array of n/2 + 1
+    # modes (8 MB in all), the torus a few blocks' worth; with full-spectrum
+    # temporaries the peaks were 12.0 and 17.3 MB
+    log_det_star(spec)
+    tracemalloc.start()
+    try:
+        log_det_star(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 @st.composite

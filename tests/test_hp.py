@@ -30,6 +30,7 @@ from oracles import (
     mahler_lead_newton_mpc,
     mpf_product_chain,
     sin2_table_four_products,
+    torus_constant_prediction_per_mode,
 )
 
 
@@ -439,6 +440,19 @@ def test_torus_residual_closed_form():
             expected = 2 * mp.log(1 - rho ** -n)
             got = hp.predict_torus_constant_hp(n, (2,), (1,), 70).residual
             assert abs(got - expected) < mp.mpf(10) ** -45
+
+
+@pytest.mark.parametrize("n,alpha,b,dps", [
+    (5, (3,), 1, 40), (4, (2, 2), 2, 100), (3, (5, 7), 1, 60), (2, (4, 3, 2), 2, 80),
+    (2, (30, 30), 1, 210), (1, (300,), 1, 200),
+])
+def test_torus_constant_hp_prediction_equals_the_per_mode_form(n, alpha, b, dps):
+    # one sinpi per side and index and one arccosh per distinct mode value
+    # give the mpf of one of each per mode, bit for bit; (30, 30) has 900
+    # modes and 231 distinct values
+    report = hp.predict_torus_constant_hp(n, alpha, (b,), dps)
+    oracle = torus_constant_prediction_per_mode(n, alpha, b, dps)
+    assert report.predicted_log_det._mpf_ == oracle._mpf_
 
 
 def test_torus_residual_requires_single_growing_side():

@@ -109,6 +109,7 @@ def test_bessel_orders_vector_matches_scalar():
         vec = bessel_i_scaled_orders(t, 25)
         for m in (0, 1, 7, 25):
             assert vec[m] == pytest.approx(bessel_i_scaled(m, t), rel=1e-12, abs=1e-300)
+    assert bessel_i_scaled_orders(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_bessel_rejects_negative_argument():
