@@ -19,8 +19,6 @@ from .specfun import (
     bessel_i_scaled,
     theta_discrete_spectral,
     theta_discrete_bessel,
-    theta_circle,
-    theta_real_torus,
     dedekind_eta,
     riemann_zeta_real,
     catalan_constant,

@@ -27,11 +27,14 @@ periodic mean over x of arccosh(1 + (lambda + 4 sin^2(pi x))/2), by the same
 trapezoid rule, and the lambda = 0 mode is c_2 = 4G/pi (Catalan's G); with
 three or more it is the Mellin-Bessel integral itself, on one trapezoid
 grid.  The regularized determinant of a diagonal real torus comes from the
-spectral zeta derivative at zero: -2 log b for a circle of length b, and
-otherwise the theta-split formula, one Mellin integral cut at the split.
-Epstein zeta values in the convergent regime come from the Riemann zeta
-function for a circle, and otherwise from a direct lattice sum with a
-certified sandwich tail.
+spectral zeta derivative at zero: -2 log b for a circle of length b,
+Kronecker's limit formula for two sides, and above that the Chowla-Selberg
+reduction along the largest side, a sum of circle determinants.  Epstein
+zeta values in the convergent regime come from the Riemann zeta function
+for a circle, and otherwise from the same reduction, which recurses down to
+the circle through Bessel-K sums that fall exponentially.  Each value
+carries a computed bound.  The theta-split integral and the lattice sum
+with a sandwich tail that these replaced live in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -55,14 +58,7 @@ from .graphs import (
     _symbol_poly,
 )
 from .quadrature import IntegralResult, QuadratureError, integrate_mellin, integrate_periodic_mean
-from .specfun import (
-    EULER_GAMMA,
-    _zeta_euler_maclaurin,
-    bessel_i_scaled,
-    catalan_constant,
-    theta_real_torus,
-    theta_real_torus_minus_leading,
-)
+from .specfun import _eta_with_bound, _zeta_euler_maclaurin, bessel_i_scaled, catalan_constant
 
 __all__ = [
     "AsymError",
@@ -351,149 +347,282 @@ def gamma_half_integer(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Epstein zeta: convergent lattice sums
+# Epstein zeta of a diagonal real torus, by reduction along its largest side
 # ---------------------------------------------------------------------------
 
-
-def _tail_integral(a: float, h: float, r: int, s: float, sign: float) -> float:
-    """int_a^inf sigma^{-2s} (sigma + sign*h)^{r-1} dsigma, integer r >= 1."""
-    total = 0.0
-    for j in range(r):
-        p = r - 1 - j  # power of sigma after binomial expansion
-        denom = 2.0 * s - p - 1.0
-        total += math.comb(r - 1, j) * (sign * h) ** j * a ** (p + 1 - 2.0 * s) / denom
-    return total
+_EPS = sys.float_info.epsilon
+# lines and Bessel-K terms are summed until their bound falls about e^{-45}
+# below the value, whose scaled form is at least 2
+_REACH = 45.0
+# lines of one reduction step, and Bessel-K terms times their quadrature nodes
+_MAX_K_WORK = 1 << 20
 
 
-def epstein_zeta_sum(sides: Sequence[float], s: float,
-                     tail_target: float = 1e-10,
-                     max_lattice_points: int = 20_000_000) -> EpsteinValue:
+def _bessel_k(nu: float, log_front: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{log_front} K_nu(z) elementwise, for nu >= 1/2 and z >= 2 pi; its rounding units).
+
+    At half-integer nu below 100 this is the closed form sqrt(pi / 2z)
+    e^{-z} sum_{k<=n} (n+k)! / (k! (n-k)!) (2z)^{-k}, n = nu - 1/2, by
+    Horner.  Otherwise it is the trapezoid sum of int_0^inf
+    exp(-z cosh u) cosh(nu u) du: the integrand is analytic in the strip
+    |Im u| < pi/2 and falls double exponentially, so with steps of at most
+    0.7 (nu^2 + z^2)^{-1/4} (the width of its peak at u = arcsinh(nu/z))
+    and 0.1, out to where it lies e^{-46} below that peak, the rule is
+    within about e^{-40} of the integral.  Either way the front factor and
+    e^{-z} share one exponent, so neither over- or underflows alone.  The
+    relative rounding of each value is at most (|log_front| + z + nu + 16)
+    units, the exponent's magnitude plus the Horner or node sums.
+    """
+    if not z.size:
+        return z, z
+    units = np.abs(log_front) + z + nu + 16.0
+    n = nu - 0.5
+    if n == int(n) and n < 100:
+        n = int(n)
+        if z.size * (n + 1) > _MAX_K_WORK:
+            raise EnumerationCapError(f"epstein reduction would need {z.size} Bessel terms "
+                                      f"of order {nu}; cap is {_MAX_K_WORK} term-nodes")
+        coeffs = [math.comb(n + k, k) * math.perm(n, k) for k in range(n + 1)]
+        w = 0.5 / z
+        poly = np.full(z.shape, float(coeffs[-1]))
+        for c in reversed(coeffs[:-1]):
+            poly = poly * w + c
+        return np.exp(log_front - z) * np.sqrt(np.pi / (2.0 * z)) * poly, units
+    peak = np.arcsinh(nu / z)
+    step = np.minimum(0.1, 0.7 / np.sqrt(np.hypot(nu, z)))
+    top = z * np.cosh(peak) - nu * peak + 46.0
+    end = peak + 1.0
+    for _ in range(6):  # end = arccosh((nu end + top) / z), a contraction past the peak
+        end = np.arccosh((top + nu * end) / z)
+    nodes = int(np.ceil((end / step).max())) + 1
+    if z.size * nodes > _MAX_K_WORK:
+        raise EnumerationCapError(f"epstein reduction would need {z.size} Bessel terms of "
+                                  f"{nodes} nodes; cap is {_MAX_K_WORK} term-nodes")
+    step = end / nodes
+    u = step[:, None] * np.arange(nodes + 1)
+    f = np.exp((log_front - z)[:, None] - 2.0 * z[:, None] * np.sinh(0.5 * u) ** 2 + nu * u)
+    f *= 0.5 + 0.5 * np.exp(-2.0 * nu * u)
+    f[:, 0] *= 0.5
+    return step * f.sum(axis=1), units + math.log2(nodes)
+
+
+def _lines(rest: tuple[float, ...], b_r: float,
+           reach: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(z, w, edge, outside): z = b_r sqrt(mu') <= edge over the other sides' modes k' != 0.
+
+    mu' = 4 pi^2 sum k_i^2 / b_i^2 are the eigenvalues of R^{r-1}/diag(rest);
+    k' and its sign flips give one z, so the ball z <= edge is enumerated
+    over k_i >= 0 with weight w = 2 per nonzero k_i, pruned side by side.
+    ``outside`` bounds the sum of e^{-z} over the modes beyond the edge:
+    there e^{-z} <= e^{-t edge} e^{-(1-t) z} for 0 < t < 1, and with
+    z >= (2 pi b_r / sqrt(r-1)) sum |k_i| / b_i the sum over all k' != 0
+    of e^{-(1-t) z} is at most prod_i S_i - 1, S_i = (1 + q_i) / (1 - q_i),
+    q_i = exp(-(1-t) 2 pi b_r / (sqrt(r-1) b_i)).  The edge is
+    (reach + log(prod_i S_i - 1)) / t at the t of a few that gives the
+    nearest, and at least reach, so ``outside`` is e^{-reach}; a floor of
+    1e-300 on prod_i S_i - 1 keeps its logarithm finite.
+    """
+    c = 2.0 * math.pi * b_r
+    root = math.sqrt(len(rest))
+
+    def edge_at(t):
+        qs = [math.exp(-(1.0 - t) * c / (root * b)) for b in rest]
+        s_minus_one = math.expm1(math.fsum(math.log1p(2.0 * q / (1.0 - q)) for q in qs))
+        return (reach + math.log(max(s_minus_one, 1e-300))) / t
+
+    edge = max(reach, min(edge_at(t) for t in (0.5, 0.7, 0.8, 0.9, 0.95)))
+    z2 = np.zeros(1)
+    w = np.ones(1)
+    for b in rest:
+        k = np.arange(math.floor(edge * b / c) + 1.0)
+        if z2.size * k.size > _MAX_K_WORK:
+            raise EnumerationCapError(f"epstein reduction would need {z2.size * k.size} "
+                                      f"lines; cap is {_MAX_K_WORK}")
+        z2 = (z2[:, None] + (c / b * k) ** 2).ravel()
+        w = (w[:, None] * np.where(k > 0.0, 2.0, 1.0)).ravel()
+        inside = z2 <= edge * edge
+        z2, w = z2[inside], w[inside]
+    return np.sqrt(z2[1:]), w[1:], edge, math.exp(-reach)
+
+
+def _inverse_gamma(s: float) -> tuple[float, float, float]:
+    """(a, log_a, units) with 1/Gamma(s) = a e^{log_a} and the rounding units of that.
+
+    math.gamma for s below 170, where it is finite; beyond, lgamma in the
+    exponent, whose rounding grows with its magnitude.
+    """
+    if s < 170.0:
+        return 1.0 / math.gamma(s), 0.0, 4.0
+    log_a = -math.lgamma(s)
+    return 1.0, log_a, 4.0 + abs(log_a)
+
+
+def _k_lines(rest: tuple[float, ...], b_r: float, s: float) -> tuple[float, float]:
+    """(sum, bound) of the Bessel-K part of the scaled reduction step.
+
+    Line k' contributes (4 sqrt(pi) / Gamma(s)) sum_{m>=1} (2 pi^2 m^2 / z)^nu
+    K_nu(z) at z = m z', z' = b_r sqrt(mu'), nu = s - 1/2.  By Poisson that
+    line is sum_k (a + k^2)^{-s} - sqrt(pi) Gamma(nu)/Gamma(s) a^{-nu} with
+    a = (z'/2pi)^2, and the line sum lies between its integral, the second
+    term, and a^{-s} plus it, so the whole line is at most a^{-s}; a line
+    whose a^{-s} is below 2^-70 is bounded by it and not summed.  Each term
+    is positive and falls in m (z^nu K_nu(z) falls in z).  K_nu(z) <= sqrt(pi
+    / 2z) e^{-z} (1 - (nu - 1/2) / 2z)^{-nu - 1/2} for z > (nu - 1/2)/2, from
+    the Laplace form of K_nu, so the terms with z beyond 2 nu + 45 are
+    bounded by a geometric series in m, and the lines beyond the edge of
+    _lines by that bound at the edge times their sum of e^{-z'}.
+    """
+    nu = s - 0.5
+    reach = 2.0 * nu + _REACH
+    z_line, w_line, edge, outside = _lines(rest, b_r, reach)
+    a, log_a, a_units = _inverse_gamma(s)
+    a *= 4.0 * math.sqrt(math.pi)
+    whole = w_line * (z_line / (2.0 * math.pi)) ** (-2.0 * s)
+    keep = whole > 2.0 ** -70
+    z_line, w_line = z_line[keep], w_line[keep]
+    bound = [math.fsum(whole[~keep])]
+
+    last = np.floor(reach / z_line)  # the last m summed on each line
+    rows = np.repeat(np.arange(z_line.size), last.astype(int))
+    m = np.arange(rows.size) - np.repeat(np.cumsum(last) - last, last.astype(int)) + 1.0
+    z = m * z_line[rows]
+    terms, units = _bessel_k(nu, nu * np.log(2.0 * math.pi ** 2 * m / z_line[rows]) + log_a, z)
+    terms *= a * w_line[rows]
+    total = math.fsum(terms)
+    bound.append(math.fsum(terms * (units + a_units)) * _EPS)
+
+    def envelope(m, z, drop):
+        """e^{z - drop} times the bound on (4 sqrt(pi) / Gamma(s)) (2 pi^2 m^2 / z)^nu K_nu(z)."""
+        return a * np.exp(nu * np.log(2.0 * math.pi ** 2 * m * m / z) + log_a - drop) \
+            * np.sqrt(math.pi / (2.0 * z)) * (1.0 - (nu - 0.5) / (2.0 * z)) ** (-nu - 0.5)
+
+    first = last + 1.0  # the first m left out on each line
+    ratio = np.exp((nu - 0.5) * np.log1p(1.0 / first) - z_line)
+    left_out = envelope(first, first * z_line, first * z_line) / (1.0 - ratio)
+    bound.append(math.fsum(w_line * np.minimum(left_out, whole[keep] / w_line)))
+    bound.append(float(envelope(1.0, edge, 0.0)) * outside
+                 / -math.expm1((nu - 0.5) * math.log(2.0) - edge))
+    return total, math.fsum(bound)
+
+
+def _epstein_scaled(sides: tuple[float, ...], s: float) -> tuple[float, float]:
+    """(F, bound) with F = (2 pi / b_r)^{2s} zeta(s), for sorted sides b_1 <= .. <= b_r, s > r/2.
+
+    (2 pi / b_r)^2 is the smallest eigenvalue, so F >= 2 zeta_R(2s) >= 2
+    and every one of its terms is at most 1.  Poisson summation along b_r
+    (Chowla-Selberg) gives, with the k' = 0 line in closed form,
+
+      F_r(s) = 2 zeta_R(2s) + sqrt(pi) Gamma(s - 1/2)/Gamma(s)
+               (b_{r-1}/b_r)^{2s-1} F_{r-1}(s - 1/2) + the Bessel-K lines
+
+    (_k_lines), and F_1(s) = 2 zeta_R(2s).  The bound adds the first
+    omitted Euler-Maclaurin term of zeta_R, the truncations of _k_lines,
+    the bound of F_{r-1} carried through its factor, and the rounding of
+    the step; that of zeta_R is the caller's, a few units of F.
+    """
+    zeta, omitted = _zeta_euler_maclaurin(2.0 * s)
+    value = 2.0 * zeta
+    bound = [2.0 * omitted]
+    if len(sides) > 1:
+        *rest, b_r = sides
+        lower, lower_bound = _epstein_scaled(tuple(rest), s - 0.5)
+        a, log_a, a_units = _inverse_gamma(s)
+        b, log_b, b_units = _inverse_gamma(s - 0.5)
+        factor = math.sqrt(math.pi) * (a / b) * math.exp(log_a - log_b) \
+            * (rest[-1] / b_r) ** (2.0 * s - 1.0)
+        ksum, kbound = _k_lines(tuple(rest), b_r, s)
+        bound += [factor * lower_bound, factor * lower * (a_units + b_units + 2.0 * s + 4.0) * _EPS,
+                  kbound, 4.0 * _EPS * (value + factor * lower + ksum)]
+        value += factor * lower + ksum
+    return value, math.fsum(bound)
+
+
+def epstein_zeta_sum(sides: Sequence[float], s: float) -> EpsteinValue:
     """Spectral zeta of the real torus R^r/diag(sides)Z^r in the convergent regime.
 
     zeta(s) = (4 pi^2)^{-s} sum_{k != 0} (sum_i k_i^2/m_i^2)^{-s} for s > r/2.
-    A circle (r = 1) gives 2 (m / 2 pi)^{2s} zeta_R(2s); its bound is the
-    first omitted Euler-Maclaurin term of zeta_R plus the rounding, whose
-    share grows with 2s because (m / 2 pi) carries one rounding into the
-    power.  For r >= 2 the ellipsoid Q(k) <= R^2 is summed with a sandwich
-    tail: the midpoint of the upper/lower integral comparisons is added and
-    their half-width is the certified tail bound, at most ``tail_target``.
-    The terms are summed as (m_max^2 Q)^{-s} <= 1, with m_max^2s in the
-    prefactor, so no large s overflows; the bound adds the rounding, which grows with s.
+    It is (b_r / 2 pi)^{2s} F, with F from the reduction along the largest
+    side b_r (_epstein_scaled), so no large s over- or underflows before
+    that last product: a circle (r = 1) gives 2 (m / 2 pi)^{2s} zeta_R(2s).
+    The bound is F's, scaled, plus the rounding, whose share grows with 2s
+    because b_r / 2 pi carries one rounding into the power.  Where the
+    product underflows to 0 with two or more sides, F(s) <= F(r/2 + 1)
+    bounds the value, as each term of F falls with s.
     """
     sides_t = tuple(float(m) for m in sides)
     r = len(sides_t)
-    if r == 0 or any(m <= 0 for m in sides_t):
+    if r == 0 or not all(m > 0 for m in sides_t):
         raise AsymError(f"sides must be positive: {sides}")
     if not s > 0.5 * r:
         raise AsymError(f"need s > r/2 = {0.5 * r}, got {s} (continuation not supported)")
-    if r == 1:
-        zeta, omitted = _zeta_euler_maclaurin(2.0 * s)
-        try:
-            scale = 2.0 * (sides_t[0] / (2.0 * math.pi)) ** (2.0 * s)
-        except OverflowError:
-            raise AsymError(f"epstein value overflows at side {sides_t[0]}, s = {s}") from None
-        value = scale * zeta
-        return EpsteinValue(sides=sides_t, s=float(s), value=value,
-                            tail_bound=scale * omitted + (4.0 * s + 16.0) * math.ulp(value))
-
-    h = 0.5 * math.sqrt(sum(1.0 / (m * m) for m in sides_t))
-    omega = 2.0 * math.pi ** (0.5 * r) / math.gamma(0.5 * r)
-    vol = math.prod(sides_t)
-    prefactor = (4.0 * math.pi * math.pi) ** (-s)
-
-    R = max(8.0, 4.0 * h + 4.0)
-    while True:
-        points = math.prod(2 * int(m * R) + 1 for m in sides_t)
-        if points > max_lattice_points:
-            raise EnumerationCapError(
-                f"epstein sum would need {points} lattice points for tail "
-                f"{tail_target:.1e}; cap is {max_lattice_points}"
-            )
-        upper = vol * omega * _tail_integral(R - 2.0 * h, h, r, s, +1.0)
-        lower = vol * omega * _tail_integral(R + 2.0 * h, h, r, s, -1.0)
-        remainder = 0.5 * (upper - lower) * prefactor
-        if remainder <= tail_target:
-            break
-        R *= 1.35
-
-    # the lattice is scaled by the largest side m_max, so the nearest point
-    # has q = 1, every term is at most 1 and the sum cannot overflow;
-    # m_max^2s joins the prefactor
-    m_max = max(sides_t)
-    q = np.zeros((1,))
-    for m in sides_t:
-        k = np.arange(-int(m * R), int(m * R) + 1, dtype=float)
-        q = (q[:, None] + (k * (m_max / m)) ** 2).ravel()
-    q = q[(q > 0.0) & (q <= (R * m_max) ** 2)]
+    b = tuple(sorted(sides_t))
     try:
-        scale = (4.0 * math.pi * math.pi / (m_max * m_max)) ** (-s)
+        scale = (b[-1] / (2.0 * math.pi)) ** (2.0 * s)
     except OverflowError:
-        raise AsymError(f"epstein value overflows at sides {sides_t}, s = {s}") from None
-    lattice_part = float(np.sum(q ** (-s)))
-    value = scale * lattice_part + prefactor * 0.5 * (upper + lower)
-    # each q and the scale carry about (r + 2) rounding units, whose relative
-    # error the power multiplies by s
-    rounding = (s * (3 * r + 10) + q.size.bit_length() + 3) * math.ulp(value)
+        where = f"side {b[0]}" if r == 1 else f"sides {sides_t}"
+        raise AsymError(f"epstein value overflows at {where}, s = {s}") from None
+    if scale == 0.0 and r > 1:
+        f_max, f_bound = _epstein_scaled(b, min(float(s), 0.5 * r + 1.0))
+        return EpsteinValue(sides=sides_t, s=float(s), value=0.0,
+                            tail_bound=(f_max + f_bound) * 2.0 ** -1074)
+    f, f_bound = _epstein_scaled(b, float(s))
+    value = scale * f
     return EpsteinValue(sides=sides_t, s=float(s), value=value,
-                        tail_bound=remainder + rounding)
+                        tail_bound=scale * f_bound + (4.0 * s + 16.0) * math.ulp(value))
 
 
-def epstein_zeta_prime_zero(sides: Sequence[float], split: float = 1.0,
-                            tol: float = 1e-9) -> float:
+def _zeta_prime_zero_reduced(sides: tuple[float, ...]) -> tuple[float, float]:
+    """(zeta'(0), bound) of R^r/diag(sides)Z^r, r >= 2, sides sorted.
+
+    zeta'(0) = -2 log b_r - b_r zeta_{r-1}(-1/2) - 2 sum_{k' != 0} log(1 - e^{-b_r sqrt(mu')}),
+    the determinants of circles of length b_r with masses sqrt(mu'), the
+    eigenvalues of the other sides.  At r = 2 this is Kronecker's limit
+    formula -log(b_2^2 eta(i b_2/b_1)^4).  Above, the dual-lattice
+    functional equation gives -b_r zeta_{r-1}(-1/2) = V 2^r pi^{r/2}
+    Gamma(r/2) zeta*(r/2), with V the volume and zeta* the spectral zeta of
+    the dual torus R^{r-1}/diag(1/b_i)Z^{r-1}; the log sum runs over the
+    ball of _lines, and beyond it -log(1 - e^{-z}) <= e^{-z} / (1 - e^{-z}).
+    """
+    *rest, b_r = sides
+    log_b = 2.0 * math.log(b_r)
+    if len(rest) == 1:
+        eta, eta_bound = _eta_with_bound(b_r / rest[0])
+        log_eta = 4.0 * math.log(eta)
+        value = -(log_b + log_eta)
+        return value, 4.0 * eta_bound / eta + 2.0 * _EPS * (abs(log_b) + abs(log_eta))
+    r = len(sides)
+    dual = tuple(sorted(1.0 / b for b in rest))
+    f, f_bound = _epstein_scaled(dual, 0.5 * r)
+    coef = (math.prod(sides) * 2.0 ** r * math.pi ** (0.5 * r) * math.gamma(0.5 * r)
+            * (dual[-1] / (2.0 * math.pi)) ** r)
+    z, w, edge, outside = _lines(tuple(rest), b_r, _REACH)
+    logs = -2.0 * math.fsum(w * np.log1p(-np.exp(-z)))
+    value = coef * f + logs - log_b
+    bound = (coef * f_bound + 2.0 * outside / -math.expm1(-edge)
+             + _EPS * ((3 * r + 8) * coef * f + 8.0 * logs + 2.0 * abs(log_b)))
+    return value, bound
+
+
+def epstein_zeta_prime_zero(sides: Sequence[float], tol: float = 1e-9) -> float:
     """zeta'(0) of the diagonal real torus R^r / diag(sides) Z^r.
 
-    A circle of length b has the closed form -2 log b; ``split`` plays no
-    part there, and a ``tol`` below its rounding (4 ulps) raises
-    QuadratureError.  Two or more sides take the theta-split formula
-    (_zeta_prime_zero_theta_split).
+    A circle of length b has the closed form -2 log b, with a bound of 4
+    ulps; two or more sides take the reduction along the largest side
+    (_zeta_prime_zero_reduced).  A bound above ``tol`` raises
+    QuadratureError.
     """
     sides_t = tuple(float(m) for m in sides)
-    if len(sides_t) != 1:
-        return _zeta_prime_zero_theta_split(sides_t, split, tol)
-    if not sides_t[0] > 0:
+    if not sides_t or not all(m > 0 for m in sides_t):
         raise AsymError(f"sides must be positive: {sides}")
-    if split <= 0:
-        raise AsymError(f"split must be positive, got {split}")
-    value = 0.0 - 2.0 * math.log(sides_t[0])  # 0.0 - keeps b = 1 at +0.0
-    error = 4 * math.ulp(value)
+    if len(sides_t) == 1:
+        value = 0.0 - 2.0 * math.log(sides_t[0])  # 0.0 - keeps b = 1 at +0.0
+        error = 4 * math.ulp(value)
+    else:
+        value, error = _zeta_prime_zero_reduced(tuple(sorted(sides_t)))
     if error > tol:
         raise QuadratureError(f"requested tolerance not met: error estimate {error:.3e}",
                               partial=IntegralResult(value, error, 0))
     return value
-
-
-def _zeta_prime_zero_theta_split(sides: tuple[float, ...], split: float,
-                                 tol: float) -> float:
-    """zeta'(0) of the diagonal real torus via the theta-split formula.
-
-    zeta'(0) = int_0^c (Theta(t) - det(M)(4 pi t)^{-r/2}) dt/t
-               - (2/r) det(M) (4 pi)^{-r/2} c^{-r/2} - log c + Gamma'(1)
-               + int_c^inf (Theta(t) - 1) dt/t
-
-    with Gamma'(1) = -euler_gamma and c the split point; the result is
-    split-invariant (c = 1 and c = c_Gamma are the natural choices).  The
-    two integrals are one integrate_mellin call cut at c.
-    """
-    r = len(sides)
-    if r == 0 or any(m <= 0 for m in sides):
-        raise AsymError(f"sides must be positive: {sides}")
-    if split <= 0:
-        raise AsymError(f"split must be positive, got {split}")
-    det = math.prod(sides)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape)
-        below = t < split
-        if below.any():
-            out[below] = theta_real_torus_minus_leading(sides, t[below])
-        if not below.all():
-            out[~below] = theta_real_torus(sides, t[~below]) - 1.0
-        return out
-
-    body = integrate_mellin(integrand, tol, split)
-    middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)
-              - math.log(split) - EULER_GAMMA)
-    return body.value + middle
 
 
 # ---------------------------------------------------------------------------

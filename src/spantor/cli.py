@@ -38,7 +38,7 @@ from .specfun import (
     bessel_i_scaled,
     theta_discrete_spectral,
     theta_discrete_bessel,
-    dedekind_eta,
+    _eta_with_bound,
     riemann_zeta_real,
 )
 from .asym import (
@@ -506,7 +506,7 @@ def cmd_specfun(args, sink, out) -> int:
             value = spectral.value
             err = abs(spectral.value - lattice.value) + lattice.tail_bound
         elif name == "eta":
-            value, err = dedekind_eta(_finite(rest[0])), 1e-15
+            value, err = _eta_with_bound(_finite(rest[0]))
         elif name == "zeta":
             value, err = riemann_zeta_real(_finite(rest[0])), 1e-13
         elif name == "lead":

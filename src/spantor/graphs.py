@@ -200,15 +200,17 @@ def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int) -> None:
     q = floor(g j / n) constant, and the folded index climbs by g while
     r <= n/2 and falls by g after; each such piece is one strided slice of
     the half table.  A run holds about n/g modes, so for g near n/2 the
-    slices get short and one gather of the folded indices is cheaper.
+    slices get short and a gather of the folded indices, one _BLOCK of
+    modes at a time so its temporaries stay block-sized, is cheaper.
     Either way lam[j] gets the same addend, so the sums agree bit for bit.
     """
     g %= n
     g = min(g, n - g)
     m = lam.size
     if g == 0 or g * _STRIDE_MIN_RUN > n:
-        r = (g * np.arange(m, dtype=np.int64)) % n
-        lam += half[np.minimum(r, n - r)]
+        for a in range(0, m, _BLOCK):
+            r = (g * np.arange(a, min(a + _BLOCK, m), dtype=np.int64)) % n
+            lam[a:a + r.size] += half[np.minimum(r, n - r)]
         return
     for q in range(g * (m - 1) // n + 1):
         a = -(-q * n // g)  # first j of the run

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,6 @@ __all__ = [
     "bessel_tail_envelope",
     "theta_discrete_spectral",
     "theta_discrete_bessel",
-    "theta_circle",
-    "theta_real_torus",
     "dedekind_eta",
     "riemann_zeta_real",
     "catalan_constant",
@@ -85,6 +83,23 @@ def _series_sum(m: int, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
         return np.where(settled, sums[rows, stop] + rho * weighted, math.nan)
 
 
+def _half_square(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = (z/2)^2 as rounded, and its relative rounding rho = ((z/2)^2 - q) / q.
+
+    Term k of the power series carries k times the rounding of q; Dekker's
+    exact square gives that rounding, and the sums are corrected for it to
+    first order.  rho is 0 where q is.
+    """
+    x = 0.5 * z
+    q = x * x
+    split = x * 134217729.0
+    hi = split - (split - x)
+    lo = x - hi
+    rho = np.divide(((hi * hi - q) + 2.0 * hi * lo) + lo * lo, q,
+                    out=np.zeros(z.size), where=q > 0.0)
+    return q, rho
+
+
 def _series(m: int, z: np.ndarray) -> np.ndarray:
     """e^{-z} I_m(z) by the power series, elementwise; nan where it does not settle.
 
@@ -98,14 +113,7 @@ def _series(m: int, z: np.ndarray) -> np.ndarray:
     the tail orders beyond it, whose factors would under- or overflow.
     """
     x = 0.5 * z
-    q = x * x
-    # term k carries k times the rounding of q; Dekker's exact square gives
-    # that rounding, and the sum is corrected for it to first order
-    split = x * 134217729.0
-    hi = split - (split - x)
-    lo = x - hi
-    rho = np.divide(((hi * hi - q) + 2.0 * hi * lo) + lo * lo, q,
-                    out=np.zeros(z.size), where=q > 0.0)
+    q, rho = _half_square(z)
     s = np.empty(z.size)
     small = q <= 4.0
     for rows in (small, ~small):
@@ -130,24 +138,34 @@ def _series(m: int, z: np.ndarray) -> np.ndarray:
 def _series_orders(z: float, m_max: int) -> np.ndarray:
     """e^{-z} I_m(z) for m = 0..m_max below z = 30, vectorized over orders.
 
-    Accurate in absolute terms only, as _quad_orders is above z = 30 (3.6e-17):
-    exp(m log(z/2) - log m! - z) keeps its exponent's rounding (order 8, z = 1e-8: 64.6 ulps).
+    As in _series, the sums are corrected for the rounding of (z/2)^2, and
+    the prefactor e^{-z} (z/2)^m / m! is a product of correctly rounded
+    factors for orders up to 20 (orders 0-8 within 4 ulps relative, 2^-50,
+    of mpmath), and exp(m log(z/2) - log m! - z) for the orders beyond,
+    whose factors would under- or overflow; that exponent keeps its
+    rounding, so those orders are accurate in absolute terms only, as
+    _quad_orders is above z = 30.
     """
     ms = np.arange(m_max + 1, dtype=float)
     if z == 0.0:
         return (ms == 0.0).astype(float)
-    lgam = np.array([math.lgamma(m + 1.0) for m in range(m_max + 1)])
-    log_base = ms * math.log(z / 2.0) - lgam - z
-    base = np.where(log_base < -760.0, 0.0, np.exp(np.maximum(log_base, -760.0)))
-    q = 0.25 * z * z
+    low = min(m_max, 20) + 1
+    lgam = np.array([math.lgamma(m + 1.0) for m in range(low, m_max + 1)])
+    log_base = ms[low:] * math.log(z / 2.0) - lgam - z
+    base = np.concatenate((
+        [math.exp(-z) * (math.pow(0.5 * z, m) / math.factorial(m)) for m in range(low)],
+        np.where(log_base < -760.0, 0.0, np.exp(np.maximum(log_base, -760.0)))))
+    q, rho = (float(v[0]) for v in _half_square(np.array([z])))
     s = np.ones(m_max + 1)
+    weighted = np.zeros(m_max + 1)
     term = np.ones(m_max + 1)
     for k in range(1, 100000):
         term *= q / (k * (k + ms))
         s += term
+        weighted += k * term
         if term.max() < 1e-18:
             break
-    return base * s
+    return base * (s + rho * weighted)
 
 
 # terms of the Hankel expansion tried before the window trapezoid
@@ -402,112 +420,39 @@ def theta_discrete_bessel(spec: GraphSpec, t: float, truncation: int | None = No
     return ThetaValue(t=t, value=value, tail_bound=tail_bound(cutoff), terms=terms)
 
 
-def _gauss_tail(a: np.ndarray) -> np.ndarray:
-    """sum_{k >= 1} 2 e^{-k^2 a} for a > 0, elementwise, to below 1e-17 of 1.
-
-    Each entry sums its own ceil(sqrt(40 / a)) terms in order, so it does
-    not depend on the other entries.
-    """
-    if not a.size:
-        return a
-    need = np.ceil(np.sqrt(40.0 / a))
-    if need.max() == 1.0:
-        return 2.0 * np.exp(-a)
-    k = np.arange(1.0, need.max() + 1.0)
-    terms = np.exp(np.multiply.outer(a, -k * k))
-    terms[k > need[:, None]] = 0.0
-    return 2.0 * np.add.accumulate(terms, axis=1)[:, -1]
-
-
-def _positive_times(t) -> np.ndarray:
-    """t as a 1-D float array, all of it positive."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not (times > 0.0).all():
-        raise SpecfunError(f"t must be positive, got {t}")
-    return times
-
-
-def _like(values: np.ndarray, t):
-    """A float for a scalar t, the array otherwise."""
-    return float(values[0]) if np.ndim(t) == 0 else values
-
-
-def _theta_circle(times: np.ndarray) -> np.ndarray:
-    eigen = times >= 1.0
-    s = 1.0 + _gauss_tail(np.where(eigen, 4.0 * math.pi * math.pi * times, 0.25 / times))
-    return np.where(eigen, s, s / np.sqrt(4.0 * math.pi * times))
-
-
-def theta_circle(t):
-    """Theta function of the unit circle R/Z, elementwise in t.
-
-    Eigenvalue form sum_k e^{-4 pi^2 k^2 t} for t >= 1, Gaussian (inverted)
-    form (4 pi t)^{-1/2} sum_k e^{-k^2/(4t)} for t < 1; both tails below 1e-17
-    of the value.
-    """
-    return _like(_theta_circle(_positive_times(t)), t)
-
-
-def _torus_sides(sides: Sequence[float]) -> tuple[float, ...]:
-    sides = tuple(float(m) for m in sides)
-    if not sides or any(m <= 0 for m in sides):
-        raise SpecfunError(f"sides must be positive: {sides}")
-    return sides
-
-
-def _theta_torus(sides: tuple[float, ...], times: np.ndarray) -> np.ndarray:
-    return math.prod(_theta_circle(times / (m * m)) for m in sides)
-
-
-def theta_real_torus(sides: Sequence[float], t):
-    """Theta of the diagonal real torus R^r / diag(sides) Z^r, elementwise in t.
-
-    Eigenvalues are (2 pi)^2 sum (k_i / m_i)^2, so the theta factorizes into
-    circle thetas with per-factor rescaled time t / m_i^2.
-    """
-    return _like(_theta_torus(_torus_sides(sides), _positive_times(t)), t)
-
-
-def theta_real_torus_minus_leading(sides: Sequence[float], t):
-    """Theta(t) - det(M) (4 pi t)^{-r/2}, without cancellation for small t; elementwise.
-
-    Below t = min m_i^2 each circle factor is in Gaussian form,
-    m_i (4 pi t)^{-1/2} (1 + eps_i); the difference is the leading coefficient
-    times prod(1+eps_i) - 1, accumulated stably.  Used by the spectral zeta
-    derivative integrals.
-    """
-    sides = _torus_sides(sides)
-    times = _positive_times(t)
-    out = math.prod(sides) * (4.0 * math.pi * times) ** (-0.5 * len(sides))
-    far = times >= min(m * m for m in sides)
-    if far.any():
-        out[far] = _theta_torus(sides, times[far]) - out[far]
-    if not far.all():
-        near = times[~far]
-        prod_minus_one = 0.0
-        for m in sides:
-            e = _gauss_tail(0.25 * m * m / near)
-            prod_minus_one = prod_minus_one + e + prod_minus_one * e
-        out[~far] *= prod_minus_one
-    return _like(out, t)
-
-
 # ---------------------------------------------------------------------------
 # Dedekind eta and numeric constants
 # ---------------------------------------------------------------------------
 
 
-def dedekind_eta(y: float) -> float:
-    """eta(iy) = e^{-pi y/12} prod_{n>=1} (1 - e^{-2 pi n y}) for y > 0."""
+def _eta_with_bound(y: float) -> tuple[float, float]:
+    """(eta(iy), error bound): the product taken while q^n >= 1e-17, q = e^{-2 pi y}.
+
+    The omitted factors, prod_{k>=n} (1 - q^k) >= 1 - q^n / (1 - q), move the
+    value by at most q^n / (1 - q) of itself.  The rounding adds, relative to
+    the value, one unit per product and per subtraction, the roundings of
+    exp and of its argument pi y / 12, and those of q^k: each of its k
+    factors brings (1 + 2 pi y) eps from q and eps from its product, which
+    move 1 - q^k by q^k times that, sum_k k q^k = q / (1 - q)^2 in all.
+    """
     if y <= 0.0:
         raise SpecfunError(f"y must be positive, got {y}")
     q = math.exp(-2.0 * math.pi * y)
     prod = 1.0
     qn = q
+    factors = 0
     while qn >= 1e-17:
         prod *= 1.0 - qn
         qn *= q
-    return math.exp(-math.pi * y / 12.0) * prod
+        factors += 1
+    value = math.exp(-math.pi * y / 12.0) * prod
+    units = 2 * factors + 4 + math.pi * y / 12.0 + (2.0 + 2.0 * math.pi * y) * q / (1.0 - q) ** 2
+    return value, value * (qn / (1.0 - q) + units * sys.float_info.epsilon)
+
+
+def dedekind_eta(y: float) -> float:
+    """eta(iy) = e^{-pi y/12} prod_{n>=1} (1 - e^{-2 pi n y}) for y > 0."""
+    return _eta_with_bound(y)[0]
 
 
 # Bernoulli numbers B_2..B_12 for the Euler-Maclaurin correction, and B_14,

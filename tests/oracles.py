@@ -13,16 +13,19 @@ the paper's Mellin-Bessel integral over a d-dimensional Bessel function
 integrated here by its own windowed trapezoid or the log-sin integral by
 Gauss panels drilling into its endpoints, torus mode integrals are
 Mellin-Bessel integrals of that trapezoid's Bessel function, Bessel values
-come from mpmath/scipy, and the circulant-lattice isomorphism is realized by
-building Lambda_Gamma here and reducing explicitly.  From spantor only the
-spec classes and the Mellin quadrature engine are imported.
+come from mpmath/scipy, the circulant-lattice isomorphism is realized by
+building Lambda_Gamma here and reducing explicitly, and the real-torus
+constants, which the library reduces along the largest side, come from the
+theta-split Mellin integral (zeta'(0)), a direct lattice sum with a sandwich
+tail and an mpmath theta split (Epstein zeta).  From spantor only the spec
+classes and the Mellin quadrature engine are imported.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -579,3 +582,219 @@ def torus_mode_mellin(lam: float, q: int, tol: float = 1e-10) -> IntegralResult:
         lambda ts: np.array([math.exp(-t) - bessel_multi_scaled((1,), 0, 2.0 * t) ** q
                              * math.exp(-lam * t) for t in ts]),
         tol)
+
+
+# ---------------------------------------------------------------------------
+# Real tori: theta functions, the theta-split zeta'(0) and the lattice-sum
+# Epstein zeta, independent of the reduction that spantor.asym uses
+# ---------------------------------------------------------------------------
+
+EULER_GAMMA = 0.577215664901532860606512090082
+
+
+def _gauss_tail(a: np.ndarray) -> np.ndarray:
+    """sum_{k >= 1} 2 e^{-k^2 a} for a > 0, elementwise, to below 1e-17 of 1.
+
+    Each entry sums its own ceil(sqrt(40 / a)) terms in order, so it does
+    not depend on the other entries.
+    """
+    if not a.size:
+        return a
+    need = np.ceil(np.sqrt(40.0 / a))
+    if need.max() == 1.0:
+        return 2.0 * np.exp(-a)
+    k = np.arange(1.0, need.max() + 1.0)
+    terms = np.exp(np.multiply.outer(a, -k * k))
+    terms[k > need[:, None]] = 0.0
+    return 2.0 * np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _positive_times(t) -> np.ndarray:
+    """t as a 1-D float array, all of it positive."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (times > 0.0).all():
+        raise ValueError(f"t must be positive, got {t}")
+    return times
+
+
+def _like(values: np.ndarray, t):
+    """A float for a scalar t, the array otherwise."""
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def _theta_circle(times: np.ndarray) -> np.ndarray:
+    eigen = times >= 1.0
+    s = 1.0 + _gauss_tail(np.where(eigen, 4.0 * math.pi * math.pi * times, 0.25 / times))
+    return np.where(eigen, s, s / np.sqrt(4.0 * math.pi * times))
+
+
+def theta_circle(t):
+    """Theta function of the unit circle R/Z, elementwise in t.
+
+    Eigenvalue form sum_k e^{-4 pi^2 k^2 t} for t >= 1, Gaussian (inverted)
+    form (4 pi t)^{-1/2} sum_k e^{-k^2/(4t)} for t < 1; both tails below 1e-17
+    of the value.
+    """
+    return _like(_theta_circle(_positive_times(t)), t)
+
+
+def _torus_sides(sides: Sequence[float]) -> tuple[float, ...]:
+    sides = tuple(float(m) for m in sides)
+    if not sides or any(m <= 0 for m in sides):
+        raise ValueError(f"sides must be positive: {sides}")
+    return sides
+
+
+def _theta_torus(sides: tuple[float, ...], times: np.ndarray) -> np.ndarray:
+    return math.prod(_theta_circle(times / (m * m)) for m in sides)
+
+
+def theta_real_torus(sides: Sequence[float], t):
+    """Theta of the diagonal real torus R^r / diag(sides) Z^r, elementwise in t.
+
+    Eigenvalues are (2 pi)^2 sum (k_i / m_i)^2, so the theta factorizes into
+    circle thetas with per-factor rescaled time t / m_i^2.
+    """
+    return _like(_theta_torus(_torus_sides(sides), _positive_times(t)), t)
+
+
+def theta_real_torus_minus_leading(sides: Sequence[float], t):
+    """Theta(t) - det(M) (4 pi t)^{-r/2}, without cancellation for small t; elementwise.
+
+    Below t = min m_i^2 each circle factor is in Gaussian form,
+    m_i (4 pi t)^{-1/2} (1 + eps_i); the difference is the leading coefficient
+    times prod(1+eps_i) - 1, accumulated stably.  Used by the theta-split
+    zeta'(0).
+    """
+    sides = _torus_sides(sides)
+    times = _positive_times(t)
+    out = math.prod(sides) * (4.0 * math.pi * times) ** (-0.5 * len(sides))
+    far = times >= min(m * m for m in sides)
+    if far.any():
+        out[far] = _theta_torus(sides, times[far]) - out[far]
+    if not far.all():
+        near = times[~far]
+        prod_minus_one = 0.0
+        for m in sides:
+            e = _gauss_tail(0.25 * m * m / near)
+            prod_minus_one = prod_minus_one + e + prod_minus_one * e
+        out[~far] *= prod_minus_one
+    return _like(out, t)
+
+
+
+
+def zeta_prime_zero_theta_split(sides, split: float = 1.0, tol: float = 1e-9) -> float:
+    """zeta'(0) of the diagonal real torus via the theta-split formula.
+
+    zeta'(0) = int_0^c (Theta(t) - det(M)(4 pi t)^{-r/2}) dt/t
+               - (2/r) det(M) (4 pi)^{-r/2} c^{-r/2} - log c + Gamma'(1)
+               + int_c^inf (Theta(t) - 1) dt/t
+
+    with Gamma'(1) = -euler_gamma and c the split point; the result is
+    split-invariant (c = 1 and c = c_Gamma are the natural choices).  The
+    two integrals are one integrate_mellin call cut at c.
+    """
+    sides = _torus_sides(sides)
+    r = len(sides)
+    if split <= 0:
+        raise ValueError(f"split must be positive, got {split}")
+    det = math.prod(sides)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape)
+        below = t < split
+        if below.any():
+            out[below] = theta_real_torus_minus_leading(sides, t[below])
+        if not below.all():
+            out[~below] = theta_real_torus(sides, t[~below]) - 1.0
+        return out
+
+    body = integrate_mellin(integrand, tol, split)
+    middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)
+              - math.log(split) - EULER_GAMMA)
+    return body.value + middle
+
+
+def _tail_integral(a: float, h: float, r: int, s: float, sign: float) -> float:
+    """int_a^inf sigma^{-2s} (sigma + sign*h)^{r-1} dsigma, integer r >= 1."""
+    total = 0.0
+    for j in range(r):
+        p = r - 1 - j  # power of sigma after binomial expansion
+        denom = 2.0 * s - p - 1.0
+        total += math.comb(r - 1, j) * (sign * h) ** j * a ** (p + 1 - 2.0 * s) / denom
+    return total
+
+
+def epstein_lattice_sum(sides, s: float, tail_target: float = 1e-10,
+                        max_lattice_points: int = 20_000_000) -> tuple[float, float]:
+    """(zeta(s), bound) of R^r/diag(sides)Z^r, r >= 2, s > r/2, by a direct lattice sum.
+
+    zeta(s) = (4 pi^2)^{-s} sum_{k != 0} (sum_i k_i^2/m_i^2)^{-s}.  The
+    ellipsoid Q(k) <= R^2 is summed with a sandwich tail: the midpoint of the
+    upper/lower integral comparisons is added and their half-width is the
+    certified tail bound, at most ``tail_target``.  The terms are summed as
+    (m_max^2 Q)^{-s} <= 1, with m_max^2s in the prefactor, so no large s
+    overflows; the bound adds the rounding, which grows with s.  More than
+    ``max_lattice_points`` points raise ValueError.
+    """
+    sides_t = _torus_sides(sides)
+    r = len(sides_t)
+    h = 0.5 * math.sqrt(sum(1.0 / (m * m) for m in sides_t))
+    omega = 2.0 * math.pi ** (0.5 * r) / math.gamma(0.5 * r)
+    vol = math.prod(sides_t)
+    prefactor = (4.0 * math.pi * math.pi) ** (-s)
+
+    R = max(8.0, 4.0 * h + 4.0)
+    while True:
+        points = math.prod(2 * int(m * R) + 1 for m in sides_t)
+        if points > max_lattice_points:
+            raise ValueError(f"epstein sum would need {points} lattice points for tail "
+                             f"{tail_target:.1e}; cap is {max_lattice_points}")
+        upper = vol * omega * _tail_integral(R - 2.0 * h, h, r, s, +1.0)
+        lower = vol * omega * _tail_integral(R + 2.0 * h, h, r, s, -1.0)
+        remainder = 0.5 * (upper - lower) * prefactor
+        if remainder <= tail_target:
+            break
+        R *= 1.35
+
+    m_max = max(sides_t)
+    q = np.zeros((1,))
+    for m in sides_t:
+        k = np.arange(-int(m * R), int(m * R) + 1, dtype=float)
+        q = (q[:, None] + (k * (m_max / m)) ** 2).ravel()
+    q = q[(q > 0.0) & (q <= (R * m_max) ** 2)]
+    scale = (4.0 * math.pi * math.pi / (m_max * m_max)) ** (-s)
+    value = scale * float(np.sum(q ** (-s))) + prefactor * 0.5 * (upper + lower)
+    # each q and the scale carry about (r + 2) rounding units, whose relative
+    # error the power multiplies by s
+    rounding = (s * (3 * r + 10) + q.size.bit_length() + 3) * math.ulp(value)
+    return value, remainder + rounding
+
+
+def epstein_theta_mp(sides, s, dps: int = 30) -> mp.mpf:
+    """Epstein zeta of R^r/diag(sides)Z^r at s > r/2 by the theta split at t = 1, in mpmath.
+
+    Gamma(s) zeta(s) = int_1^inf t^{s-1} (Theta(t) - 1) dt
+                       + int_0^1 t^{s-1} (Theta(t) - V (4 pi t)^{-r/2}) dt
+                       + V (4 pi)^{-r/2} / (s - r/2) - 1/s,
+    with V the volume and Theta the product of circle thetas, each in its
+    eigenvalue form for t above its side squared and in its Gaussian form
+    below; dps + 20 digits absorb the cancellation near t = 0.
+    """
+    with mp.workdps(dps + 20):
+        b = [mp.mpf(x) for x in sides]
+        s = mp.mpf(s)
+        r = len(b)
+        vol = mp.fprod(b)
+
+        def theta(t):
+            return mp.fprod(mp.jtheta(3, 0, mp.exp(-4 * mp.pi ** 2 * t / (m * m))) if t >= m * m
+                            else m / mp.sqrt(4 * mp.pi * t) * mp.jtheta(3, 0, mp.exp(-m * m / (4 * t)))
+                            for m in b)
+
+        upper = mp.quad(lambda t: t ** (s - 1) * (theta(t) - 1), [1, 4, mp.inf])
+        lower = mp.quad(lambda t: t ** (s - 1) * (theta(t) - vol * (4 * mp.pi * t) ** (-r / 2)),
+                        [0, mp.mpf(1) / 4, 1])
+        total = upper + lower + vol * (4 * mp.pi) ** (-r / mp.mpf(2)) / (s - mp.mpf(r) / 2) - 1 / s
+        return +(total / mp.gamma(s))

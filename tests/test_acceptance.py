@@ -32,10 +32,10 @@ from spantor.asym import (
     epstein_zeta_prime_zero,
     predict_torus_sublinear,
 )
-from spantor import asym, hp
+from spantor import hp
 from spantor.cli import estimate_alpha
 
-from oracles import fibonacci, lead_term_circulant_mellin
+from oracles import fibonacci, lead_term_circulant_mellin, zeta_prime_zero_theta_split
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -153,15 +153,17 @@ def test_criterion_07_c_squared_law():
 
 def test_criterion_08_zeta_prime_anchors():
     # a circle's zeta'(0) is the closed form -2 log beta; its anchor tests the
-    # theta-split route that r >= 2 takes
+    # theta-split oracle.  Two sides take Kronecker's limit formula through
+    # spantor's eta, so their anchor is the same formula with mpmath's eta
     worst_1d = 0.0
     for beta in (1.0, 2.0, 3.0):
-        worst_1d = max(worst_1d, abs(asym._zeta_prime_zero_theta_split((beta,), 1.0, 1e-9)
+        worst_1d = max(worst_1d, abs(zeta_prime_zero_theta_split((beta,), 1.0, 1e-9)
                                      + 2.0 * math.log(beta)))
     worst_2d = 0.0
     for b1, b2 in ((1.0, 1.0), (1.0, 2.0), (2.0, 3.0)):
-        expected = -2.0 * math.log(b2 * dedekind_eta(b2 / b1) ** 2)
-        worst_2d = max(worst_2d, abs(epstein_zeta_prime_zero((b1, b2)) - expected))
+        with mp.workdps(30):
+            expected = -2.0 * mp.log(b2 * mp.eta(mp.mpc(0, mp.mpf(b2) / b1)).real ** 2)
+        worst_2d = max(worst_2d, float(abs(epstein_zeta_prime_zero((b1, b2)) - expected)))
     ok = worst_1d < 1e-8 and worst_2d < 1e-7
     _verdict(8, "zeta'(0) anchors", ok, f"(1d {worst_1d:.2e}, 2d {worst_2d:.2e})")
     assert worst_1d < 1e-8

@@ -24,16 +24,18 @@ from spantor.asym import (
     gamma_half_integer,
 )
 from spantor import asym, cli, hp
-from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec, _half_spectrum
+from spantor.graphs import CirculantSpec, TorusSpec, _half_spectrum
 from spantor.quadrature import QuadratureError, integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 
 from oracles import (
+    epstein_lattice_sum,
     folded_spectrum,
     integrate_log_endpoint,
     lead_term_circulant_mellin,
     mahler_lead_mp,
     torus_mode_mellin,
+    zeta_prime_zero_theta_split,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -301,10 +303,40 @@ def test_epstein_rejects_nonconvergent_regime():
         epstein_zeta_sum((1.0, 2.0), 1.0)
 
 
-def test_epstein_unreachable_tail_hits_cap():
-    # 22.95 M lattice points against the 20 M cap: refused before allocating
-    with pytest.raises(EnumerationCapError):
-        epstein_zeta_sum((1.0, 1.0), 1.01, tail_target=1e-30)
+def _square_lattice_mp(s, m):
+    """(4 pi^2)^{-s} 4 zeta(s) beta(s) m^{2s}, the Epstein zeta of the square torus of side m."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        return (4 * mp.pi ** 2) ** -s * 4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]) \
+            * mp.mpf(m) ** (2 * s)
+
+
+def test_epstein_near_the_pole_is_reached():
+    # the lattice sum's tail R^{2-2s} needed 22.95 M points here, over its
+    # 20 M cap; the reduction along the largest side has no such tail
+    ev = epstein_zeta_sum((1.0, 1.0), 1.01)
+    assert abs(ev.value - _square_lattice_mp(1.01, 1.0)) <= ev.tail_bound <= 1e-14 * ev.value
+
+
+@pytest.mark.parametrize("m", [1.0, 1.5, 0.3])
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+def test_epstein_square_lattice_closed_form(s, m):
+    ev = epstein_zeta_sum((m, m), s)
+    assert abs(ev.value - _square_lattice_mp(s, m)) <= ev.tail_bound <= 1e-13 * ev.value
+    if (s, m) == (1.5, 1.0):
+        assert ev.value == pytest.approx(0.036418520096128478, rel=4e-16)
+
+
+@given(st.lists(st.floats(0.3, 1.2), min_size=2, max_size=3), st.floats(2.0, 4.0))
+@settings(max_examples=25, deadline=None)
+def test_epstein_reduction_against_the_lattice_sum(sides, excess):
+    # the lattice sum's tail falls as R^{r-2s}, so s stays at least 2 above r/2
+    s = 0.5 * len(sides) + excess
+    ev = epstein_zeta_sum(sides, s)
+    value, bound = epstein_lattice_sum(sides, s, tail_target=1e-8 * ev.value,
+                                       max_lattice_points=4_000_000)
+    assert abs(ev.value - value) <= ev.tail_bound + bound
+    assert ev.tail_bound <= 1e-13 * ev.value
 
 
 @example(1.0, 0.50005)
@@ -334,11 +366,11 @@ def test_zeta_prime_zero_circle_anchor(beta):
 
 
 def test_zeta_prime_zero_split_invariance():
-    # the theta-split route, which a circle no longer takes, tested at r = 1
-    base = asym._zeta_prime_zero_theta_split((1.0,), 1.0, 1e-9)
+    # the theta-split oracle, tested at r = 1
+    base = zeta_prime_zero_theta_split((1.0,), 1.0, 1e-9)
     assert base == pytest.approx(0.0, abs=1e-9)
     for c in (2.0, 5.0):
-        moved = asym._zeta_prime_zero_theta_split((1.0,), c, 1e-9)
+        moved = zeta_prime_zero_theta_split((1.0,), c, 1e-9)
         assert abs(moved - base) <= 2e-9
 
 
@@ -347,7 +379,6 @@ def test_zeta_prime_zero_circle_closed_form(beta):
     value = epstein_zeta_prime_zero((beta,))
     assert value == 0.0 - 2.0 * math.log(beta)
     assert math.copysign(1.0, value) == (1.0 if beta <= 1.0 else -1.0)  # +0.0 at beta = 1
-    assert epstein_zeta_prime_zero((beta,), split=3.0) == value
     if value:
         with pytest.raises(QuadratureError, match="requested tolerance not met"):
             epstein_zeta_prime_zero((beta,), tol=2 * math.ulp(value))
@@ -358,6 +389,47 @@ def test_zeta_prime_zero_eta_anchor(b1, b2):
     value = epstein_zeta_prime_zero((b1, b2))
     expected = -2.0 * math.log(b2 * dedekind_eta(b2 / b1) ** 2)
     assert value == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 2.0), (2.0, 3.0), (0.5, 1.3), (1.0, 7.0),
+                                   (3.0, 2.0)])
+def test_zeta_prime_zero_kronecker_against_mpmath_eta(sides):
+    # Kronecker's limit formula -log(b_2^2 eta(i b_2/b_1)^4), b_2 the longer
+    # side, with mpmath's eta, and the theta-split oracle at its tol
+    value, bound = asym._zeta_prime_zero_reduced(tuple(sorted(sides)))
+    assert value == epstein_zeta_prime_zero(sides)
+    b1, b2 = sorted(sides)
+    with mp.workdps(40):
+        ref = -mp.log(mp.mpf(b2) ** 2 * mp.eta(mp.mpc(0, mp.mpf(b2) / b1)).real ** 4)
+    assert abs(value - ref) <= bound < 1e-13
+    assert abs(value - zeta_prime_zero_theta_split(sides, 1.0, 1e-12)) <= bound + 1e-11
+
+
+@given(st.lists(st.floats(0.3, 3.0), min_size=2, max_size=3))
+@settings(max_examples=15, deadline=None)
+def test_zeta_prime_zero_reduction_against_theta_split(sides):
+    value, bound = asym._zeta_prime_zero_reduced(tuple(sorted(sides)))
+    assert value == epstein_zeta_prime_zero(sides, tol=1e-12)
+    assert abs(value - zeta_prime_zero_theta_split(sides, 1.0, 1e-12)) <= bound + 1e-11
+    assert bound < 1e-12
+
+
+def test_zeta_prime_zero_beyond_tol_raises():
+    with pytest.raises(QuadratureError, match="requested tolerance not met"):
+        epstein_zeta_prime_zero((1.0, 2.0, 3.0), tol=1e-17)
+
+
+def test_epstein_reduction_wall_time():
+    # median of 21 calls: about 0.07 and 0.002 ms on a 2-vCPU VM; the lattice
+    # sum and the theta-split quadrature took 8 and 0.5 ms
+    for call, limit in ((lambda: epstein_zeta_sum((1, 1), 2.0), 2e-4),
+                        (lambda: epstein_zeta_prime_zero((1, 2)), 5e-5)):
+        times = []
+        for _ in range(21):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[10] <= limit
 
 
 # ---------------------------------------------------------------------------

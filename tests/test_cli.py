@@ -16,9 +16,10 @@ import mpmath as mp
 import pytest
 
 from spantor import cli, hp
+from spantor.asym import predict_torus_sublinear
 from spantor.cli import estimate_alpha
 
-from oracles import fibonacci
+from oracles import epstein_theta_mp, fibonacci, torus_mode_mellin
 
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -556,7 +557,7 @@ def test_specfun_zeta_prime_zero_of_the_unit_circle_is_exactly_zero(capsys):
 
 
 def test_specfun_zeta_prime_zero_refuses_an_unmeetable_tol(capsys):
-    # the theta-split quadrature reaches about 1e-13 here, not the 1e-16 asked for
+    # the closed form -2 log 2 carries a bound of 4 ulps, about 9e-16, not the 1e-16 asked for
     assert cli.main(["specfun", "zeta-prime-zero", "2", "--tol", "1e-16"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -601,6 +602,65 @@ def test_specfun_epstein_lattice_at_large_s_is_finite(capsys, sides, s, value):
     assert rc == 0
     assert doc["value"] == pytest.approx(value, rel=1e-13)
     assert 0.0 < doc["error"] <= 1e-10 * value + 1e-300
+
+
+@pytest.mark.parametrize("side, s", [("1,1", "2.0"), ("1.5,1.5", "3.0")])
+def test_specfun_epstein_square_within_1e_14_of_mpmath(capsys, side, s):
+    # the benchmark's two-sided Epstein jobs, against (4 pi^2)^-s 4 zeta(s) beta(s) m^2s;
+    # the lattice sum gave 9.8 and 7.97 digits
+    rc, out = run_cli(capsys, "specfun", "epstein", side, s)
+    doc = json.loads(out)
+    with mp.workdps(30):
+        m, s = mp.mpf(side.split(",")[0]), mp.mpf(s)
+        ref = (4 * mp.pi ** 2) ** -s * 4 * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1]) * m ** (2 * s)
+        assert rc == 0 and abs(doc["value"] - ref) <= min(doc["error"], 1e-14 * ref)
+
+
+@pytest.mark.parametrize("alpha", [(2, 3), (1, 1), (1, 1, 1)])
+def test_compare_torus_sublinear_with_a_wide_block_prints_rows(capsys, alpha):
+    # the lattice-sum Epstein value of the A-block needed more lattice points
+    # than its 20 M cap here, and the table exited 3
+    rc, out = run_cli(capsys, "compare", "--family", "torus-sublinear",
+                      "--alpha", ",".join(map(str, alpha)), "--beta", "1",
+                      "--an-rule", "floor_sqrt", "--n", "400", "--no-header")
+    assert rc == 0
+    (row,) = list(csv.reader(io.StringIO(out)))
+    exact, predicted, residual = (float(x) for x in row[3:6])
+    assert residual == exact - predicted
+    n, a_n, d = 400, 20, len(alpha) + 1
+    vertices = math.prod(alpha) * a_n ** len(alpha) * n
+    lead = torus_mode_mellin(0.0, d)  # c_d
+    with mp.workdps(30):
+        zeta = epstein_theta_mp([mp.mpf(1) / a for a in alpha], mp.mpf(d) / 2)
+        second = (mp.mpf(n) / a_n * math.prod(alpha) * (4 * mp.pi) ** (mp.mpf(d) / 2)
+                  * mp.gamma(mp.mpf(d) / 2) * zeta)
+        expected = vertices * mp.mpf(lead.value) - second
+    # the benchmark's row tolerance, widened by the oracle's own c_d error
+    allowed = vertices * (10 * 1e-10 + lead.error_estimate) + 1e-13 * abs(expected)
+    assert abs(predicted - expected) <= allowed
+    # the Epstein term alone, far inside that tolerance
+    report = predict_torus_sublinear(n, a_n, alpha, (1,), exact=False)
+    assert abs(report.components["second_order"] + second) <= 1e-13 * second
+
+
+def _readme_examples():
+    """(argv, stdout lines) of each `$ spantor ...` example in README's command-line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```\n")[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *lines = chunk.split("\n")
+        assert command.startswith("$ spantor "), command
+        examples.append(pytest.param(command.split()[2:], lines, id=command[2:]))
+    return examples
+
+
+@pytest.mark.parametrize("argv, lines", _readme_examples())
+def test_readme_cli_examples_print_their_lines(capsys, argv, lines):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.splitlines() == lines
 
 
 # ---------------------------------------------------------------------------

@@ -553,11 +553,13 @@ def test_block_stream_keeps_the_spectrum_messages():
 @pytest.mark.parametrize("spec,limit_mb", [
     (CirculantSpec(10**6, (1, 2)), 9.0),
     (TorusSpec((252, 16000)), 2.0),
+    (CirculantSpec(10**6, (1, 2, 5, 400000)), 10.0),
 ])
 def test_log_det_star_builds_no_full_spectrum_temporaries(spec, limit_mb):
     # the circulant keeps its half table and one folded array of n/2 + 1
     # modes (8 MB in all), the torus a few blocks' worth; with full-spectrum
-    # temporaries the peaks were 12.0 and 17.3 MB
+    # temporaries the peaks were 12.0 and 17.3 MB, and with the gathered
+    # generator 400000's index temporaries n/2 long, 20.5 MB
     log_det_star(spec)
     tracemalloc.start()
     try:

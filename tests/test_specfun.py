@@ -14,16 +14,18 @@ from spantor.specfun import (
     bessel_tail_envelope,
     theta_discrete_spectral,
     theta_discrete_bessel,
-    theta_circle,
-    theta_real_torus,
-    theta_real_torus_minus_leading,
     dedekind_eta,
     riemann_zeta_real,
     catalan_constant,
 )
-from spantor.specfun import _quad_orders
+from spantor.specfun import _eta_with_bound, _quad_orders
 
-from oracles import bessel_multi_scaled
+from oracles import (
+    bessel_multi_scaled,
+    theta_circle,
+    theta_real_torus,
+    theta_real_torus_minus_leading,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def test_theta_array_calls_have_the_scalar_bits():
         assert np.array_equal(theta_real_torus_minus_leading(sides, t),
                               [theta_real_torus_minus_leading(sides, float(x)) for x in t])
     assert np.array_equal(theta_circle(t), [theta_circle(float(x)) for x in t])
-    with pytest.raises(SpecfunError):
+    with pytest.raises(ValueError):
         theta_circle(np.array([1.0, 0.0]))
 
 
@@ -110,6 +112,16 @@ def test_bessel_orders_vector_matches_scalar():
         for m in (0, 1, 7, 25):
             assert vec[m] == pytest.approx(bessel_i_scaled(m, t), rel=1e-12, abs=1e-300)
     assert bessel_i_scaled_orders(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("z", [1e-8, 1e-3, 0.5, 10.0, 29.9])
+def test_bessel_orders_vector_within_4_ulps_of_mpmath(z):
+    # the log-form prefactor was 64.6 ulps off at z = 1e-8, order 8
+    values = bessel_i_scaled_orders(z, 8)
+    with mp.workdps(40):
+        for m, value in enumerate(values):
+            ref = mp.besseli(m, z) * mp.exp(-mp.mpf(z))
+            assert abs(value - ref) <= 4 * 2.0 ** -52 * ref, (m, z)
 
 
 def test_bessel_rejects_negative_argument():
@@ -341,7 +353,7 @@ def test_theta_circle_self_dual_point():
 
 
 def test_theta_circle_rejects_nonpositive():
-    with pytest.raises(SpecfunError):
+    with pytest.raises(ValueError):
         theta_circle(0.0)
 
 
@@ -386,6 +398,18 @@ def test_eta_large_argument():
 def test_eta_modularity():
     # eta(i/2) = eta(2i) sqrt(2)
     assert dedekind_eta(0.5) == pytest.approx(dedekind_eta(2.0) * math.sqrt(2.0), rel=1e-12)
+
+
+def test_eta_bound_covers_mpmath_and_moves_with_y():
+    bounds = []
+    with mp.workdps(40):
+        for y in np.geomspace(0.05, 20.0, 41):
+            value, bound = _eta_with_bound(float(y))
+            assert value == dedekind_eta(float(y))
+            assert abs(value - mp.eta(mp.mpc(0, y)).real) <= bound, y
+            bounds.append(bound / value)
+    assert len(set(bounds)) > 30
+    assert max(bounds) < 1e-13
 
 
 def test_eta_rejects_nonpositive():
