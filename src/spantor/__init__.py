@@ -15,7 +15,6 @@ from .graphs import (
 from .specfun import (
     SpecfunError,
     ThetaValue,
-    EULER_GAMMA,
     bessel_i_scaled,
     theta_discrete_spectral,
     theta_discrete_bessel,

@@ -116,9 +116,9 @@ class EpsteinValue:
 class AsymptoticReport:
     """Predicted vs measured log-determinant decomposition.
 
-    ``predicted_log_det`` is by construction the sum of ``components``;
-    ``residual`` is exact - predicted and is None when the exact spectrum was
-    not enumerable.
+    ``predicted_log_det`` is the sum of ``components`` (the high-precision
+    predictors leave them empty); ``residual`` is exact - predicted and is
+    None when the exact spectrum was not enumerable.
     """
 
     n: int
@@ -127,32 +127,24 @@ class AsymptoticReport:
     residual: float | None
     components: dict[str, float]
 
-    @property
-    def predicted_log_tree_count(self) -> float:
-        return self.predicted_log_det - math.log(self.vertex_count)
 
-    @property
-    def vertex_count(self) -> int:
-        return int(self.components.get("_vertices", self.n))
+def _report(n: int, predicted, components: dict[str, float], spec, cap: int,
+            log_det) -> AsymptoticReport:
+    """The report of ``predicted`` against the exact ``log_det(spec, cap)``.
 
-    def predicted_tree_count(self) -> float:
-        try:
-            return math.exp(self.predicted_log_tree_count)
-        except OverflowError:
-            return math.inf
-
-
-def _report(n: int, components: dict[str, float],
-            exact: float | None) -> AsymptoticReport:
-    predicted = math.fsum(v for k, v in components.items() if not k.startswith("_"))
-    residual = None if exact is None else exact - predicted
-    return AsymptoticReport(
-        n=n,
-        predicted_log_det=predicted,
-        exact_log_det=exact,
-        residual=residual,
-        components=components,
-    )
+    Above ``cap`` vertices the exact value and the residual are None.  The
+    residual is taken at the current precision, so the mpf predictors of
+    spantor.hp call this inside their working precision.  The float
+    predictors pass log_det_star as they call, not as a default bound at
+    import, so a wrapper installed on asym.log_det_star sees the call.
+    """
+    try:
+        exact = log_det(spec, cap)
+    except EnumerationCapError:
+        exact = None
+    return AsymptoticReport(n=n, predicted_log_det=predicted, exact_log_det=exact,
+                            residual=None if exact is None else exact - predicted,
+                            components=components)
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +622,14 @@ def epstein_zeta_prime_zero(sides: Sequence[float], tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exact_log_det(spec, cap: int) -> float | None:
-    try:
-        return log_det_star(spec, cap=cap)
-    except EnumerationCapError:
-        return None
-
-
-def predict_circulant(n: int, generators: Sequence[int], exact: bool = True,
+def predict_circulant(n: int, generators: Sequence[int],
                       cap: int = DEFAULT_EIGENVALUE_CAP,
                       tol: float = 1e-10) -> AsymptoticReport:
     """Asymptotic prediction n*I + 2 log n - log c_Gamma for log det*.
 
-    When ``exact`` is set and the spectrum is enumerable the exact value and
-    residual are filled in.  The predicted tree count (n/c_Gamma) e^{n I} is
-    exposed through the report's predicted_tree_count.
+    The exact value and residual are filled in when the spectrum has at
+    most ``cap`` vertices.  The predicted tree count (n/c_Gamma) e^{n I} is
+    e^{predicted_log_det} / n.
     """
     spec = CirculantSpec(n, tuple(generators))
     lead = lead_term_circulant(spec.generators, tol=tol)
@@ -652,10 +637,8 @@ def predict_circulant(n: int, generators: Sequence[int], exact: bool = True,
         "lead": n * lead.value,
         "two_log_n": 2.0 * math.log(n),
         "minus_log_c_gamma": -math.log(spec.c_gamma),
-        "_vertices": float(n),
     }
-    exact_val = _exact_log_det(spec, cap) if exact else None
-    return _report(n, components, exact_val)
+    return _report(n, math.fsum(components.values()), components, spec, cap, log_det_star)
 
 
 @lru_cache(maxsize=None)
@@ -682,7 +665,6 @@ def _torus_constant_terms(alpha: tuple[int, ...], beta: tuple[int, ...],
 
 
 def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
-                           exact: bool = True,
                            cap: int = DEFAULT_EIGENVALUE_CAP,
                            tol: float = 1e-10) -> AsymptoticReport:
     """Prediction for Z^d/diag(alpha, beta*n)Z^d with constant A-block.
@@ -697,7 +679,6 @@ def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
     """
     alpha_t = tuple(int(a) for a in alpha)
     beta_t = tuple(int(b) for b in beta)
-    p = len(alpha_t)
     q = len(beta_t)
     if q < 1:
         raise AsymError("need at least one growing side (beta block)")
@@ -710,15 +691,13 @@ def predict_torus_constant(n: int, alpha: Sequence[int], beta: Sequence[int],
         "lead": n ** q * det_b * mode_sum,
         "two_log_n": 2.0 * math.log(n),
         "minus_zeta_prime": -zeta_prime,
-        "_vertices": float(math.prod(alpha_t) * det_b * n ** q if p else det_b * n ** q),
     }
-    spec = TorusSpec(alpha_t + tuple(b * n for b in beta_t), split=p)
-    exact_val = _exact_log_det(spec, cap) if exact else None
-    return _report(n, components, exact_val)
+    spec = TorusSpec(alpha_t + tuple(b * n for b in beta_t))
+    return _report(n, math.fsum(components.values()), components, spec, cap, log_det_star)
 
 
 def predict_torus_sublinear(n: int, a_n: int, alpha: Sequence[int],
-                            beta: Sequence[int], exact: bool = True,
+                            beta: Sequence[int],
                             cap: int = DEFAULT_EIGENVALUE_CAP,
                             tol: float = 1e-10) -> AsymptoticReport:
     """Asymptotic prediction for the sublinearly degenerating torus.
@@ -752,9 +731,6 @@ def predict_torus_sublinear(n: int, a_n: int, alpha: Sequence[int],
     components = {
         "lead": lead,
         "second_order": second,
-        "_vertices": float(det_lambda * a_n ** p * n ** q),
     }
-    spec = TorusSpec(tuple(a * a_n for a in alpha_t) + tuple(b * n for b in beta_t),
-                     split=p)
-    exact_val = _exact_log_det(spec, cap) if exact else None
-    return _report(n, components, exact_val)
+    spec = TorusSpec(tuple(a * a_n for a in alpha_t) + tuple(b * n for b in beta_t))
+    return _report(n, math.fsum(components.values()), components, spec, cap, log_det_star)

@@ -162,6 +162,17 @@ def _digits(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _finite(text: str) -> float:
     """float(text), refusing nan and inf as a usage error."""
     x = float(text)
@@ -548,7 +559,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--tol", type=float,
+    common.add_argument("--tol", type=_tolerance,
                         help="target tolerance for quadrature-backed values")
     common.add_argument("--precision", type=_digits, metavar="DIGITS",
                         help="decimal digits for high-precision paths (0 = float64)")
@@ -601,8 +612,9 @@ def build_parser() -> _Parser:
     p.add_argument("name", choices=("bessel", "theta", "eta", "zeta", "lead",
                                     "cd", "epstein", "zeta-prime-zero"))
     p.add_argument("args", nargs="*")
-    p.add_argument("--circulant", nargs=2, metavar=("N", "GENS"))
-    p.add_argument("--torus", metavar="SIDES")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--circulant", nargs=2, metavar=("N", "GENS"))
+    group.add_argument("--torus", metavar="SIDES")
     p.set_defaults(func=cmd_specfun)
     return parser
 

@@ -119,23 +119,15 @@ class CirculantSpec:
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Diagonal discrete torus Z^d / diag(l_1, ..., l_d) Z^d.
-
-    ``split`` optionally marks the first p sides as the A-block (the sides
-    that stay constant or grow sublinearly in the degeneration experiments);
-    it does not affect the spectrum or the tree count.
-    """
+    """Diagonal discrete torus Z^d / diag(l_1, ..., l_d) Z^d."""
 
     sides: tuple[int, ...]
-    split: int | None = None
 
     def __post_init__(self):
         sides = tuple(int(s) for s in self.sides)
         object.__setattr__(self, "sides", sides)
         if not sides or any(s < 1 for s in sides):
             raise GraphSpecError(f"sides must be positive integers: {sides}")
-        if self.split is not None and not 0 <= self.split <= len(sides):
-            raise GraphSpecError(f"split {self.split} out of range 0..{len(sides)}")
 
     @property
     def d(self) -> int:

@@ -29,8 +29,9 @@ integer sum of table entries; the sums are multiplied into one plain-int
 product per weight, rounded after each factor exactly as an mpf product
 would be, and a single log is taken at the end.  The table's guard bits
 follow from its error bound (see _guard_bits).  The circulant and
-one-growing-side torus predictors return asym's AsymptoticReport with mpf
-values, which compare --precision prints.
+one-growing-side torus predictors build their reports with asym's _report,
+with log_det_star_hp as the exact value, so the values are mpf; compare
+--precision prints them.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .asym import AsymError, AsymptoticReport, _symbol_roots
+from .asym import AsymError, AsymptoticReport, _report, _symbol_roots
 from .graphs import (
     DEFAULT_EIGENVALUE_CAP,
     CirculantSpec,
-    EnumerationCapError,
     GraphSpec,
     TorusSpec,
     _half_spectrum,
@@ -61,7 +61,6 @@ __all__ = [
     "predict_circulant_hp",
     "predict_torus_constant_hp",
     "conjecture_tau_hp",
-    "conjecture_surd_identities",
     "ConjectureVerdict",
     "verify_conjecture",
 ]
@@ -271,21 +270,6 @@ def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP
         return +mp.log(total)
 
 
-def _report_hp(n: int, predicted: mp.mpf, spec: GraphSpec, dps: int, cap: int) -> AsymptoticReport:
-    """The report of ``predicted`` against log_det_star_hp(spec, dps), with mpf values.
-
-    The residual is taken at the current precision; above ``cap`` vertices
-    it and the exact value are None.
-    """
-    try:
-        exact = log_det_star_hp(spec, dps, cap)
-    except EnumerationCapError:
-        exact = None
-    return AsymptoticReport(n=n, predicted_log_det=predicted, exact_log_det=exact,
-                            residual=None if exact is None else exact - predicted,
-                            components={"_vertices": spec.vertex_count})
-
-
 def predict_circulant_hp(n: int, gens: Sequence[int], dps: int,
                          cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
     """n I + 2 log n - log c_Gamma against the exact log det* of C_n^Gamma at dps digits.
@@ -297,7 +281,7 @@ def predict_circulant_hp(n: int, gens: Sequence[int], dps: int,
     lead = lead_term_circulant_hp(spec.generators, dps)
     with mp.workdps(dps):
         predicted = n * lead + 2 * mp.log(n) - mp.log(spec.c_gamma)
-        return _report_hp(n, predicted, spec, dps, cap)
+        return _report(n, predicted, {}, spec, cap, lambda s, c: log_det_star_hp(s, dps, c))
 
 
 def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int], dps: int,
@@ -312,7 +296,7 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
     if len(beta) != 1:
         raise AsymError("high-precision torus prediction supports exactly one growing side")
     alpha, b = tuple(int(a) for a in alpha), int(beta[0])
-    spec = TorusSpec(alpha + (b * n,), split=len(alpha))
+    spec = TorusSpec(alpha + (b * n,))
     dps += 10
     with mp.workdps(dps):
         lams = [mp.mpf(0)]
@@ -321,7 +305,8 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
             lams = [lam + term for lam in lams for term in side]
         acosh = {lam: mp.acosh(1 + lam / 2) for lam in set(lams)}
         lead = n * b * mp.fsum(acosh[lam] for lam in lams)
-        return _report_hp(n, lead + 2 * mp.log(n) + 2 * mp.log(b), spec, dps, cap)
+        return _report(n, lead + 2 * mp.log(n) + 2 * mp.log(b), {}, spec, cap,
+                       lambda s, c: log_det_star_hp(s, dps, c))
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +339,6 @@ def conjecture_tau_hp(n: int, dps: int) -> mp.mpf:
         fx = mp.power(x_plus, n) + mp.power(x_plus, -n) + a_minus
         fy = mp.power(y_plus, n) + mp.power(y_plus, -n) + a_plus
         return +(mp.mpf(n) / 5 * fx ** 2 * fy ** 2)
-
-
-def conjecture_surd_identities(dps: int = 60) -> dict[str, mp.mpf]:
-    """Internal identities: x_+ = e^{J_1^5}, y_+ = e^{J_2^5}, cosh J_1^5 = (9-sqrt5)/4.
-
-    J_k^5 = arccosh(2 - cos(2 pi k / 5)).  Returns absolute deviations.
-    """
-    with mp.workdps(dps):
-        x_plus, y_plus, _, _ = _conjecture_factors(dps)
-        j1 = mp.acosh(2 - mp.cospi(mp.mpf(2) / 5))
-        j2 = mp.acosh(2 - mp.cospi(mp.mpf(4) / 5))
-        return {
-            "x_plus_vs_exp_J1": abs(x_plus - mp.exp(j1)),
-            "y_plus_vs_exp_J2": abs(y_plus - mp.exp(j2)),
-            "cosh_J1_vs_surd": abs(mp.cosh(j1) - (9 - mp.sqrt(5)) / 4),
-            "J1_equals_J4": abs(j1 - mp.acosh(2 - mp.cospi(mp.mpf(8) / 5))),
-            "J2_equals_J3": abs(j2 - mp.acosh(2 - mp.cospi(mp.mpf(6) / 5))),
-        }
 
 
 @dataclass(frozen=True)

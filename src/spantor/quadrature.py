@@ -221,6 +221,8 @@ def integrate_periodic_mean(f: Callable[[np.ndarray], np.ndarray], tol: float = 
     sum, so it is never 0.  Raises QuadratureError beyond
     _PERIODIC_MAX_POINTS nodes.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if start < 1:
         raise ValueError(f"start must be positive, got {start}")
     # one correctly rounded sum per block, summed again exactly, so the

@@ -30,7 +30,6 @@ from .graphs import DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_bloc
 
 __all__ = [
     "SpecfunError",
-    "EULER_GAMMA",
     "ThetaValue",
     "bessel_i_scaled",
     "bessel_i_scaled_orders",
@@ -46,9 +45,6 @@ __all__ = [
 class SpecfunError(ValueError):
     """Invalid argument or unsatisfiable accuracy request."""
 
-
-#: -Gamma'(1), to 30 digits.
-EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_SWITCH = 30.0
 _MAX_QUAD_POINTS = 1 << 23
@@ -357,14 +353,12 @@ def _circulant_bessel_sum(spec: CirculantSpec, z: float, cutoff: int,
     return n * math.fsum(acc), terms
 
 
-def theta_discrete_bessel(spec: GraphSpec, t: float, truncation: int | None = None,
-                          tol: float = 1e-12) -> ThetaValue:
+def theta_discrete_bessel(spec: GraphSpec, t: float, tol: float = 1e-12) -> ThetaValue:
     """Bessel lattice-sum side of theta inversion, truncated with certified tails.
 
-    ``truncation`` is the maximum Bessel order kept in any lattice direction;
-    when omitted the smallest cutoff whose certified tail is below ``tol`` is
-    used.  An explicitly given insufficient cutoff raises SpecfunError and
-    reports the required one.
+    The cutoff, the maximum Bessel order kept in any lattice direction, is
+    the first of 8, then max(c + 4, 1.4 c) from the last c, whose certified
+    tail is at most tol / 2; SpecfunError when none up to 100000 is.
     """
     if t < 0.0:
         raise SpecfunError(f"t must be non-negative, got {t}")
@@ -384,27 +378,11 @@ def theta_discrete_bessel(spec: GraphSpec, t: float, truncation: int | None = No
             total += 2.0 * det * _bessel_tail_sum((k_kept + 1) * l, l, z)
         return total
 
-    if truncation is None:
-        cutoff = None
-        y = 8
-        while y <= 100000:
-            if tail_bound(y) <= 0.5 * tol:
-                cutoff = y
-                break
-            y = max(y + 4, int(y * 1.4))
-        if cutoff is None:
+    cutoff = 8
+    while not tail_bound(cutoff) <= 0.5 * tol:  # a nan bound or tol never passes
+        cutoff = max(cutoff + 4, int(cutoff * 1.4))
+        if cutoff > 100000:
             raise SpecfunError(f"no certified cutoff below {tol} for t={t}")
-    else:
-        cutoff = int(truncation)
-        bound = tail_bound(cutoff)
-        if bound > tol:
-            y = cutoff
-            while y <= 100000 and tail_bound(y) > 0.5 * tol:
-                y = max(y + 4, int(y * 1.4))
-            raise SpecfunError(
-                f"truncation {cutoff} gives certified tail {bound:.3e} > {tol:.1e}; "
-                f"need at least {y}"
-            )
 
     coeffs = bessel_i_scaled_orders(z, cutoff)
     if isinstance(spec, CirculantSpec):

@@ -17,8 +17,10 @@ come from mpmath/scipy, the circulant-lattice isomorphism is realized by
 building Lambda_Gamma here and reducing explicitly, and the real-torus
 constants, which the library reduces along the largest side, come from the
 theta-split Mellin integral (zeta'(0)), a direct lattice sum with a sandwich
-tail and an mpmath theta split (Epstein zeta).  From spantor only the spec
-classes and the Mellin quadrature engine are imported.
+tail and an mpmath theta split (Epstein zeta), and the tree counts of
+C_{beta n}^{1,n} and the beta = 5 surds come from the cycle-cover product
+form in mpmath.  From spantor only the spec classes and the Mellin
+quadrature engine are imported.
 """
 
 from __future__ import annotations
@@ -39,6 +41,45 @@ def fibonacci(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def product_form_tree_count(beta: int, n: int) -> int:
+    """tau(C_{beta n}^{1,n}) from the product form, rounded to the nearest integer.
+
+    (n / beta) prod_{k=1}^{beta-1} (2 cosh(n J_k) - 2 cos(2 pi k / beta)) with
+    J_k = arccosh(2 - cos(2 pi k / beta)), the cycle-cover identity.  The
+    product is evaluated in mpmath at bits(tau) / 3 + 30 digits, bits(tau)
+    read from a 30-digit pass, and rounded inside that precision.
+    """
+    def product():
+        value = mp.mpf(n) / beta
+        for k in range(1, beta):
+            c = mp.cospi(mp.mpf(2 * k) / beta)
+            value *= 2 * mp.cosh(n * mp.acosh(2 - c)) - 2 * c
+        return value
+
+    with mp.workdps(30):
+        bits = int(mp.log(product(), 2)) + 1
+    with mp.workdps(bits // 3 + 30):
+        return int(mp.nint(product()))
+
+
+def surd_deviations(x_plus, y_plus, dps: int = 60) -> dict[str, mp.mpf]:
+    """Absolute deviations of the beta = 5 surds from their cover-route forms.
+
+    x_+ = e^{J_1}, y_+ = e^{J_2}, cosh J_1 = (9 - sqrt 5) / 4, J_1 = J_4 and
+    J_2 = J_3, with J_k = arccosh(2 - cos(2 pi k / 5)), at dps digits.
+    """
+    with mp.workdps(dps):
+        j1 = mp.acosh(2 - mp.cospi(mp.mpf(2) / 5))
+        j2 = mp.acosh(2 - mp.cospi(mp.mpf(4) / 5))
+        return {
+            "x_plus_vs_exp_J1": abs(x_plus - mp.exp(j1)),
+            "y_plus_vs_exp_J2": abs(y_plus - mp.exp(j2)),
+            "cosh_J1_vs_surd": abs(mp.cosh(j1) - (9 - mp.sqrt(5)) / 4),
+            "J1_equals_J4": abs(j1 - mp.acosh(2 - mp.cospi(mp.mpf(8) / 5))),
+            "J2_equals_J3": abs(j2 - mp.acosh(2 - mp.cospi(mp.mpf(6) / 5))),
+        }
 
 
 def multigraph_edges(spec) -> list[tuple[int, int]]:

@@ -35,7 +35,12 @@ from spantor.asym import (
 from spantor import hp
 from spantor.cli import estimate_alpha
 
-from oracles import fibonacci, lead_term_circulant_mellin, zeta_prime_zero_theta_split
+from oracles import (
+    fibonacci,
+    lead_term_circulant_mellin,
+    surd_deviations,
+    zeta_prime_zero_theta_split,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -242,7 +247,8 @@ def test_criterion_12_conjecture_exact():
     for n in range(2, 9):
         v = hp.verify_conjecture(n)
         all_match = all_match and v.match
-    surds = hp.conjecture_surd_identities(60)
+    x_plus, y_plus, _, _ = hp._conjecture_factors(60)
+    surds = surd_deviations(x_plus, y_plus, 60)
     surd_ok = surds["cosh_J1_vs_surd"] < mp.mpf(10) ** -55
     ok = all_match and surd_ok
     _verdict(12, "beta=5 conjecture n=2..8", ok,

@@ -24,7 +24,7 @@ from spantor.asym import (
     gamma_half_integer,
 )
 from spantor import asym, cli, hp
-from spantor.graphs import CirculantSpec, TorusSpec, _half_spectrum
+from spantor.graphs import CirculantSpec, TorusSpec, _half_spectrum, log_det_star
 from spantor.quadrature import QuadratureError, integrate_mellin, integrate_periodic_mean
 from spantor.specfun import bessel_i_scaled, catalan_constant, dedekind_eta, riemann_zeta_real
 
@@ -448,14 +448,13 @@ def test_predict_circulant_fibonacci_case():
     rep = predict_circulant(30, (1, 2))
     assert abs(rep.residual) < 1e-6
     assert rep.components["minus_log_c_gamma"] == pytest.approx(-math.log(5.0))
-    tau = rep.predicted_tree_count()
+    tau = math.exp(rep.predicted_log_det - math.log(30))
     assert tau == pytest.approx(30 * 832040 ** 2, rel=1e-6)
 
 
 def test_predict_circulant_component_sum():
     rep = predict_circulant(50, (1, 3))
-    visible = [v for k, v in rep.components.items() if not k.startswith("_")]
-    assert rep.predicted_log_det == pytest.approx(math.fsum(visible), abs=1e-12)
+    assert rep.predicted_log_det == pytest.approx(math.fsum(rep.components.values()), abs=1e-12)
     assert rep.exact_log_det is not None
     assert rep.residual == pytest.approx(rep.exact_log_det - rep.predicted_log_det)
 
@@ -475,10 +474,14 @@ def test_predict_circulant_cap_marks_exact_unavailable():
 
 
 def test_exact_log_det_blank_above_the_cap():
-    assert asym._exact_log_det(CirculantSpec(101, (1, 2)), cap=100) is None
-    assert asym._exact_log_det(TorusSpec((2, 3, 17)), cap=100) is None
-    assert asym._exact_log_det(CirculantSpec(100, (1, 2)), cap=100) is not None
-    assert asym._exact_log_det(TorusSpec((2, 50)), cap=100) is not None
+    def exact(spec, cap):
+        return asym._report(1, 0.0, {}, spec, cap, log_det_star).exact_log_det
+
+    assert exact(CirculantSpec(101, (1, 2)), cap=100) is None
+    assert exact(TorusSpec((2, 3, 17)), cap=100) is None
+    assert exact(CirculantSpec(100, (1, 2)), cap=100) is not None
+    assert exact(TorusSpec((2, 50)), cap=100) is not None
+    assert exact(TorusSpec((2, 50)), cap=0) is None
 
 
 @pytest.fixture
@@ -500,9 +503,9 @@ def periodic_calls(monkeypatch):
 def test_torus_constant_one_integral_per_distinct_mode(periodic_calls, alpha, distinct):
     # alpha = (3) has eigenvalues 0, 3, 3 and alpha = (2, 2) has 0, 4, 4, 8;
     # each nonzero one is a periodic mean, and the zero mode is c_2
-    predict_torus_constant(6, alpha, (1, 1), exact=False)
+    predict_torus_constant(6, alpha, (1, 1), cap=0)
     assert len(periodic_calls) == distinct - 1
-    predict_torus_constant(9, alpha, (1, 1), exact=False)
+    predict_torus_constant(9, alpha, (1, 1), cap=0)
     assert len(periodic_calls) == distinct - 1
 
 
@@ -548,7 +551,7 @@ def test_torus_constant_lead_equals_the_full_spectrum_sum(n, alpha, beta):
     # error bound and the periodic rule's (c_2's at the zero mode)
     q = len(beta)
     scale = n ** q * math.prod(beta)
-    rep = predict_torus_constant(n, alpha, beta, exact=False)
+    rep = predict_torus_constant(n, alpha, beta, cap=0)
     modes = folded_spectrum(TorusSpec(alpha))
     ours = [asym._mode_lead(lam, q, 1e-10) for lam in modes]
     if q == 1:
@@ -563,8 +566,7 @@ def test_torus_constant_lead_equals_the_full_spectrum_sum(n, alpha, beta):
     assert abs(rep.components["lead"] - lead) <= bound + 4 * math.ulp(lead)
     assert rep.components["two_log_n"] == 2.0 * math.log(n)
     assert rep.components["minus_zeta_prime"] == -epstein_zeta_prime_zero(beta, tol=1e-10)
-    assert rep.predicted_log_det == math.fsum(
-        v for k, v in rep.components.items() if k != "_vertices")
+    assert rep.predicted_log_det == math.fsum(rep.components.values())
 
 
 def test_predict_torus_constant_trivial_block():
@@ -640,6 +642,7 @@ def test_predict_torus_sublinear_rejects_empty_alpha():
 
 
 def test_report_vertex_bookkeeping():
+    # a_n = 7 and n = 50 give the 350-vertex torus Z/7Z x Z/50Z
     rep = predict_torus_sublinear(50, 7, (1,), (1,))
-    assert rep.vertex_count == 350
-    assert rep.exact_log_det is not None
+    assert rep.exact_log_det == log_det_star(TorusSpec((7, 50)))
+    assert rep.residual == rep.exact_log_det - rep.predicted_log_det

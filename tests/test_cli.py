@@ -564,6 +564,35 @@ def test_specfun_zeta_prime_zero_refuses_an_unmeetable_tol(capsys):
     assert captured.err.startswith("numerical failure: requested tolerance not met")
 
 
+@pytest.mark.parametrize("argv", [
+    ["specfun", "lead", "1,2", "--tol", "-1"],
+    ["specfun", "lead", "1,2", "--tol", "nan"],
+    ["specfun", "cd", "3", "--tol", "0"],
+    ["specfun", "cd", "3", "--tol", "inf"],
+    ["--tol", "x", "specfun", "lead", "1,2"],
+    ["compare", "--family", "circulant", "--gens", "1,2", "--n", "10", "--tol", "nan"],
+])
+def test_non_positive_or_non_finite_tol_is_a_usage_error(capsys, argv):
+    # refused while parsing, before any quadrature runs towards an unreachable tol
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --tol: expected a positive finite")
+
+
+def test_specfun_theta_refuses_both_specs(capsys):
+    argv = ["specfun", "theta", "0.5", "--circulant", "7", "1,2", "--torus", "3,3"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --torus: not allowed with")
+    # the same as count with both flags
+    assert cli.main(["count", *argv[3:]]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [["zeta", "nan"], ["zeta", "inf"], ["eta", "nan"],
                                   ["epstein", "1", "nan"], ["epstein", "1,inf", "2"],
                                   ["bessel", "0", "nan"],
@@ -639,7 +668,7 @@ def test_compare_torus_sublinear_with_a_wide_block_prints_rows(capsys, alpha):
     allowed = vertices * (10 * 1e-10 + lead.error_estimate) + 1e-13 * abs(expected)
     assert abs(predicted - expected) <= allowed
     # the Epstein term alone, far inside that tolerance
-    report = predict_torus_sublinear(n, a_n, alpha, (1,), exact=False)
+    report = predict_torus_sublinear(n, a_n, alpha, (1,), cap=0)
     assert abs(report.components["second_order"] + second) <= 1e-13 * second
 
 

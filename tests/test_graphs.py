@@ -29,6 +29,7 @@ from oracles import (
     integer_determinant,
     laplacian_matrix,
     log_det_star_full,
+    product_form_tree_count,
     quotient_graph_spectrum,
 )
 
@@ -214,6 +215,14 @@ def test_cycle_cover_route(beta, g):
     # beta = 2 is g = N/2, where each vertex has a doubled edge to its opposite
     spec = CirculantSpec(beta * g, (1, g))
     assert graphs._cover_tree_count(*graphs._cycle_cover(beta, g)) == dense_tree_count(spec)
+
+
+def test_product_form_equals_the_exact_count():
+    # the cycle-cover identity in closed form, which never calls _lucas
+    for beta in range(2, 11):
+        for n in [*range(2, 30), 60, 200]:
+            assert product_form_tree_count(beta, n) \
+                == spanning_tree_count_exact(CirculantSpec(beta * n, (1, n))), (beta, n)
 
 
 def test_cover_and_symbol_routes_agree():
@@ -669,9 +678,6 @@ def test_spec_validation():
         CirculantSpec(2, (1,))
     with pytest.raises(GraphSpecError):
         TorusSpec((0, 3))
-    with pytest.raises(GraphSpecError):
-        TorusSpec((2, 3), split=5)
-    assert TorusSpec((2, 3), split=1).split == 1
 
 
 def test_mirror_generator_semantics():

@@ -30,6 +30,7 @@ from oracles import (
     mahler_lead_newton_mpc,
     mpf_product_chain,
     sin2_table_four_products,
+    surd_deviations,
     torus_constant_prediction_per_mode,
 )
 
@@ -508,7 +509,8 @@ def test_conjecture_tries_a_precision_above_the_limit():
 
 
 def test_surd_identities():
-    devs = hp.conjecture_surd_identities(60)
+    x_plus, y_plus, _, _ = hp._conjecture_factors(60)
+    devs = surd_deviations(x_plus, y_plus, 60)
     for name, dev in devs.items():
         assert dev < mp.mpf(10) ** -55, name
 

@@ -168,6 +168,12 @@ def test_periodic_mean_point_cap(monkeypatch):
         integrate_periodic_mean(lambda x: np.abs(np.sin(np.pi * x)), tol=1e-14)
 
 
+def test_periodic_mean_rejects_nonpositive_tol():
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_periodic_mean(lambda x: np.cos(2.0 * np.pi * x), tol=tol)
+
+
 def test_periodic_mean_refuses_non_finite_values():
     with pytest.raises(QuadratureError, match="not finite"), np.errstate(divide="ignore"):
         integrate_periodic_mean(lambda x: np.log(np.sin(np.pi * x) ** 2))

@@ -304,21 +304,18 @@ def test_poisson_translated_identity():
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_theta_bessel_insufficient_truncation_reports_requirement():
-    with pytest.raises(SpecfunError) as exc:
-        theta_discrete_bessel(TorusSpec((5,)), 5.0, truncation=2)
-    assert "need at least" in str(exc.value)
-
-
 def test_theta_bessel_explicit_sufficient_truncation():
-    spec = TorusSpec((5,))
-    auto = theta_discrete_bessel(spec, 1.0)
-    manual = theta_discrete_bessel(spec, 1.0, truncation=60)
-    assert manual.value == pytest.approx(auto.value, abs=1e-12)
+    # the automatic cutoff of the circulant Bessel side meets the spectral side
     circ = CirculantSpec(9, (1, 4))
-    manual = theta_discrete_bessel(circ, 0.8, truncation=50)
+    lattice = theta_discrete_bessel(circ, 0.8).value
     spectral = theta_discrete_spectral(circ, 0.8).value
-    assert manual.value == pytest.approx(spectral, abs=1e-10)
+    assert lattice == pytest.approx(spectral, abs=1e-10)
+
+
+def test_theta_bessel_cutoff_search_stops_at_100000():
+    # orders up to about sqrt(2 z) ln(1/tol) are needed: far beyond 100000 at t = 1e12
+    with pytest.raises(SpecfunError, match="no certified cutoff"):
+        theta_discrete_bessel(TorusSpec((5,)), 1e12)
 
 
 def test_theta_bessel_heat_kernel_regime():
