@@ -216,15 +216,33 @@ def _int_text(value: int) -> str:
     """Decimal digits of a non-negative integer of any size.
 
     str() refuses integers of more than sys.get_int_max_str_digits() digits
-    (4300 by default), which exact counts pass at a few thousand vertices;
-    longer values are split in halves until each part is below that limit.
+    (4300 by default), which exact counts pass at a few thousand vertices,
+    and its conversion is quadratic.  A longer value is split in halves on
+    powers of 2 down to 2^4096 and put together again in exact decimal
+    arithmetic (libmpdec multiplies large operands by number-theoretic
+    transform), which then prints in linear time.
     """
-    digits = value.bit_length() * 3 // 10  # at most the digit count
-    if digits < 4000:
+    if value.bit_length() * 3 // 10 < 4000:  # at most the digit count
         return str(value)
-    half = digits // 2
-    high, low = divmod(value, 10 ** half)
-    return _int_text(high) + _int_text(low).zfill(half)
+    import decimal  # only for counts past str()'s limit, so the CLI starts without it
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        level = (value.bit_length() - 1).bit_length()  # value < 2^(2^level)
+        powers = [decimal.Decimal(1 << 4096)]  # powers[i] = 2^(2^(12 + i))
+        while len(powers) < level - 12:
+            powers.append(powers[-1] * powers[-1])
+
+        def join(x: int, k: int) -> decimal.Decimal:
+            """x < 2^(2^k) as a Decimal."""
+            if k <= 12:
+                return decimal.Decimal(x)
+            half = 1 << (k - 1)
+            high, low = x >> half, x & ((1 << half) - 1)
+            return join(high, k - 1) * powers[k - 13] + join(low, k - 1)
+
+        return format(join(value, level), "f")
 
 
 def cmd_count(args, sink, out) -> int:

@@ -19,9 +19,10 @@ table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
 stands for in blocks of at most 2^15; ``_half_spectrum`` joins them for
 ``spectrum`` and spantor.hp.  log det* (``log_det_star``) and theta's sum of
 w e^{-lambda t} take one exact split per block (``_exact_parts``) and one
-math.fsum of the parts, the full spectrum's math.fsum bit for bit.  No array
-outgrows a block, a circulant's half range or a torus's outer sum of all but
-its last side.
+math.fsum of the parts, the full spectrum's math.fsum bit for bit.  A large
+circulant's blocks are summed from its half table into one reused buffer, so
+no array outgrows a block, a circulant's half table or a torus's outer sum of
+all but its last side.
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -184,36 +185,37 @@ def _half_weights(l: int) -> np.ndarray:
 _STRIDE_MIN_RUN = 256
 
 
-def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int) -> None:
-    """lam[j] += half[min(r, n - r)] with r = g j mod n, for j = 0..lam.size - 1.
+def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int, start: int = 0) -> None:
+    """lam[i] += half[min(r, n - r)] with r = g j mod n, j = start + i, for i = 0..lam.size - 1.
 
     g and n - g (mod n) give the same folded index, so g is first reduced
     to min(g mod n, n - g mod n).  Then r = g j - q n on each run of j with
     q = floor(g j / n) constant, and the folded index climbs by g while
-    r <= n/2 and falls by g after; each such piece is one strided slice of
-    the half table.  A run holds about n/g modes, so for g near n/2 the
-    slices get short and a gather of the folded indices, one _BLOCK of
-    modes at a time so its temporaries stay block-sized, is cheaper.
-    Either way lam[j] gets the same addend, so the sums agree bit for bit.
+    r <= n/2 and falls by g after; each such piece, cut to the modes from
+    ``start`` on, is one strided slice of the half table.  A run holds about
+    n/g modes, so for g near n/2 the slices get short and a gather of the
+    folded indices, one _BLOCK of modes at a time so its temporaries stay
+    block-sized, is cheaper.  Either way lam[i] gets the same addend, so the
+    sums agree bit for bit.
     """
     g %= n
     g = min(g, n - g)
-    m = lam.size
+    stop = start + lam.size
     if g == 0 or g * _STRIDE_MIN_RUN > n:
-        for a in range(0, m, _BLOCK):
-            r = (g * np.arange(a, min(a + _BLOCK, m), dtype=np.int64)) % n
-            lam[a:a + r.size] += half[np.minimum(r, n - r)]
+        for a in range(start, stop, _BLOCK):
+            r = (g * np.arange(a, min(a + _BLOCK, stop), dtype=np.int64)) % n
+            lam[a - start:a - start + r.size] += half[np.minimum(r, n - r)]
         return
-    for q in range(g * (m - 1) // n + 1):
-        a = -(-q * n // g)  # first j of the run
-        b = min(((2 * q + 1) * n) // (2 * g) + 1, m)  # first j past r <= n/2
-        c = min(-(-(q + 1) * n // g), m)  # first j of the next run
+    for q in range(g * start // n, g * (stop - 1) // n + 1):
+        a = max(-(-q * n // g), start)  # first j of the run
+        b = min(max(((2 * q + 1) * n) // (2 * g) + 1, a), stop)  # first j past r <= n/2
+        c = min(-(-(q + 1) * n // g), stop)  # first j of the next run
         if b > a:
             r = g * a - q * n
-            lam[a:b] += half[r:r + g * (b - a - 1) + 1:g]
+            lam[a - start:b - start] += half[r:r + g * (b - a - 1) + 1:g]
         if c > b:
             top = (q + 1) * n - g * b
-            lam[b:c] += half[top:top - g * (c - b - 1) - 1:-g]
+            lam[b - start:c - start] += half[top:top - g * (c - b - 1) - 1:-g]
 
 
 # modes per block of the half-range stream, whose block-sized arrays then stay in cache
@@ -225,9 +227,12 @@ def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2
     """The half-range modes as a stream of (values, weights) blocks of at most ``block`` modes.
 
     An eigenvalue depends on each index only through min(r, l - r).  A
-    circulant's modes are one array over j = 0..floor(n/2), summing the half
-    table of n at min(r, n - r), r = g j mod n, over the generators; past one
-    block it comes in slices of weight 2, with j = 0 and n/2 apart.  A torus
+    circulant's modes j = 0..floor(n/2) sum the half table of n at
+    min(r, n - r), r = g j mod n, over the generators.  Within one block they
+    come as one array; past it, j = 0 and n/2 come first, then each block of
+    j in [start, start + block) is summed straight from the table into one
+    block-sized buffer, which every later block of the stream overwrites: a
+    consumer must be done with a block before it asks for the next.  A torus
     block is a few rows of the leading sides' outer sum, built whole, plus a
     slice of the last side's table.  ``weights`` are power-of-2 factors that
     broadcast against it.  ``table(l)`` gives a side's 4 sin^2(pi k / l), or
@@ -239,16 +244,25 @@ def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2
             f"{kind} has {spec.vertex_count} eigenvalues, exceeding the cap {cap}")
     if isinstance(spec, CirculantSpec):
         n, half = spec.n, table(spec.n)
-        lam = np.zeros_like(half)  # written zeros: a page faults once, not on read and write
-        for g in spec.generators:
-            _add_folded(lam, half, n, g)
-        if lam.size <= block:
+        if half.size <= block:
+            lam = np.zeros_like(half)  # written zeros: a page faults once, not on read and write
+            for g in spec.generators:
+                _add_folded(lam, half, n, g)
             yield lam, (_half_weights(n),)
             return
         end = n - n // 2  # modes 1..end-1 have weight 2, j = 0 and j = n/2 (if any) 1
-        yield lam[::end], ()
+        edge = np.zeros(2 - n % 2, half.dtype)
+        for g in spec.generators:
+            _add_folded(edge[:1], half, n, g)
+            _add_folded(edge[1:], half, n, g, n // 2)
+        yield edge, ()
+        buffer = np.empty(block, half.dtype)
         for start in range(1, end, block):
-            yield lam[start:min(start + block, end)], (2.0,)
+            lam = buffer[:min(block, end - start)]
+            lam.fill(0)
+            for g in spec.generators:
+                _add_folded(lam, half, n, g, start)
+            yield lam, (2.0,)
         return
     halves = [table(l) for l in spec.sides]
     rows, row_weights = np.zeros(1, dtype=halves[0].dtype), np.ones(1)
@@ -293,21 +307,20 @@ def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
     With n = x.size and n max|x| < 2^e, sigma = 1.5 2^e puts every x + sigma
     in [2^e, 2^(e + 1)), where the float spacing is 2^(e - 52), so
     hi = (x + sigma) - sigma is x rounded to a multiple of 2^(e - 52), and
-    lo = x - hi is exact.  Each partial sum of hi is such a multiple below
-    2^(e + 1) in magnitude, hence a float: np.add.reduce sums hi exactly in
-    whatever order it takes.  The float sum of lo errs by at most
-    (n - 1) 2^-53 sum|lo| in any order (additions that land among the
-    subnormals are exact); the bound returned is that times 1 + 2^-20,
-    for the rounding of sum|lo| itself.  A block of 64 or fewer terms, one
-    of zeros (which keeps the sign of an all -0.0 block), and one with a
-    non-finite term or a term too large to split, is appended exactly: as
-    its terms or its exact sum, with bound 0.  x is left holding lo.
+    lo = x - hi is exact with |lo| <= 2^(e - 53).  Each partial sum of hi is
+    such a multiple below 2^(e + 1) in magnitude, hence a float:
+    np.add.reduce sums hi exactly in whatever order it takes.  The float sum
+    of lo errs by at most (n - 1) 2^-53 sum|lo| <= (n - 1) n 2^(e - 106) in
+    any order (additions that land among the subnormals are exact); the
+    bound returned is that times 1 + 2^-20, for the higher-order terms.  A
+    block of 64 or fewer terms, one of zeros, and one with a non-finite term
+    or a term too large to split, is appended exactly: as its terms or its
+    exact sum, with bound 0.  x is left holding lo.
     """
     if x.size <= 64:
         parts.extend(x.tolist())
         return 0.0
-    hi = np.empty_like(x)
-    top = float(np.abs(x, hi).max())
+    top = max(float(x.max()), -float(x.min()))  # NaN when any term is
     if top == 0.0:
         parts.append(float(np.add.reduce(x)))
         return 0.0
@@ -317,12 +330,12 @@ def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
         parts.extend(x.tolist())
         return 0.0
     sigma = math.ldexp(1.5, e)
-    np.add(x, sigma, hi)
+    hi = np.add(x, sigma)
     hi -= sigma
     x -= hi
     parts.append(float(np.add.reduce(hi)))
     parts.append(float(np.add.reduce(x)))
-    return (x.size - 1) * 2.0 ** -53 * float(np.add.reduce(np.abs(x, hi))) * (1.0 + 2.0 ** -20)
+    return math.ldexp((x.size - 1) * x.size, e - 106) * (1.0 + 2.0 ** -20)
 
 
 def _weighted_fsum(blocks, f) -> float:

@@ -55,6 +55,12 @@ _MELLIN_STEP = 0.5
 _MELLIN_HALVINGS = 6
 _MELLIN_START = 8.0
 _MELLIN_REACH = 640.0
+# the least size below which a term counts as negligible.  Near the split
+# the Jacobian sigmoid(s) alone falls below it at s = -_MELLIN_REACH / 2, so an
+# integrand up to e^320 there still decays within the reach; a smaller tol
+# would need an integrand below about 1e-123 to beat the 8 ulps of rounding
+# in the error estimate
+_MELLIN_TINY = math.exp(-_MELLIN_REACH / 2)
 
 
 def _end_growth(last: np.ndarray, tiny: float, width: int) -> int:
@@ -95,7 +101,8 @@ def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
     below ``split`` and those of the upper line do not, so g may change
     form there.  One trapezoid rule in s
     sums both lines, one call of g per grid: the first grid has step 1/2,
-    and each end grows until its two outermost terms fall below 0.05 tol;
+    and each end grows until its two outermost terms fall below 0.05 tol
+    (or e^-320, when that is larger);
     then the step halves, adding only the midpoints, until two sums agree
     within tol.  The terms beyond each end are added as the geometric tail
     of the two outermost, so the truncation errs at second order.  For g
@@ -113,7 +120,7 @@ def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
         raise ValueError(f"split must be positive, got {split}")
     u0 = math.log(split)
     below = math.nextafter(split, 0.0)
-    tiny = 0.05 * tol
+    tiny = max(0.05 * tol, _MELLIN_TINY)
     h = _MELLIN_STEP
     sums: list[float] = []
     scale = 0.0

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -63,6 +64,23 @@ def test_count_circulant_with_100000_vertices(capsys):
         chunk = digits[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == n * fibonacci(n) ** 2
+
+
+def test_int_text_equals_str_past_its_digit_limit():
+    # random sizes from 13k bits, about the switch from str() at 4000 estimated
+    # digits (13,334 bits), to 1.4M bits (421k digits, a count at n = 10^6),
+    # and the values on either side of the switch and of its 2^(2^k) splits
+    rng = random.Random(24)
+    values = [rng.getrandbits(bits) | 1 << (bits - 1)
+              for bits in [13_000, 13_333, 13_334, 16_384, 16_385, 65_537, 300_001, 1_400_000]]
+    values += [10**4000, 2**13_333 - 1, 2**13_333, 2**16_384 - 1, 2**16_384, 0, 1]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for value in values:
+            assert cli._int_text(value) == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_count_circulant_with_growing_generator_in_process(capsys):
@@ -562,6 +580,16 @@ def test_specfun_zeta_prime_zero_refuses_an_unmeetable_tol(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: requested tolerance not met")
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-200", "1e-280", "1e-300"])
+def test_specfun_cd_names_the_tolerance_it_cannot_meet(capsys, tol):
+    # below e^-320 the Mellin rule's negligible-term threshold stops shrinking,
+    # so the smallest tols fail on the tolerance, not on the integrand's decay
+    assert cli.main(["specfun", "cd", "3", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: requested tolerance not met: error estimate")
 
 
 @pytest.mark.parametrize("argv", [

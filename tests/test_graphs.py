@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -488,6 +489,64 @@ def test_exact_parts_passes_non_finite_terms_to_fsum():
         _exact_fsum(x)
 
 
+def _exact_sum(values) -> Fraction:
+    """The exact sum of floats, each n / 2^k with k <= 1074, as a Fraction."""
+    ratios = map(float.as_integer_ratio, values)
+    return Fraction(sum(n << 1075 - d.bit_length() for n, d in ratios), 2**1074)
+
+
+def _split(x):
+    """(parts, bound, lo, e) of graphs._exact_parts on a copy of x."""
+    lo, parts = x.copy(), []
+    bound = graphs._exact_parts(lo, parts)
+    return parts, bound, lo, math.frexp(x.size * float(np.abs(x).max()))[1]
+
+
+def _all_half_spacing(seed, size):
+    """Odd multiples m 2^-60 of the half spacing 2^(e - 53), so every lo is +-2^(e - 53)."""
+    rng = np.random.default_rng(seed)
+    high = 2**53 // size  # size max|m| < 2^53, so e = -60 + 53
+    m = rng.integers(-high // 2, high // 2, size) * 2 + 1
+    m[0] = high - 1 if high % 2 == 0 else high - 2  # max|m| >= 2^52 / size
+    return np.ldexp(m.astype(np.float64), -60)
+
+
+@pytest.mark.parametrize("size", [65, 1000, 4097, 2**15])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_parts_bound_holds_against_exact_sums(seed, size):
+    # the float sum of lo is within the bound of its exact sum, hi + lo is x
+    # exactly, and |lo| <= 2^(e - 53) makes the bound (n - 1) n 2^(e - 106);
+    # with every lo at +-2^(e - 53) that is the classic (n - 1) 2^-53 sum|lo|
+    blocks = [_random_floats(seed, size, -1074, -900, 0.0),
+              _random_floats(seed, size, -40, 40, 0.1),
+              _random_floats(seed, size, 0, 2, 0.0),
+              _random_floats(seed, size, 900, 1000, 0.0)]
+    for x in blocks + [_all_half_spacing(seed, size)]:
+        (hi_sum, lo_sum), bound, lo, e = _split(x)
+        exact_lo = _exact_sum(lo.tolist())
+        assert Fraction(hi_sum) + exact_lo == _exact_sum(x.tolist())
+        assert abs(Fraction(lo_sum) - exact_lo) <= Fraction(bound)
+        assert float(np.abs(lo).max()) <= math.ldexp(1.0, e - 53)
+        assert bound >= (size - 1) * size * Fraction(2) ** (e - 106)
+    assert np.all(np.abs(lo) == math.ldexp(1.0, e - 53))
+    assert bound >= (size - 1) * Fraction(2) ** -53 * _exact_sum(np.abs(lo).tolist())
+
+
+def test_exact_parts_keeps_the_exact_path():
+    # zeros, all -0.0, NaN and +-inf blocks append their terms or exact sum, with bound 0
+    for x in (np.zeros(1000), np.full(1000, -0.0)):
+        parts, bound, _, _ = _split(x)
+        assert bound == 0.0 and [v.hex() for v in parts] == [math.fsum(x.tolist()).hex()]
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in (0, 500, 999):
+            x = np.linspace(-1.0, 1.0, 1000)
+            x[where] = bad
+            parts, bound, lo, _ = _split(x)
+            assert bound == 0.0
+            assert [v.hex() for v in parts] == [v.hex() for v in x.tolist()]
+            assert np.array_equal(lo, x, equal_nan=True)
+
+
 @st.composite
 def large_circulant_specs(draw):
     n = draw(st.integers(5 * 10**4, 3 * 10**5))
@@ -559,24 +618,38 @@ def test_block_stream_keeps_the_spectrum_messages():
             log_det_star(TorusSpec(sides))
 
 
+def _log_det_star_peak(spec) -> int:
+    """Peak traced bytes of a second log_det_star(spec), after one warm-up call."""
+    log_det_star(spec)
+    tracemalloc.start()
+    try:
+        log_det_star(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("spec,limit_mb", [
     (CirculantSpec(10**6, (1, 2)), 9.0),
     (TorusSpec((252, 16000)), 2.0),
     (CirculantSpec(10**6, (1, 2, 5, 400000)), 10.0),
 ])
 def test_log_det_star_builds_no_full_spectrum_temporaries(spec, limit_mb):
-    # the circulant keeps its half table and one folded array of n/2 + 1
-    # modes (8 MB in all), the torus a few blocks' worth; with full-spectrum
-    # temporaries the peaks were 12.0 and 17.3 MB, and with the gathered
-    # generator 400000's index temporaries n/2 long, 20.5 MB
-    log_det_star(spec)
-    tracemalloc.start()
-    try:
-        log_det_star(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit_mb * 1e6
+    # with full-spectrum temporaries the circulant peaks were 12.0 and
+    # 17.3 MB, and with the gathered generator 400000's index temporaries
+    # n/2 long, 20.5 MB; the torus keeps a few blocks' worth
+    assert _log_det_star_peak(spec) <= limit_mb * 1e6
+
+
+@pytest.mark.parametrize("spec,limit_mb", [
+    (CirculantSpec(10**6, (1, 2)), 5.5),
+    (CirculantSpec(10**6, (1, 2, 5, 400000)), 6.0),
+])
+def test_log_det_star_folds_circulant_blocks_into_one_buffer(spec, limit_mb):
+    # the circulant keeps its half table of n/2 + 1 entries (4 MB) and a few
+    # block-sized arrays, the gathered generator 400000 a block's index
+    # temporaries; with a folded array of n/2 + 1 modes the peak was 8.5 MB
+    assert _log_det_star_peak(spec) <= limit_mb * 1e6
 
 
 @st.composite
@@ -623,6 +696,78 @@ def test_add_folded_equals_the_gather(monkeypatch, min_run, n, g):
     expected += half[np.minimum(r, n - r)]
     graphs._add_folded(lam, half, n, g)
     assert np.array_equal(lam, expected)
+
+
+def _folded_blocks(n, gens, starts):
+    """(whole-range fold, [fold of the modes from start, up to _BLOCK of them, per start])."""
+    half = graphs._sin2_half(n)
+    whole = np.zeros(n // 2 + 1)
+    for g in gens:
+        graphs._add_folded(whole, half, n, g)
+    blocks = []
+    for start in starts:
+        buffer = np.zeros(min(_B, whole.size - start))
+        for g in gens:
+            graphs._add_folded(buffer, half, n, g, start)
+        blocks.append(buffer)
+    return whole, blocks
+
+
+# n = 2^18 + e (4 _BLOCKs of modes), so a stride run (n/g modes) meets
+# _STRIDE_MIN_RUN = 256 at g = 1024: g on both sides of it, g = n/2 (at even
+# n), mirrored (> n/2) and duplicate steps
+@pytest.mark.parametrize("n", [2**18, 2**18 + 1, 2**18 + 3])
+@pytest.mark.parametrize("gens", [(1,), (1, 3, 3), (1, 1023, 1025), (1, 7, 90000),
+                                  (1, 2**17), (1, 5, 2**18 - 9), (1, 1, 300, 2**17 + 1)])
+def test_add_folded_from_a_start_equals_the_whole_range_slice(n, gens):
+    last = n // 2 + 1 - 100  # a short last block of 100 modes
+    starts = [0, 1, *(k * _B + e for k in (1, 2, 3) for e in (-1, 0, 1)), last]
+    whole, blocks = _folded_blocks(n, gens, starts)
+    for start, block in zip(starts, blocks):
+        assert np.array_equal(block, whole[start:start + block.size]), start
+    assert blocks[-1].size == 100
+
+
+@pytest.mark.parametrize("min_run", [0, 10**12])  # every slice strided, or every one gathered
+def test_add_folded_from_a_start_in_either_branch(monkeypatch, min_run):
+    monkeypatch.setattr(graphs, "_STRIDE_MIN_RUN", min_run)
+    n, gens = 2**17 + 2, (1, 3, 600, 2**16 + 1, 2**17 - 5)
+    starts = [1, _B - 1, _B, _B + 1, n // 2 + 1 - 7]
+    whole, blocks = _folded_blocks(n, gens, starts)
+    j = np.arange(n // 2 + 1)
+    expected = np.zeros(n // 2 + 1)
+    for g in gens:
+        r = (g * j) % n
+        expected += graphs._sin2_half(n)[np.minimum(r, n - r)]
+    assert np.array_equal(whole, expected)
+    for start, block in zip(starts, blocks):
+        assert np.array_equal(block, expected[start:start + block.size]), start
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1, 2**16 + 2, 2**16 + 3])
+def test_block_fold_sums_equal_the_fsum_over_the_spectrum(n):
+    # the weight-2 modes 1..ceil(n/2) - 1 fill one block less one mode, one
+    # full block, or one block and a last block of one mode
+    spec = CirculantSpec(n, (1, 5, 300, n // 2, n - 2))
+    full = spectrum(spec)
+    assert log_det_star(spec).hex() == math.fsum(np.log(full[full != 0.0])).hex()
+    for t in (0.01, 1.5):
+        assert theta_discrete_spectral(spec, t).value.hex() == math.fsum(np.exp(-full * t)).hex()
+
+
+def test_circulant_blocks_share_one_reused_buffer():
+    # past one block, every block of a circulant is a view of one buffer that
+    # the next block overwrites, so no consumer may hold a block across the
+    # next; log det* and theta finish with each first, and the docstring says so
+    spec = CirculantSpec(6 * _B, (1, 3))
+    held = [values for values, _ in graphs._half_blocks(spec)]
+    copied = [values.copy() for values, _ in graphs._half_blocks(spec)]
+    assert [b.size for b in copied] == [2, _B, _B, _B - 1]
+    assert all(np.shares_memory(held[1], b) for b in held[2:])
+    assert not np.array_equal(held[1], copied[1])
+    assert np.array_equal(np.concatenate(copied[1:]), spectrum(spec)[1:3 * _B])
+    assert "buffer, which every later block of the stream overwrites" in \
+        " ".join(graphs._half_blocks.__doc__.split())
 
 
 @example(CirculantSpec(12, (1, 6, 6, 11)), 0.5)
