@@ -530,7 +530,7 @@ def cmd_specfun(args, sink, out) -> int:
             if args.circulant is None and args.torus is None:
                 raise UsageError("theta needs --circulant or --torus")
             spec = _spec_from_args(args)
-            spectral = theta_discrete_spectral(spec, t)
+            spectral = theta_discrete_spectral(spec, t, cap=args.max_vertices)
             lattice = theta_discrete_bessel(spec, t, tol=args.tol)
             value = spectral.value
             err = abs(spectral.value - lattice.value) + lattice.tail_bound

@@ -15,6 +15,10 @@ matrix-tree count and the eigenvalue product agree.
 
 Every eigenvalue is a sum of terms 4 sin^2(pi r / l), each read from a half
 table at min(r, l - r), so a mode and its mirror r -> l - r agree bit for bit.
+The float table (``_sin2_half``) evaluates its first 2^15 sines directly;
+the rest come by angle addition in rows from that head, which costs one
+direct row of cos b - 1 and one sine and cosine per row, not one sine per
+entry.
 ``_half_blocks`` streams the half-range modes and the number of modes each
 stands for in blocks of at most 2^15; ``_half_spectrum`` joins them for
 ``spectrum`` and spantor.hp.  log det* (``log_det_star``) and theta's sum of
@@ -151,6 +155,14 @@ GraphSpec = Union[CirculantSpec, TorusSpec]
 # ---------------------------------------------------------------------------
 
 
+# modes per block of the half-range stream, whose block-sized arrays then stay in cache
+_BLOCK = 1 << 15
+
+# entries per angle-addition row of _sin2_half past its first _BLOCK; the row's
+# cos b - 1 costs one sine per entry, so a wider row is slower at l near 2^17
+_ROW = 1 << 14
+
+
 def _sin2_half(l: int) -> np.ndarray:
     """4 sin^2(pi k / l) for k = 0..floor(l/2).
 
@@ -159,14 +171,50 @@ def _sin2_half(l: int) -> np.ndarray:
     same rounded value, and the modes near r = l keep the full relative
     accuracy of those near r = 0: evaluated directly, sin(pi r / l) there
     takes the rounding error of an argument near pi relative to a value
-    near zero.  Built in place in one array; 4 (s s) is (4 s) s exactly.
+    near zero.
+
+    The first _BLOCK sines are np.sin(pi (k / l)), so a table of at most
+    _BLOCK entries is that direct evaluation.  Past them the sines come in
+    rows of _ROW by angle addition: with a = pi (k0 / l) at the row's base
+    k0 and b = pi (r / l), sin(a + b) = sin a + (sin a (cos b - 1) +
+    cos a sin b), where sin b is the table's own head, cos b - 1 =
+    -2 sin^2(pi (r / (2 l))) is one direct row, and sin a and cos a are one
+    np.sin and one np.cos per row.  a + b <= pi / 2, so the correction is
+    small against sin a and the last addition's rounding dominates: each
+    entry stays within 4 eps (2^-50) relative of 4 sin^2(pi k / l), as the
+    direct evaluation does, though up to about 40% of the entries past
+    l = 2^16 differ from it by an ulp.  A row is written as 2 sin(a + b),
+    from 2 sin a and 2 cos a, and squared: (2 s) (2 s) = 4 (s s) exactly.
     """
-    out = np.arange(l // 2 + 1, dtype=np.float64)
-    out /= l
-    out *= np.pi
-    np.sin(out, out)
-    out *= out
-    out *= 4.0
+    size = l // 2 + 1
+    out = np.arange(size, dtype=np.float64)
+    head = out[:_BLOCK] if size > _BLOCK else out  # no view for the many small tables
+    head /= l
+    head *= np.pi
+    np.sin(head, head)
+    if size > _BLOCK:
+        width = min(_ROW, size - _BLOCK)
+        cosm1 = np.arange(width, dtype=np.float64)  # cos b - 1 for r = 0..width - 1
+        cosm1 /= 2 * l
+        cosm1 *= np.pi
+        np.sin(cosm1, cosm1)
+        cosm1 *= cosm1
+        cosm1 *= -2.0
+        bases = range(_BLOCK, size, _ROW)
+        a = np.array(bases, dtype=np.float64)
+        a /= l
+        a *= np.pi
+        term = np.empty(width)
+        for k0, sin_a, cos_a in zip(bases, np.sin(a).tolist(), np.cos(a).tolist()):
+            row = out[k0:k0 + _ROW]
+            n = row.size
+            np.multiply(head[:n], 2.0 * cos_a, out=term[:n])
+            np.multiply(cosm1[:n], 2.0 * sin_a, out=row)
+            row += term[:n]
+            row += 2.0 * sin_a
+            row *= row
+    head *= head
+    head *= 4.0
     return out
 
 
@@ -216,10 +264,6 @@ def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int, start: int = 
         if c > b:
             top = (q + 1) * n - g * b
             lam[b - start:c - start] += half[top:top - g * (c - b - 1) - 1:-g]
-
-
-# modes per block of the half-range stream, whose block-sized arrays then stay in cache
-_BLOCK = 1 << 15
 
 
 def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2_half,

@@ -312,16 +312,15 @@ class ThetaValue:
     terms: int = 0
 
 
-def theta_discrete_spectral(spec: GraphSpec, t: float) -> ThetaValue:
+def theta_discrete_spectral(spec: GraphSpec, t: float,
+                            cap: int = DEFAULT_EIGENVALUE_CAP) -> ThetaValue:
     """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
 
     The sum of w e^{-lambda t} over the half-range modes of ``_half_blocks``,
     summed exactly block by block by ``graphs._weighted_fsum``; the weights are
-    powers of 2, so it equals the math.fsum over every mode bit for bit.  A
-    torus above DEFAULT_EIGENVALUE_CAP vertices raises EnumerationCapError; a
-    circulant has no cap.
+    powers of 2, so it equals the math.fsum over every mode bit for bit.
+    Raises EnumerationCapError above ``cap`` vertices, before any table is built.
     """
-    cap = spec.n if isinstance(spec, CirculantSpec) else DEFAULT_EIGENVALUE_CAP
     value = _weighted_fsum(lambda: _half_blocks(spec, cap),
                            lambda v, out: np.exp(np.multiply(v, -t, out), out))
     return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)

@@ -3,8 +3,10 @@
 Nothing in here may call into the code paths it is checking: tree counts are
 enumerated edge subsets or dense matrix-tree determinants of a Laplacian
 assembled from an explicit edge list, spectra come from a dense symmetric
-eigensolver or the eigenvalue formula evaluated at every mode, log det*
-values sum one log (float or mpmath) per nonzero eigenvalue, the
+eigensolver or the eigenvalue formula evaluated at every mode (each sin^2
+term by the float table's definition: direct below 2^15, angle addition
+above), log det* values sum one log (float or mpmath) per nonzero
+eigenvalue, the
 high-precision lead term is a tanh-sinh quadrature of the log-sin integral,
 mpmath polyroots of a symbol polynomial built here or mpc Newton steps from
 numpy roots of it, fixed-point sin^2 tables and mpf products follow their
@@ -191,12 +193,12 @@ def brute_force_tree_count(spec) -> int:
 
 
 def folded_spectrum(spec) -> np.ndarray:
-    """Every eigenvalue in enumeration order, each 4 sin^2(pi r / l) taken at min(r, l - r).
+    """Every eigenvalue in enumeration order, each 4 sin^2(pi k / l) taken at k = min(r, l - r).
 
     Built mode by mode over the full index range from the eigenvalue
     formula, with no half tables and no weights: a circulant sums over its
     generators in order, a torus over its sides in order, with the first
-    side's index moving slowest.
+    side's index moving slowest.  Each term is ``sin2_term(k, l)``.
     """
     if isinstance(spec, CirculantSpec):
         n = spec.n
@@ -211,9 +213,31 @@ def folded_spectrum(spec) -> np.ndarray:
             terms.append(((flat // stride) % l, l))
     lam = np.zeros(flat.size)
     for r, l in terms:
-        s = np.sin(np.pi * (np.minimum(r, l - r) / l))
-        lam += 4.0 * s * s
+        lam += sin2_term(np.minimum(r, l - r), l)
     return lam
+
+
+# the float sin^2 table's definition: direct sines for k below 2^15, then
+# angle addition from row bases 2^15 + i 2^14
+SIN2_DIRECT, SIN2_ROW = 2**15, 2**14
+
+
+def sin2_term(k: np.ndarray, l: int) -> np.ndarray:
+    """4 s^2 for each k in 0..l/2, s = sin(pi k / l) by the float table's definition.
+
+    Below SIN2_DIRECT, s = sin(pi (k / l)).  Above, k = k0 + r with k0 the
+    start of k's row of SIN2_ROW, a = pi (k0 / l), b = pi (r / l) and
+    s = sin a + (sin a (cos b - 1) + cos a sin b), cos b - 1 being
+    -2 sin^2(pi (r / (2 l))), evaluated term by term in that order.
+    """
+    direct = np.sin(np.pi * (k / l))
+    k0 = np.where(k < SIN2_DIRECT, k, SIN2_DIRECT + (k - SIN2_DIRECT) // SIN2_ROW * SIN2_ROW)
+    r = k - k0
+    sin_a, cos_a = np.sin(np.pi * (k0 / l)), np.cos(np.pi * (k0 / l))
+    half_b = np.sin(np.pi * (r / (2 * l)))
+    added = sin_a + (sin_a * (-2.0 * (half_b * half_b)) + cos_a * np.sin(np.pi * (r / l)))
+    s = np.where(k < SIN2_DIRECT, direct, added)
+    return 4.0 * s * s
 
 
 def log_det_star_full(values: np.ndarray) -> float:

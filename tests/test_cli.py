@@ -556,6 +556,38 @@ def test_exit_cap_theta_torus_before_allocation(capsys):
                                        "exceeding the cap 10000000\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["specfun", "theta", "0.5", "--circulant", "100000000000", "1"],
+     "circulant has 100000000000 eigenvalues, exceeding the cap 10000000"),
+    (["--max-vertices", "1000", "specfun", "theta", "0.5", "--circulant", "100000000000", "1"],
+     "circulant has 100000000000 eigenvalues, exceeding the cap 1000"),
+    (["specfun", "theta", "0.5", "--circulant", "1001", "1,2", "--max-vertices", "1000"],
+     "circulant has 1001 eigenvalues, exceeding the cap 1000"),
+    (["--max-vertices", "1000", "specfun", "theta", "0.5", "--torus", "10,101"],
+     "torus has 1010 eigenvalues, exceeding the cap 1000"),
+])
+def test_exit_cap_theta_honours_max_vertices_before_allocation(capsys, argv, message):
+    # a 10^11-vertex circulant's half table alone would take 400 GB
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert peak < 10**6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"size cap exceeded: {message}\n"
+
+
+def test_theta_runs_at_the_vertex_cap(capsys):
+    rc, out = run_cli(capsys, "--max-vertices", "1001", "specfun", "theta", "0.5",
+                      "--circulant", "1001", "1,2")
+    assert rc == 0
+    assert json.loads(out)["name"] == "theta"
+
+
 def test_exit_numerical(capsys):
     assert cli.main(["specfun", "zeta", "0.5"]) == 2
     capsys.readouterr()

@@ -652,6 +652,78 @@ def test_log_det_star_folds_circulant_blocks_into_one_buffer(spec, limit_mb):
     assert _log_det_star_peak(spec) <= limit_mb * 1e6
 
 
+def _direct_sin2_half(l):
+    """4 sin^2(pi k / l), k = 0..floor(l/2), each sine evaluated directly in the table's order."""
+    out = np.arange(l // 2 + 1, dtype=np.float64)
+    out /= l
+    out *= np.pi
+    np.sin(out, out)
+    out *= out
+    out *= 4.0
+    return out
+
+
+def _hex(values):
+    return [x.hex() for x in values.tolist()]
+
+
+# below l = 2^16 the table has at most 2^15 entries, all direct sines; past it
+# the first 2^15 entries still are
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 7, 100, 1001, 2**15 - 1, 2**15, 2**15 + 1,
+                               54321, 65534, 65535, 65536, 65537, 2**17 + 3, 999178])
+def test_sin2_half_head_is_the_direct_evaluation(l):
+    table = graphs._sin2_half(l)
+    assert table.size == l // 2 + 1
+    if l < 2**16:
+        assert _hex(table) == _hex(_direct_sin2_half(l))
+    else:
+        assert _hex(table[:_B]) == _hex(_direct_sin2_half(l)[:_B])
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 100, 65535, 65537, 2**17 + 3, 999178, 10**7 - 1])
+def test_sin2_half_has_one_exact_zero(l):
+    # _nonzero_blocks counts the zero modes as the entries equal to 0.0
+    table = graphs._sin2_half(l)
+    assert table[0] == 0.0 and math.copysign(1.0, table[0]) == 1.0
+    assert np.all(table[1:] > 0.0)
+
+
+_EPS = 2.0**-52
+_LONG_DOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+@pytest.mark.parametrize("l", [2**16 + 1, 2**17 + 3, 999178, 10**7 - 1])
+def test_sin2_half_within_4_eps_of_the_exact_value(l):
+    table = graphs._sin2_half(l)
+    m = table.size
+    rows = range(_B, m, graphs._ROW)
+    edges = {k0 + e for k0 in rows for e in (-1, 0, 1) if k0 + e < m} | {m - 2, m - 1}
+    sampled = np.random.default_rng(l).integers(1, m, 2000).tolist()
+    with mp.workdps(30):
+        for k in sorted(edges | set(sampled)):
+            exact = 4 * mp.sin(mp.pi * k / l) ** 2
+            assert abs(mp.mpf(table[k]) - exact) <= 4 * _EPS * exact, k
+    if np.finfo(np.longdouble).nmant >= 63:
+        # every angle-added entry against the platform's extended-precision sine:
+        # the errors that reach 4 eps without the cos b - 1 split are rare
+        k = np.arange(_B, m, dtype=np.longdouble)
+        s = np.sin(_LONG_DOUBLE_PI * k / l)
+        error = np.abs(table[_B:] - 4 * s * s) / (4 * s * s) / _EPS
+        assert error.max() <= 4, (_B + int(error.argmax()), float(error.max()))
+
+
+def test_sin2_half_has_no_second_half_sized_array():
+    # the output of 499,590 doubles (4 MB) and row-sized temporaries (2^14 doubles each)
+    graphs._sin2_half(999178)
+    tracemalloc.start()
+    try:
+        table = graphs._sin2_half(999178)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 0.5e6
+
+
 @st.composite
 def spectrum_specs(draw):
     if draw(st.booleans()):

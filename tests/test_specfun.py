@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from spantor.graphs import CirculantSpec, TorusSpec
+from spantor.graphs import CirculantSpec, EnumerationCapError, TorusSpec
 from spantor.specfun import (
     SpecfunError,
     bessel_i_scaled,
@@ -248,6 +248,20 @@ def test_sublinear_normalization_limit():
 def test_theta_spectral_triangle():
     tv = theta_discrete_spectral(CirculantSpec(3, (1,)), 1.0)
     assert tv.value == pytest.approx(1.0 + 2.0 * math.exp(-3.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec,cap", [
+    (CirculantSpec(10**11, (1,)), None), (CirculantSpec(10**7 + 1, (1, 2)), None),
+    (CirculantSpec(1001, (1, 2)), 1000), (TorusSpec((3163, 3163)), None),
+    (TorusSpec((10, 101)), 1000),
+])
+def test_theta_spectral_caps_both_families(spec, cap):
+    kwargs = {} if cap is None else {"cap": cap}
+    limit = 10**7 if cap is None else cap
+    with pytest.raises(EnumerationCapError, match=f"exceeding the cap {limit}$"):
+        theta_discrete_spectral(spec, 0.5, **kwargs)
+    if cap is not None:
+        assert theta_discrete_spectral(spec, 0.5, cap=spec.vertex_count).terms == spec.vertex_count
 
 
 def test_theta_spectral_monotone_to_one():
