@@ -306,13 +306,8 @@ def _compare_row_torus_sublinear(n, alpha, beta, rule, const, args) -> dict:
               + ";beta=" + ",".join(map(str, beta))
               + f";an={rule}" + (f":{const}" if rule == "constant" else ""))
     rep = predict_torus_sublinear(n, a_n, alpha, beta, cap=args.max_vertices, tol=args.tol)
-    row = {"family": "torus-sublinear", "n": n, "params": params,
-           "exact_log_det": rep.exact_log_det,
-           "predicted_log_det": rep.predicted_log_det,
-           "residual": rep.residual}
-    sides = tuple(a * a_n for a in alpha) + tuple(b * n for b in beta)
-    row["tree_count"] = _tree_count_or_blank(TorusSpec(sides), args)
-    return row
+    spec = TorusSpec(tuple(a * a_n for a in alpha) + tuple(b * n for b in beta))
+    return _compare_row(rep, "torus-sublinear", params, spec, args)
 
 
 def _tree_count_or_blank(spec, args):

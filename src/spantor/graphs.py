@@ -19,14 +19,17 @@ The float table (``_sin2_half``) evaluates its first 2^15 sines directly;
 the rest come by angle addition in rows from that head, which costs one
 direct row of cos b - 1 and one sine and cosine per row, not one sine per
 entry.
-``_half_blocks`` streams the half-range modes and the number of modes each
-stands for in blocks of at most 2^15; ``_half_spectrum`` joins them for
-``spectrum`` and spantor.hp.  log det* (``log_det_star``) and theta's sum of
-w e^{-lambda t} take one exact split per block (``_exact_parts``) and one
-math.fsum of the parts, the full spectrum's math.fsum bit for bit.  A large
-circulant's blocks are summed from its half table into one reused buffer, so
-no array outgrows a block, a circulant's half table or a torus's outer sum of
-all but its last side.
+``_half_blocks`` streams a circulant's half-range modes and the number of
+modes each stands for in blocks of at most 2^15, summed from its half table
+into one reused buffer, so no array outgrows a block or the half table; a
+torus's modes come as one block, the outer sum of its sides' tables.
+``_half_spectrum`` joins the stream for ``spectrum``, spantor.hp, the
+A-block modes of spantor.asym and the base of the torus cover below.  A
+circulant's log det* (``log_det_star``) and theta's sum of w e^{-lambda t}
+take one exact split per block (``_exact_parts``) and one math.fsum of the
+parts, the full spectrum's math.fsum bit for bit.  A torus's log det* sums
+one closed-form term per half-range mode of all but its largest side, by
+the Chebyshev identity below, in the same exact way.
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -185,17 +188,25 @@ def _sin2_half(l: int) -> np.ndarray:
     direct evaluation does, though up to about 40% of the entries past
     l = 2^16 differ from it by an ulp.  A row is written as 2 sin(a + b),
     from 2 sin a and 2 cos a, and squared: (2 s) (2 s) = 4 (s s) exactly.
+    Only the head's indices are written before the rows, by doubling in
+    place, so a long table takes no index array and no spare write.
     """
     size = l // 2 + 1
-    out = np.arange(size, dtype=np.float64)
-    head = out[:_BLOCK] if size > _BLOCK else out  # no view for the many small tables
+    if size <= _BLOCK:  # the many small tables take no view
+        out = head = np.arange(size, dtype=np.float64)
+    else:
+        out = np.empty(size)
+        head = out[:_BLOCK]
+        head[0], n = 0.0, 1
+        while n < _BLOCK:  # head = 0, 1, ..., _BLOCK - 1
+            np.add(head[:n], n, out=head[n:2 * n])
+            n *= 2
+        width = min(_ROW, size - _BLOCK)
+        cosm1 = np.divide(head[:width], 2 * l)  # cos b - 1 for r = 0..width - 1
     head /= l
     head *= np.pi
     np.sin(head, head)
     if size > _BLOCK:
-        width = min(_ROW, size - _BLOCK)
-        cosm1 = np.arange(width, dtype=np.float64)  # cos b - 1 for r = 0..width - 1
-        cosm1 /= 2 * l
         cosm1 *= np.pi
         np.sin(cosm1, cosm1)
         cosm1 *= cosm1
@@ -266,6 +277,14 @@ def _add_folded(lam: np.ndarray, half: np.ndarray, n: int, g: int, start: int = 
             lam[b - start:c - start] += half[top:top - g * (c - b - 1) - 1:-g]
 
 
+def _check_cap(spec: GraphSpec, cap: int) -> None:
+    """EnumerationCapError when ``spec`` has more than ``cap`` eigenvalues."""
+    if spec.vertex_count > cap:
+        kind = "circulant" if isinstance(spec, CirculantSpec) else "torus"
+        raise EnumerationCapError(
+            f"{kind} has {spec.vertex_count} eigenvalues, exceeding the cap {cap}")
+
+
 def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2_half,
                  block: int = _BLOCK):
     """The half-range modes as a stream of (values, weights) blocks of at most ``block`` modes.
@@ -277,15 +296,13 @@ def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2
     j in [start, start + block) is summed straight from the table into one
     block-sized buffer, which every later block of the stream overwrites: a
     consumer must be done with a block before it asks for the next.  A torus
-    block is a few rows of the leading sides' outer sum, built whole, plus a
-    slice of the last side's table.  ``weights`` are power-of-2 factors that
-    broadcast against it.  ``table(l)`` gives a side's 4 sin^2(pi k / l), or
-    spantor.hp's integers.  Raises EnumerationCapError above ``cap``.
+    is one block whatever ``block`` says: the outer sum of its sides' tables,
+    the last side moving fastest, which only ``_half_spectrum`` reads.
+    ``weights`` are power-of-2 factors that broadcast against the values.
+    ``table(l)`` gives a side's 4 sin^2(pi k / l), or spantor.hp's integers.
+    Raises EnumerationCapError above ``cap``.
     """
-    if spec.vertex_count > cap:
-        kind = "circulant" if isinstance(spec, CirculantSpec) else "torus"
-        raise EnumerationCapError(
-            f"{kind} has {spec.vertex_count} eigenvalues, exceeding the cap {cap}")
+    _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
         n, half = spec.n, table(spec.n)
         if half.size <= block:
@@ -308,17 +325,12 @@ def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2
                 _add_folded(lam, half, n, g, start)
             yield lam, (2.0,)
         return
-    halves = [table(l) for l in spec.sides]
-    rows, row_weights = np.zeros(1, dtype=halves[0].dtype), np.ones(1)
-    for l, half in zip(spec.sides[:-1], halves):
-        rows = (rows[:, None] + half).ravel()
-        row_weights = (row_weights[:, None] * _half_weights(l)).ravel()
-    last, last_weights = halves[-1], _half_weights(spec.sides[-1])
-    height, width = max(1, block // last.size), min(last.size, block)
-    for r in range(0, rows.size, height):
-        for c in range(0, last.size, width):
-            yield (rows[r:r + height, None] + last[c:c + width],
-                   (row_weights[r:r + height, None], last_weights[c:c + width]))
+    values, weights = None, np.ones(1)
+    for l in spec.sides:
+        half = table(l)
+        values = half if values is None else (values[:, None] + half).ravel()
+        weights = (weights[:, None] * _half_weights(l)).ravel()
+    yield values, (weights,)
 
 
 def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
@@ -431,15 +443,54 @@ def _nonzero_blocks(blocks):
 def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
     """log of the product of the nonzero Laplacian eigenvalues of ``spec``.
 
-    The sum of w log(lambda) over the half-range modes of ``_half_blocks``,
-    about half the logs of a circulant and a 2^-d share of a torus's.  A
-    mirrored mode's eigenvalue is bitwise its own and w is a power of 2, so
-    the sum, exact block by block (``_weighted_fsum``) and rounded once, is
-    the math.fsum of log(lambda) over the full spectrum bit for bit.  Raises
-    EnumerationCapError above ``cap`` vertices and GraphSpecError for a
-    disconnected graph (more than one zero eigenvalue) or a single vertex.
+    A circulant's value is the sum of w log(lambda) over the half-range modes
+    of ``_half_blocks``, about half its logs.  A mirrored mode's eigenvalue
+    is bitwise its own and w is a power of 2, so the sum, exact block by
+    block (``_weighted_fsum``) and rounded once, is the math.fsum of
+    log(lambda) over the full spectrum bit for bit.
+
+    A torus is an L-fold cover of all but its largest side L, and by the
+    Chebyshev identity the L eigenvalues over a base mode mu multiply to
+    prod_k (mu + 4 sin^2(pi k / L)) = 2 cosh(L phi) - 2 = 4 sinh^2(L phi / 2),
+    phi = 2 asinh(sqrt(mu) / 2); over mu = 0 the nonzero ones multiply to L^2.
+    So log det* = 2 log L + sum_{mu != 0} w_mu 2 log(2 sinh x_mu) with
+    x_mu = L asinh(sqrt(mu) / 2), over the half-range modes of the base
+    (``_half_spectrum``), V / L modes or fewer, summed as above and rounded
+    once; log(2 sinh x) is x + log1p(-e^(-2x)), which keeps its relative
+    accuracy at every x.  A nonzero base mode is at least 4 sin^2(pi / L),
+    so x_mu >= 2 asinh(1) and e^(-2 x_mu) < 0.03.  Each table entry is
+    within 5 eps of its exact value and mu adds d - 2 roundings, so x_mu is
+    within (d + 16) eps x_mu / 4 of its value at the exact mu, and each term
+    is within (d + 10) eps (x_mu + 1) of 2 log(2 sinh x_mu) there; the sum
+    adds half an ulp.
+
+    Raises EnumerationCapError above ``cap`` vertices, before any table is
+    built, and GraphSpecError for a disconnected graph (more than one zero
+    eigenvalue) or a single vertex.
     """
-    return _weighted_fsum(lambda: _nonzero_blocks(_half_blocks(spec, cap)), np.log)
+    if isinstance(spec, CirculantSpec):
+        return _weighted_fsum(lambda: _nonzero_blocks(_half_blocks(spec, cap)), np.log)
+    _check_cap(spec, cap)
+    *base, L = sorted(spec.sides)
+    if L == 1:
+        raise GraphSpecError("spectrum has no nonzero eigenvalues")
+    mu, weights = _half_spectrum(TorusSpec(base or (1,)), cap)
+
+    def cover_terms(values: np.ndarray, out: np.ndarray) -> None:
+        x = out[1:]  # values[0] = 0 is the base's zero mode
+        np.sqrt(values[1:], x)
+        x *= 0.5
+        np.arcsinh(x, x)
+        x *= L
+        tail = np.multiply(x, -2.0)
+        np.exp(tail, tail)
+        np.negative(tail, tail)
+        np.log1p(tail, tail)
+        x += tail
+        x *= 2.0
+        out[0] = 2.0 * math.log(L)
+
+    return _weighted_fsum(lambda: [(mu, (weights,))], cover_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DEFAULT_EIGENVALUE_CAP, CirculantSpec, GraphSpec, _half_blocks, _weighted_fsum
+from .graphs import (
+    DEFAULT_EIGENVALUE_CAP,
+    CirculantSpec,
+    GraphSpec,
+    _check_cap,
+    _half_blocks,
+    _half_weights,
+    _sin2_half,
+    _weighted_fsum,
+)
 
 __all__ = [
     "SpecfunError",
@@ -316,13 +325,27 @@ def theta_discrete_spectral(spec: GraphSpec, t: float,
                             cap: int = DEFAULT_EIGENVALUE_CAP) -> ThetaValue:
     """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
 
-    The sum of w e^{-lambda t} over the half-range modes of ``_half_blocks``,
-    summed exactly block by block by ``graphs._weighted_fsum``; the weights are
-    powers of 2, so it equals the math.fsum over every mode bit for bit.
+    A circulant's value is the sum of w e^{-lambda t} over the half-range
+    modes of ``_half_blocks``, summed exactly block by block by
+    ``graphs._weighted_fsum``; the weights are powers of 2, so it equals the
+    math.fsum over every mode bit for bit.  A torus eigenvalue is a sum of
+    one term per side, so its theta is the product of the sides' own sums
+    sum_k w_k e^{-t 4 sin^2(pi k / l)} over k = 0..floor(l/2), each summed
+    the same way and rounded once: about sum l_i / 2 terms, not V / 2^d.  A table entry within 5 eps of its value
+    moves e^{-t lambda} by 5 eps t lambda relatively, so a side sum is within
+    (5 m + 3) eps of its exact value, relative, with m the mean of t lambda
+    under the weights w e^{-t lambda}, and the product adds d - 1 roundings.
     Raises EnumerationCapError above ``cap`` vertices, before any table is built.
     """
-    value = _weighted_fsum(lambda: _half_blocks(spec, cap),
-                           lambda v, out: np.exp(np.multiply(v, -t, out), out))
+    def total(blocks) -> float:
+        return _weighted_fsum(blocks, lambda v, out: np.exp(np.multiply(v, -t, out), out))
+
+    if isinstance(spec, CirculantSpec):
+        value = total(lambda: _half_blocks(spec, cap))
+    else:
+        _check_cap(spec, cap)
+        value = math.prod(total(lambda l=l: [(_sin2_half(l), (_half_weights(l),))])
+                          for l in spec.sides)
     return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)
 
 

@@ -5,8 +5,9 @@ enumerated edge subsets or dense matrix-tree determinants of a Laplacian
 assembled from an explicit edge list, spectra come from a dense symmetric
 eigensolver or the eigenvalue formula evaluated at every mode (each sin^2
 term by the float table's definition: direct below 2^15, angle addition
-above), log det* values sum one log (float or mpmath) per nonzero
-eigenvalue, the
+above), log det* values sum one log per nonzero eigenvalue in float, and
+in mpmath one log per product of the eigenvalues along a torus's largest
+side, torus theta values multiply the sides' Bessel lattice sums in mpmath, the
 high-precision lead term is a tanh-sinh quadrature of the log-sin integral,
 mpmath polyroots of a symbol polynomial built here or mpc Newton steps from
 numpy roots of it, fixed-point sin^2 tables and mpf products follow their
@@ -28,7 +29,8 @@ quadrature engine are imported.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -300,20 +302,55 @@ def log_det_star_circulant_mp(n: int, gens, dps: int) -> mp.mpf:
         return +total
 
 
+def _sin2_mp(l: int) -> list[mp.mpf]:
+    """4 sin^2(pi m / l) for m = 0..l - 1 at the working precision, one sine per pair {m, l - m}."""
+    return _sin2_mp_at(int(l), mp.mp.prec)
+
+
+@lru_cache(maxsize=4)
+def _sin2_mp_at(l: int, prec: int) -> list[mp.mpf]:
+    with mp.workprec(prec):
+        half = [4 * mp.sinpi(mp.mpf(m) / l) ** 2 for m in range(l // 2 + 1)]
+    return [half[min(m, l - m)] for m in range(l)]
+
+
 def log_det_star_torus_mp(sides, dps: int) -> mp.mpf:
-    """Sum of log lambda over every nonzero mode of the torus, one log per mode."""
-    sides = tuple(int(s) for s in sides)
+    """Sum of log lambda over every nonzero mode of the torus, one log per row of its largest side.
+
+    Each mode is lambda = mu + 4 sin^2(pi m / L) in mpmath, with mu the sum
+    of the other sides' terms of its row and L the largest side; the L modes
+    of a row are multiplied together before one log is taken, once for each
+    distinct mu, times the number of rows that share it.  A product of L
+    values each rounded at dps + 10 digits keeps about dps + 10 - log10(L)
+    of them.
+    """
+    sides = sorted(int(s) for s in sides)
     with mp.workdps(dps + 10):
-        parts = [[4 * mp.sinpi(mp.mpf(m) / l) ** 2 for m in range(l)] for l in sides]
-        total = mp.mpf(0)
-        for flat in range(1, math.prod(sides)):
-            rest = flat
-            lam = mp.mpf(0)
-            for i in range(len(sides) - 1, -1, -1):
-                lam += parts[i][rest % sides[i]]
-                rest //= sides[i]
-            total += mp.log(lam)
-        return +total
+        *lead, last = [_sin2_mp(l) for l in sides]
+        rows: dict[mp.mpf, int] = {}
+        for row in product(*lead):
+            mu = mp.fsum(row)
+            rows[mu] = rows.get(mu, 0) + 1
+        return mp.fsum(count * mp.log(mp.fprod(mu + s for s in (last if mu else last[1:])))
+                       for mu, count in rows.items())
+
+
+def theta_torus_mp(sides, t: float, dps: int) -> mp.mpf:
+    """sum over every mode of e^{-t lambda}: the product over the sides of their own sums.
+
+    A side's sum_m e^{-t 4 sin^2(pi m / l)} is l e^{-2t} sum_{k in Z} I_{|k| l}(2t)
+    by Poisson summation of the heat kernel e^{-2t} I_x(2t) on Z; the terms
+    fall faster than geometrically in |k| once k l > 2t, and the sum stops
+    at the first term below 10^-(dps + 10) of it.
+    """
+    with mp.workdps(dps + 10):
+        z, sums = 2 * mp.mpf(t), []
+        for l in sides:
+            total, k = mp.besseli(0, z), 1
+            while (term := 2 * mp.besseli(k * l, z)) > total * mp.eps or k * l <= z:
+                total, k = total + term, k + 1
+            sums.append(l * mp.exp(-z) * total)
+        return mp.fprod(sums)
 
 
 def lead_term_circulant_hp_quad(gens, dps: int) -> mp.mpf:

@@ -213,6 +213,20 @@ def test_compare_json_format(capsys):
     assert row["n"] == 10 and row["tree_count"] == 30250
 
 
+@pytest.mark.parametrize("family", [
+    ["circulant", "--gens", "1,2"],
+    ["torus-constant", "--alpha", "2", "--beta", "1"],
+    ["torus-sublinear", "--alpha", "1", "--beta", "1", "--an-rule", "floor_sqrt"],
+])
+def test_compare_families_write_one_json_row_layout(capsys, family):
+    rc, out = run_cli(capsys, "--no-header", "--format", "json", "compare",
+                      "--family", *family, "--n", "10,12")
+    assert rc == 0
+    for row in json.loads(out)["rows"]:
+        assert list(row) == ["exact_log_det", "predicted_log_det", "residual",
+                             "family", "n", "params", "tree_count"]
+
+
 def test_compare_exact_unavailable_above_cap(capsys):
     rc, out = run_cli(capsys, "--no-header", "compare", "--family", "circulant",
                       "--gens", "1,2", "--n", "50", "--max-vertices", "40")

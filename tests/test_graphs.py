@@ -18,7 +18,7 @@ from spantor.graphs import (
     spanning_tree_count_exact,
     log_det_star,
 )
-from spantor.specfun import theta_discrete_spectral
+from spantor.specfun import theta_discrete_bessel, theta_discrete_spectral
 
 from oracles import (
     brute_force_tree_count,
@@ -30,8 +30,10 @@ from oracles import (
     integer_determinant,
     laplacian_matrix,
     log_det_star_full,
+    log_det_star_torus_mp,
     product_form_tree_count,
     quotient_graph_spectrum,
+    theta_torus_mp,
 )
 
 
@@ -339,6 +341,51 @@ def test_laplacian_row_sums_vanish():
 # ---------------------------------------------------------------------------
 
 
+_EPS = 2.0**-52
+
+
+def _cover_bound(spec, value):
+    """The error bound log_det_star states for a torus: (d + 10) eps (x + 1) a term, half an ulp."""
+    *base, L = sorted(spec.sides)
+    mu, w = graphs._half_spectrum(TorusSpec(base or (1,)))
+    x = L * np.arcsinh(np.sqrt(mu[1:]) / 2)
+    terms = np.append(w[1:] * (x + 1), 2 * math.log(L) + 1)  # the zero mode's 2 log L
+    return (spec.d + 10) * _EPS * math.fsum(terms) + _EPS / 2 * abs(value)
+
+
+def _assert_torus_log_det_star(spec):
+    """log_det_star(spec) within its bound of the mpmath oracle, and of the spectral fsum.
+
+    The spectral fsum's own error: each lambda, d table entries within
+    5 eps each and d - 1 additions, within (d + 5) eps relative, each log
+    within eps |log lambda|, and half an ulp of the sum.
+    """
+    value = log_det_star(spec)
+    bound = _cover_bound(spec, value)
+    assert abs(mp.mpf(value) - log_det_star_torus_mp(spec.sides, 20)) <= bound
+    full = folded_spectrum(spec)
+    spectral = log_det_star_full(full)
+    logs = np.abs(np.log(full[full != 0.0]))
+    own = math.fsum((spec.d + 5) * _EPS + _EPS * logs) + _EPS / 2 * abs(spectral)
+    assert abs(value - spectral) <= bound + own
+
+
+def _assert_torus_theta(spec, t):
+    """theta_discrete_spectral within 2 d eps relative of the mpmath oracle and of the spectral fsum.
+
+    The spectral fsum's own error: each term e^{-t lambda} within
+    ((d + 6) t lambda + 1) eps of its value, and half an ulp of the sum.
+    """
+    value = theta_discrete_spectral(spec, t).value
+    bound = 2 * spec.d * _EPS * value
+    assert abs(mp.mpf(value) - theta_torus_mp(spec.sides, t, 20)) <= bound
+    full = folded_spectrum(spec)
+    terms = np.exp(-full * t)
+    spectral = math.fsum(terms)
+    own = math.fsum(terms * ((spec.d + 6) * t * full + 1) * _EPS) + _EPS / 2 * spectral
+    assert abs(value - spectral) <= bound + own
+
+
 def test_log_det_star_examples():
     assert log_det_star(CirculantSpec(4, (1,))) \
         == pytest.approx(math.log(16.0), rel=1e-14)
@@ -399,7 +446,111 @@ def test_log_det_star_equals_full_folded_sum_circulant(spec):
        .filter(lambda sides: 1 < math.prod(sides) <= 2000).map(TorusSpec))
 @settings(max_examples=80, deadline=None)
 def test_log_det_star_equals_full_folded_sum_torus(spec):
-    assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
+    # a torus goes by the cover identity, so it matches the spectral sum to
+    # within their bounds, not bit for bit
+    _assert_torus_log_det_star(spec)
+
+
+# ---------------------------------------------------------------------------
+# the torus cover route of log det* and the product of side sums of theta
+# ---------------------------------------------------------------------------
+
+
+# with every side at most 2 the torus is a hypercube Q_k, whose eigenvalue 4 j
+# has multiplicity C(k, j); a largest side of 2 is the doubled edge, where the
+# two eigenvalues mu and mu + 4 over a base mode multiply to
+# 2 cosh(2 phi) - 2 = mu (mu + 4)
+@pytest.mark.parametrize("sides", [(2, 2), (2, 1, 2), (2, 2, 2), (1, 2, 2, 2, 2, 1)])
+def test_torus_cover_with_largest_side_two_is_the_doubled_edge(sides):
+    spec = TorusSpec(sides)
+    value = log_det_star(spec)
+    bound = _cover_bound(spec, value)
+    k = sum(1 for l in sides if l == 2)
+    hypercube = math.fsum(math.comb(k, j) * math.log(4 * j) for j in range(1, k + 1))
+    assert abs(value - hypercube) <= bound + k * 2**k * _EPS
+    mu, w = graphs._half_spectrum(TorusSpec(sorted(sides)[:-1]))
+    doubled = math.fsum(np.append(w[1:] * np.log(mu[1:] * (mu[1:] + 4.0)), 2 * math.log(2)))
+    assert abs(value - doubled) <= bound + k * 2**k * _EPS
+    _assert_torus_log_det_star(spec)
+
+
+@pytest.mark.parametrize("L", [2, 3, 10, 65537, 10**6])
+def test_torus_cover_of_one_side_is_2_log_L(L):
+    # the cycle C_L has L spanning trees on L vertices: det* = V tau = L^2
+    for sides in [(L,), (1, L), (L, 1, 1)]:
+        assert log_det_star(TorusSpec(sides)) == 2 * math.log(L)
+
+
+@pytest.mark.parametrize("sides", [(3, 5), (2, 7, 7), (9, 4, 9, 2), (6, 6, 6)])
+def test_torus_cover_ignores_side_order_and_sides_of_one(sides):
+    # the base is every side but one largest, in sorted order, and a side 1
+    # adds its table's one exact 0.0: every order and every side 1 give the
+    # same bits; equal largest sides are checked against the oracle
+    expected = log_det_star(TorusSpec(sides))
+    for extra in [(), (1,), (1, 1)]:
+        for order in set(itertools.permutations(sides + extra)):
+            assert log_det_star(TorusSpec(order)) == expected, order
+    _assert_torus_log_det_star(TorusSpec(sides))
+
+
+def test_torus_cover_keeps_the_single_vertex_message():
+    for sides in [(1,), (1, 1), (1, 1, 1, 1)]:
+        with pytest.raises(GraphSpecError, match="^spectrum has no nonzero eigenvalues$"):
+            log_det_star(TorusSpec(sides))
+
+
+@pytest.mark.parametrize("sides", [(10, 11), (1, 7, 1, 9, 3), (1, 1)])
+def test_torus_cover_and_theta_check_the_cap_before_any_table(monkeypatch, sides):
+    spec = TorusSpec(sides)
+    V = spec.vertex_count
+    if V > 1:
+        assert log_det_star(spec, cap=V) == log_det_star(spec)
+    assert theta_discrete_spectral(spec, 0.5, cap=V).value == theta_discrete_spectral(spec, 0.5).value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built above the cap")
+
+    from spantor import specfun
+    for module, name in [(graphs, "_half_spectrum"), (graphs, "_half_blocks"),
+                         (specfun, "_half_blocks"), (specfun, "_sin2_half")]:
+        monkeypatch.setattr(module, name, refuse)
+    message = f"^torus has {V} eigenvalues, exceeding the cap {V - 1}$"
+    with pytest.raises(EnumerationCapError, match=message):
+        log_det_star(spec, cap=V - 1)
+    with pytest.raises(EnumerationCapError, match=message):
+        theta_discrete_spectral(spec, 0.5, cap=V - 1)
+
+
+@st.composite
+def small_tori(draw, limit=2000):
+    """Tori of 2..limit vertices, with sides up to ``limit``."""
+    sides, room = [], limit
+    for _ in range(draw(st.integers(1, 4))):
+        sides.append(draw(st.integers(1, room)))
+        room //= sides[-1]
+    return TorusSpec(sides)
+
+
+@given(small_tori().filter(lambda spec: spec.vertex_count > 1))
+@settings(max_examples=60, deadline=None)
+def test_torus_cover_within_its_bound_of_the_mp_oracle(spec):
+    value = log_det_star(spec)
+    assert abs(mp.mpf(value) - log_det_star_torus_mp(spec.sides, 20)) <= _cover_bound(spec, value)
+
+
+@pytest.mark.parametrize("sides", [(3, 50, 64), (2, 317, 316), (1, 1000), (6, 6, 6, 6)])
+@pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
+def test_torus_theta_product_matches_the_bessel_side(sides, t):
+    spec = TorusSpec(sides)
+    lattice = theta_discrete_bessel(spec, t)
+    assert lattice.value == pytest.approx(theta_discrete_spectral(spec, t).value,
+                                          rel=1e-14, abs=lattice.tail_bound)
+
+
+def test_torus_log_det_star_holds_only_its_base():
+    # the cover route keeps the base's 127 modes and two side tables; the
+    # spectral route's blocks needed the 2.0 MB bound of the test above
+    assert _log_det_star_peak(TorusSpec((252, 16000))) <= 0.05e6
 
 
 # lengths at and around the 64-term shortcut and the 2^15-term block
@@ -572,15 +723,19 @@ def large_circulant_specs(draw):
     .filter(lambda sides: 5 * 10**4 <= math.prod(sides) <= 3 * 10**5).map(TorusSpec)))
 @settings(max_examples=12, deadline=None)
 def test_log_det_star_equals_full_folded_sum_large(spec):
-    assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
+    if isinstance(spec, TorusSpec):
+        _assert_torus_log_det_star(spec)
+    else:
+        assert log_det_star(spec) == log_det_star_full(folded_spectrum(spec))
 
 
 _B = graphs._BLOCK
 
 # the block stream's edges: n/2 (even n) and floor(n/2) (odd n) at k _BLOCK - 1,
-# k _BLOCK and k _BLOCK + 1; torus last half tables longer than _BLOCK, and rows
-# that split into several blocks; 3-D tori for the order of addition; sides 1
-# and 2, g = n/2, mirrored and duplicate generators
+# k _BLOCK and k _BLOCK + 1; g = n/2, mirrored and duplicate generators.  The
+# tori, whose spectra the block stream once split, now check the cover route
+# and the product of side sums: side tables longer than _BLOCK, 3-D tori,
+# sides 1 and 2
 _STREAM_EDGE_SPECS = [
     *(CirculantSpec(2 * (k * _B + e), (1, 3)) for k in (1, 2) for e in (-1, 0, 1)),
     *(CirculantSpec(2 * (_B + e) + 1, (1, 2)) for e in (-1, 0, 1)),
@@ -601,6 +756,11 @@ _STREAM_EDGE_SPECS = [
 
 @pytest.mark.parametrize("spec", _STREAM_EDGE_SPECS, ids=str)
 def test_block_stream_sums_equal_the_fsum_over_the_spectrum(spec):
+    if isinstance(spec, TorusSpec):  # by the cover identity and the product of side sums
+        _assert_torus_log_det_star(spec)
+        for t in (0.01, 1.5):
+            _assert_torus_theta(spec, t)
+        return
     full = spectrum(spec)
     assert log_det_star(spec).hex() == math.fsum(np.log(full[full != 0.0])).hex()
     for t in (0.01, 1.5):
@@ -637,7 +797,8 @@ def _log_det_star_peak(spec) -> int:
 def test_log_det_star_builds_no_full_spectrum_temporaries(spec, limit_mb):
     # with full-spectrum temporaries the circulant peaks were 12.0 and
     # 17.3 MB, and with the gathered generator 400000's index temporaries
-    # n/2 long, 20.5 MB; the torus keeps a few blocks' worth
+    # n/2 long, 20.5 MB; the torus kept a few blocks' worth when it streamed
+    # its spectrum, and keeps far less by the cover route (see below)
     assert _log_det_star_peak(spec) <= limit_mb * 1e6
 
 
@@ -688,7 +849,6 @@ def test_sin2_half_has_one_exact_zero(l):
     assert np.all(table[1:] > 0.0)
 
 
-_EPS = 2.0**-52
 _LONG_DOUBLE_PI = np.longdouble("3.14159265358979323846264338327950288")
 
 
@@ -849,8 +1009,10 @@ def test_circulant_blocks_share_one_reused_buffer():
 @given(spectrum_specs(), st.sampled_from([0.01, 0.5, 3.0]) | st.floats(1e-3, 10.0))
 @settings(max_examples=100, deadline=None)
 def test_theta_spectral_equals_full_folded_sum(spec, t):
-    full = math.fsum(np.exp(-folded_spectrum(spec) * t))
-    assert theta_discrete_spectral(spec, t).value == full
+    if isinstance(spec, TorusSpec):  # the product of the sides' sums
+        _assert_torus_theta(spec, t)
+    else:
+        assert theta_discrete_spectral(spec, t).value == math.fsum(np.exp(-folded_spectrum(spec) * t))
     assert theta_discrete_spectral(spec, t).terms == spec.vertex_count
 
 
