@@ -720,6 +720,8 @@ def predict_torus_sublinear(n: int, a_n: int, alpha: Sequence[int],
         raise AsymError("sublinear prediction needs a nonempty A-block (p >= 1)")
     if q < 1:
         raise AsymError("need at least one growing side (beta block)")
+    if any(a < 1 for a in alpha_t) or any(b < 1 for b in beta_t):
+        raise AsymError("alpha and beta entries must be positive integers")
     if a_n < 1:
         raise AsymError(f"a_n must be a positive integer, got {a_n}")
     d = p + q

@@ -321,6 +321,8 @@ def cmd_compare(args, sink, out) -> int:
     ns = _parse_int_list(args.n)
     if not ns:
         raise UsageError("--n must list at least one size")
+    if min(ns) < 1:
+        raise UsageError(f"--n sizes must be positive, got {min(ns)}")
     if args.family == "circulant":
         if not args.gens:
             raise UsageError("--gens is required for the circulant family")
@@ -548,7 +550,7 @@ def cmd_specfun(args, sink, out) -> int:
         else:
             raise UsageError(f"unknown specfun operation {name!r}")
     except (IndexError, ValueError) as exc:
-        if isinstance(exc, (SpecfunError, AsymError)):
+        if isinstance(exc, (SpecfunError, AsymError, GraphSpecError)):
             raise
         raise UsageError(f"bad arguments for specfun {name}: {rest}") from exc
     if not (math.isfinite(value) and math.isfinite(err)):

@@ -19,17 +19,17 @@ The float table (``_sin2_half``) evaluates its first 2^15 sines directly;
 the rest come by angle addition in rows from that head, which costs one
 direct row of cos b - 1 and one sine and cosine per row, not one sine per
 entry.
-``_half_blocks`` streams a circulant's half-range modes and the number of
-modes each stands for in blocks of at most 2^15, summed from its half table
-into one reused buffer, so no array outgrows a block or the half table; a
-torus's modes come as one block, the outer sum of its sides' tables.
-``_half_spectrum`` joins the stream for ``spectrum``, spantor.hp, the
-A-block modes of spantor.asym and the base of the torus cover below.  A
-circulant's log det* (``log_det_star``) and theta's sum of w e^{-lambda t}
-take one exact split per block (``_exact_parts``) and one math.fsum of the
-parts, the full spectrum's math.fsum bit for bit.  A torus's log det* sums
-one closed-form term per half-range mode of all but its largest side, by
-the Chebyshev identity below, in the same exact way.
+``_half_spectrum`` builds the whole half range, each mode with the number
+of modes it stands for, from the float table or spantor.hp's integer one,
+for ``spectrum``, spantor.hp, spantor.asym's A-block modes and the torus
+cover's base.  ``_half_blocks`` streams only a circulant's float modes
+j = 1..floor(n/2), past 2^15 of them summed from the half table block by
+block into one reused buffer, so no array outgrows a block or the table.
+A circulant's log det* (``log_det_star``) and theta's sum of
+w e^{-lambda t} take one exact split per block (``_exact_parts``) and one
+math.fsum of the parts, the full spectrum's math.fsum bit for bit.  A
+torus's log det* sums one closed-form term per half-range mode of all but
+its largest side, by the Chebyshev identity below, in the same exact way.
 
 Spanning-tree counts are exact arbitrary-precision integers, each one integer
 determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
@@ -285,59 +285,60 @@ def _check_cap(spec: GraphSpec, cap: int) -> None:
             f"{kind} has {spec.vertex_count} eigenvalues, exceeding the cap {cap}")
 
 
-def _half_blocks(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP, table=_sin2_half,
-                 block: int = _BLOCK):
-    """The half-range modes as a stream of (values, weights) blocks of at most ``block`` modes.
+def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
+                   table=_sin2_half) -> tuple[np.ndarray, np.ndarray]:
+    """Every half-range mode and its weight, the number of modes it stands for.
 
     An eigenvalue depends on each index only through min(r, l - r).  A
     circulant's modes j = 0..floor(n/2) sum the half table of n at
-    min(r, n - r), r = g j mod n, over the generators.  Within one block they
-    come as one array; past it, j = 0 and n/2 come first, then each block of
-    j in [start, start + block) is summed straight from the table into one
-    block-sized buffer, which every later block of the stream overwrites: a
-    consumer must be done with a block before it asks for the next.  A torus
-    is one block whatever ``block`` says: the outer sum of its sides' tables,
-    the last side moving fastest, which only ``_half_spectrum`` reads.
-    ``weights`` are power-of-2 factors that broadcast against the values.
-    ``table(l)`` gives a side's 4 sin^2(pi k / l), or spantor.hp's integers.
-    Raises EnumerationCapError above ``cap``.
+    min(r, n - r), r = g j mod n, over the generators.  A torus's modes are
+    the outer sum of its sides' tables, the last side moving fastest.  Every
+    weight is a power of 2.  ``table(l)`` gives a side's 4 sin^2(pi k / l),
+    or spantor.hp's integers.  Raises EnumerationCapError above ``cap``,
+    before any table is built.
     """
     _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
         n, half = spec.n, table(spec.n)
-        if half.size <= block:
-            lam = np.zeros_like(half)  # written zeros: a page faults once, not on read and write
-            for g in spec.generators:
-                _add_folded(lam, half, n, g)
-            yield lam, (_half_weights(n),)
-            return
-        end = n - n // 2  # modes 1..end-1 have weight 2, j = 0 and j = n/2 (if any) 1
-        edge = np.zeros(2 - n % 2, half.dtype)
+        lam = np.zeros_like(half)  # written zeros: a page faults once, not on read and write
         for g in spec.generators:
-            _add_folded(edge[:1], half, n, g)
-            _add_folded(edge[1:], half, n, g, n // 2)
-        yield edge, ()
-        buffer = np.empty(block, half.dtype)
-        for start in range(1, end, block):
-            lam = buffer[:min(block, end - start)]
-            lam.fill(0)
-            for g in spec.generators:
-                _add_folded(lam, half, n, g, start)
-            yield lam, (2.0,)
-        return
+            _add_folded(lam, half, n, g)
+        return lam, _half_weights(n)
     values, weights = None, np.ones(1)
     for l in spec.sides:
         half = table(l)
         values = half if values is None else (values[:, None] + half).ravel()
         weights = (weights[:, None] * _half_weights(l)).ravel()
-    yield values, (weights,)
+    return values, weights
 
 
-def _half_spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP,
-                   table=_sin2_half) -> tuple[np.ndarray, np.ndarray]:
-    """Every half-range mode and its weight: the stream of ``_half_blocks`` as one block."""
-    (values, weights), = _half_blocks(spec, cap, table, block=spec.vertex_count)
-    return values.ravel(), math.prod(weights).ravel()
+def _half_blocks(spec: CirculantSpec):
+    """A circulant's float modes j = 1..floor(n/2) as a stream of (values, weight) blocks.
+
+    j = n/2 (even n only) comes first with weight 1, then the modes
+    j = 1..ceil(n/2) - 1 with weight 2, at most _BLOCK a block.  Within one
+    block they are views of the ``_half_spectrum`` array.  Past it each
+    block is summed straight from the half table into one block-sized
+    buffer, which every later block of the stream overwrites: a consumer
+    must be done with a block before it asks for the next.  The zero mode
+    j = 0 is left out, and the caller checks the cap.
+    """
+    n = spec.n
+    end = n - n // 2  # first j past the modes of weight 2
+    spans = [(n // 2, n // 2 + 1, 1.0)] * (1 - n % 2)
+    spans += [(a, min(a + _BLOCK, end), 2.0) for a in range(1, end, _BLOCK)]
+    if n // 2 < _BLOCK:
+        lam, _ = _half_spectrum(spec, n)
+        for a, b, weight in spans:
+            yield lam[a:b], weight
+        return
+    half, buffer = _sin2_half(n), np.empty(_BLOCK)
+    for a, b, weight in spans:
+        lam = buffer[:b - a]
+        lam.fill(0)
+        for g in spec.generators:
+            _add_folded(lam, half, n, g, a)
+        yield lam, weight
 
 
 def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
@@ -395,20 +396,20 @@ def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
 
 
 def _weighted_fsum(blocks, f) -> float:
-    """math.fsum of w f(lambda) over the stream ``blocks()`` of ``_half_blocks``, bit for bit.
+    """math.fsum of w f(lambda) over the stream ``blocks()`` of (values, w), bit for bit.
 
-    ``f(values, out)`` writes into ``out``.  Each block's terms are computed in
-    place in one block-sized array and split (``_exact_parts``) into parts within
-    ``err`` of the exact sum.  When the parts shifted by -err and +err round
-    alike, so does the exact sum; else the stream runs again into one math.fsum.
+    ``f(values, out)`` writes into ``out``, which w, a scalar or an array like
+    the values, scales.  Each block's terms are computed in place in one
+    block-sized array and split (``_exact_parts``) into parts within ``err``
+    of the exact sum.  When the parts shifted by -err and +err round alike,
+    so does the exact sum; else the stream runs again into one math.fsum.
     """
     def terms():
-        for values, weights in blocks():
+        for values, weight in blocks():
             out = np.empty(values.shape)
             f(values, out)
-            for w in weights:
-                out *= w
-            yield out.reshape(-1)
+            out *= weight
+            yield out
 
     parts: list[float] = []
     err = math.fsum(_exact_parts(x, parts) for x in terms())
@@ -417,37 +418,24 @@ def _weighted_fsum(blocks, f) -> float:
     return math.fsum(itertools.chain.from_iterable(x.tolist() for x in terms()))
 
 
-def _nonzero_blocks(blocks):
-    """``blocks`` with 1 (log 1 = 0) for each mode that is not positive, then the checks.
-
-    GraphSpecError unless the zero modes weigh 1 in all (a connected graph),
-    some mode is nonzero and none is negative.
-    """
-    zeros, modes, negative = 0, 0, False
-    for values, weights in blocks:
-        modes += values.size
-        if (low := values.min()) <= 0.0:
-            zero = values == 0.0
-            zeros += int(math.prod(weights, start=zero).sum())
-            negative = negative or low < 0.0
-            values = np.where(zero if low == 0.0 else values <= 0.0, 1.0, values)
-        yield values, weights
-    if zeros != 1:
-        raise GraphSpecError(f"expected exactly one zero eigenvalue, got {zeros}")
-    if modes == 1:  # that one zero mode is the whole spectrum
-        raise GraphSpecError("spectrum has no nonzero eigenvalues")
-    if negative:
-        raise GraphSpecError("spectrum has a negative eigenvalue")
+def _zero_modes(spec: GraphSpec) -> int:
+    """How many Laplacian eigenvalues of ``spec`` are 0: 1 for a connected graph."""
+    if isinstance(spec, CirculantSpec):
+        # lambda_j = 0 exactly when g j = 0 (mod n) for every generator g
+        return math.gcd(spec.n, *spec.generators)
+    return 1  # torus Cayley graphs on the standard generators are connected
 
 
 def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
     """log of the product of the nonzero Laplacian eigenvalues of ``spec``.
 
-    A circulant's value is the sum of w log(lambda) over the half-range modes
-    of ``_half_blocks``, about half its logs.  A mirrored mode's eigenvalue
-    is bitwise its own and w is a power of 2, so the sum, exact block by
-    block (``_weighted_fsum``) and rounded once, is the math.fsum of
-    log(lambda) over the full spectrum bit for bit.
+    A circulant's eigenvalue at any mode but its ``_zero_modes`` sums table
+    entries, one at least positive.  So once those are just j = 0 the value
+    is the sum of w log(lambda) over the modes j = 1..floor(n/2) of
+    ``_half_blocks``, about half its logs.  A mirrored mode's eigenvalue is
+    bitwise its own and w is a power of 2, so the sum, exact block by block
+    (``_weighted_fsum``) and rounded once, is the math.fsum of log(lambda)
+    over the full spectrum bit for bit.
 
     A torus is an L-fold cover of all but its largest side L, and by the
     Chebyshev identity the L eigenvalues over a base mode mu multiply to
@@ -464,13 +452,15 @@ def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
     is within (d + 10) eps (x_mu + 1) of 2 log(2 sinh x_mu) there; the sum
     adds half an ulp.
 
-    Raises EnumerationCapError above ``cap`` vertices, before any table is
-    built, and GraphSpecError for a disconnected graph (more than one zero
-    eigenvalue) or a single vertex.
+    Raises EnumerationCapError above ``cap`` vertices, and GraphSpecError
+    for a disconnected circulant (more than one zero eigenvalue), both
+    before any table is built, or a single-vertex torus.
     """
-    if isinstance(spec, CirculantSpec):
-        return _weighted_fsum(lambda: _nonzero_blocks(_half_blocks(spec, cap)), np.log)
     _check_cap(spec, cap)
+    if isinstance(spec, CirculantSpec):
+        if (zeros := _zero_modes(spec)) != 1:
+            raise GraphSpecError(f"expected exactly one zero eigenvalue, got {zeros}")
+        return _weighted_fsum(lambda: _half_blocks(spec), np.log)
     *base, L = sorted(spec.sides)
     if L == 1:
         raise GraphSpecError("spectrum has no nonzero eigenvalues")
@@ -490,7 +480,7 @@ def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
         x *= 2.0
         out[0] = 2.0 * math.log(L)
 
-    return _weighted_fsum(lambda: [(mu, (weights,))], cover_terms)
+    return _weighted_fsum(lambda: [(mu, weights)], cover_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +689,6 @@ def _cover_tree_count(base: list[list[int]], twist: list[list[int]], L: int) -> 
     return tau
 
 
-def _is_connected(spec: GraphSpec) -> bool:
-    if isinstance(spec, CirculantSpec):
-        return math.gcd(spec.n, *spec.generators) == 1
-    return True  # torus Cayley graphs on the standard generators are connected
-
-
 def spanning_tree_count_exact(spec: GraphSpec, cap: int = DEFAULT_DETERMINANT_CAP) -> int:
     """Matrix-tree count, exact over arbitrary-precision integers.
 
@@ -716,7 +700,7 @@ def spanning_tree_count_exact(spec: GraphSpec, cap: int = DEFAULT_DETERMINANT_CA
     determinant of size g_max - 1.  Raises GraphSpecError for a disconnected
     graph and EnumerationCapError above ``cap`` vertices.
     """
-    if not _is_connected(spec):
+    if _zero_modes(spec) != 1:
         raise GraphSpecError(f"graph {spec} is disconnected")
     total = spec.vertex_count
     if total > cap:

@@ -325,28 +325,34 @@ def theta_discrete_spectral(spec: GraphSpec, t: float,
                             cap: int = DEFAULT_EIGENVALUE_CAP) -> ThetaValue:
     """Spectral side: sum_j e^{-lambda_j t} over the full spectrum.
 
-    A circulant's value is the sum of w e^{-lambda t} over the half-range
-    modes of ``_half_blocks``, summed exactly block by block by
-    ``graphs._weighted_fsum``; the weights are powers of 2, so it equals the
-    math.fsum over every mode bit for bit.  A torus eigenvalue is a sum of
-    one term per side, so its theta is the product of the sides' own sums
-    sum_k w_k e^{-t 4 sin^2(pi k / l)} over k = 0..floor(l/2), each summed
-    the same way and rounded once: about sum l_i / 2 terms, not V / 2^d.  A table entry within 5 eps of its value
+    A circulant's value is the sum of w e^{-lambda t} over its half-range
+    modes: j = 0, whose term is e^0 = 1 of weight 1, as a block of its own,
+    then the modes j = 1..floor(n/2) of ``_half_blocks``, summed exactly
+    block by block by ``graphs._weighted_fsum``; the weights are powers of
+    2, so it equals the math.fsum over every mode bit for bit.  A torus
+    eigenvalue is a sum of one term per side, so its theta is the product
+    of the sides' own sums sum_k w_k e^{-t 4 sin^2(pi k / l)} over
+    k = 0..floor(l/2), each summed the same way and rounded once: about
+    sum l_i / 2 terms, not V / 2^d.  A table entry within 5 eps of its value
     moves e^{-t lambda} by 5 eps t lambda relatively, so a side sum is within
     (5 m + 3) eps of its exact value, relative, with m the mean of t lambda
     under the weights w e^{-t lambda}, and the product adds d - 1 roundings.
-    Raises EnumerationCapError above ``cap`` vertices, before any table is built.
+    ``terms`` counts the terms summed: floor(n/2) + 1 for a circulant, and
+    sum (floor(l_i/2) + 1) over the sides of a torus.  Raises
+    EnumerationCapError above ``cap`` vertices, before any table is built.
     """
     def total(blocks) -> float:
         return _weighted_fsum(blocks, lambda v, out: np.exp(np.multiply(v, -t, out), out))
 
+    _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
-        value = total(lambda: _half_blocks(spec, cap))
+        sides = (spec.n,)
+        value = total(lambda: itertools.chain([(np.zeros(1), 1.0)], _half_blocks(spec)))
     else:
-        _check_cap(spec, cap)
-        value = math.prod(total(lambda l=l: [(_sin2_half(l), (_half_weights(l),))])
-                          for l in spec.sides)
-    return ThetaValue(t=t, value=value, tail_bound=0.0, terms=spec.vertex_count)
+        sides = spec.sides
+        value = math.prod(total(lambda l=l: [(_sin2_half(l), _half_weights(l))])
+                          for l in sides)
+    return ThetaValue(t=t, value=value, tail_bound=0.0, terms=sum(l // 2 + 1 for l in sides))
 
 
 def _circulant_bessel_sum(spec: CirculantSpec, z: float, cutoff: int,

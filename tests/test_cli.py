@@ -272,6 +272,37 @@ def test_compare_precision_rejects_invalid_generators(capsys):
         assert err == "invalid graph specification: first generator must be 1, got 2\n"
 
 
+_TORUS = ["compare", "--family", "torus-constant", "--alpha", "2", "--beta", "1"]
+_SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta", "1"]
+
+
+# sizes below 1 reached math.log, math.isqrt or a division by zero, and an
+# invalid graph in specfun theta read as bad arguments
+@pytest.mark.parametrize("argv,code,message", [
+    (_TORUS + ["--n", "0"], 1, "usage error: --n sizes must be positive, got 0"),
+    (_TORUS + ["--n", "30,-3"], 1, "usage error: --n sizes must be positive, got -3"),
+    (_SUBLINEAR + ["--n", "-3"], 1, "usage error: --n sizes must be positive, got -3"),
+    (_SUBLINEAR + ["--n", "0", "--an-rule", "floor_log"], 1,
+     "usage error: --n sizes must be positive, got 0"),
+    (["compare", "--family", "circulant", "--gens", "1,2", "--n", "0"], 1,
+     "usage error: --n sizes must be positive, got 0"),
+    (["compare", "--family", "torus-sublinear", "--alpha", "0", "--beta", "1", "--n", "5"], 2,
+     "numerical failure: alpha and beta entries must be positive integers"),
+    (["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta", "-1", "--n", "5"], 2,
+     "numerical failure: alpha and beta entries must be positive integers"),
+    (["specfun", "theta", "0.5", "--torus", "0,3"], 1,
+     "invalid graph specification: sides must be positive integers: (0, 3)"),
+    (["specfun", "theta", "0.5", "--circulant", "7", "2,3"], 1,
+     "invalid graph specification: first generator must be 1, got 2"),
+])
+def test_invalid_sizes_and_graphs_exit_with_one_line(capsys, argv, code, message):
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert "Traceback" not in captured.err
+
+
 # The stdout of compare --precision, byte for byte: circulant and torus rows,
 # rows with and without a tree count, a row above --max-vertices, CSV and JSON
 _PRECISION_GOLDEN = [

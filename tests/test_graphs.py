@@ -394,16 +394,6 @@ def test_log_det_star_examples():
 
 
 def test_log_det_star_degenerate_inputs():
-    def weighted(*values):
-        return graphs._weighted_fsum(
-            lambda: graphs._nonzero_blocks([(np.array(values), ())]), np.log)
-
-    with pytest.raises(GraphSpecError):
-        weighted(0.0)
-    with pytest.raises(GraphSpecError):
-        weighted(0.0, 0.0, 3.0)
-    with pytest.raises(GraphSpecError):
-        weighted(0.0, -1.0, 3.0)
     with pytest.raises(GraphSpecError):
         log_det_star(TorusSpec((1, 1)))  # a single vertex
     with pytest.raises(EnumerationCapError):
@@ -568,7 +558,7 @@ def _random_floats(seed, size, lo, hi, zero_share):
 
 def _stream(x):
     """x as a stream of blocks of weight 1, as graphs._weighted_fsum reads it."""
-    return [(x[start:start + graphs._BLOCK], ()) for start in range(0, x.size, graphs._BLOCK)]
+    return [(x[start:start + graphs._BLOCK], 1.0) for start in range(0, x.size, graphs._BLOCK)]
 
 
 def _exact_fsum(x):
@@ -843,7 +833,8 @@ def test_sin2_half_head_is_the_direct_evaluation(l):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 100, 65535, 65537, 2**17 + 3, 999178, 10**7 - 1])
 def test_sin2_half_has_one_exact_zero(l):
-    # _nonzero_blocks counts the zero modes as the entries equal to 0.0
+    # log_det_star counts a circulant's zero modes by gcd(n, Gamma): only index 0
+    # of the table is 0.0, so every other mode, a sum of entries, is positive
     table = graphs._sin2_half(l)
     assert table[0] == 0.0 and math.copysign(1.0, table[0]) == 1.0
     assert np.all(table[1:] > 0.0)
@@ -994,12 +985,48 @@ def test_circulant_blocks_share_one_reused_buffer():
     spec = CirculantSpec(6 * _B, (1, 3))
     held = [values for values, _ in graphs._half_blocks(spec)]
     copied = [values.copy() for values, _ in graphs._half_blocks(spec)]
-    assert [b.size for b in copied] == [2, _B, _B, _B - 1]
-    assert all(np.shares_memory(held[1], b) for b in held[2:])
+    assert [b.size for b in copied] == [1, _B, _B, _B - 1]  # j = n/2 alone first
+    assert [w for _, w in graphs._half_blocks(spec)] == [1.0, 2.0, 2.0, 2.0]
+    assert all(np.shares_memory(held[0], b) for b in held[1:])
     assert not np.array_equal(held[1], copied[1])
+    assert np.array_equal(copied[0], spectrum(spec)[3 * _B:3 * _B + 1])
     assert np.array_equal(np.concatenate(copied[1:]), spectrum(spec)[1:3 * _B])
     assert "buffer, which every later block of the stream overwrites" in \
         " ".join(graphs._half_blocks.__doc__.split())
+
+
+# n on both sides of one block (2^15 modes, n = 2^16) and past three blocks;
+# g = n/2 at even n, a mirrored step g > n/2 and a duplicate generator
+@pytest.mark.parametrize("n", [2**16 - 2, 2**16 - 1, 2**16, 2**16 + 1, 6 * _B + 7])
+def test_half_blocks_stream_the_whole_half_range(n):
+    spec = CirculantSpec(n, tuple(sorted([1, 7, 7, n - 300] + [n // 2] * (1 - n % 2))))
+    values, weights = [], []
+    for block, weight in graphs._half_blocks(spec):
+        values.append(block.copy())  # the buffer is reused past one block
+        weights.append(np.full(block.size, weight))
+    lam, w = graphs._half_spectrum(spec)
+    order = np.r_[n // 2:n // 2 + 1 - n % 2, 1:n - n // 2]  # j = n/2 (even n) first, then 1..
+    assert np.concatenate(values).tobytes() == lam[order].tobytes()
+    assert np.concatenate(weights).tobytes() == w[order].tobytes()
+
+
+def test_disconnected_circulant_raises_before_any_table(monkeypatch):
+    # gcd(n, Gamma) counts the zero modes, so no table is built to find them;
+    # above the cap the cap error comes first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built for a disconnected circulant")
+
+    for name in ["_sin2_half", "_half_spectrum", "_half_blocks"]:
+        monkeypatch.setattr(graphs, name, refuse)
+    for n, gens, zeros in [(8, (2, 4), 2), (12, (3, 6), 3), (6 * _B, (3,), 3),
+                           (10**6, (2, 6, 10), 2), (9, (3, 6, 6), 3)]:
+        spec = _unvalidated_circulant(n, gens)
+        with pytest.raises(GraphSpecError,
+                           match=f"^expected exactly one zero eigenvalue, got {zeros}$"):
+            log_det_star(spec)
+        with pytest.raises(EnumerationCapError,
+                           match=f"^circulant has {n} eigenvalues, exceeding the cap {n - 1}$"):
+            log_det_star(spec, cap=n - 1)
 
 
 @example(CirculantSpec(12, (1, 6, 6, 11)), 0.5)
@@ -1013,7 +1040,8 @@ def test_theta_spectral_equals_full_folded_sum(spec, t):
         _assert_torus_theta(spec, t)
     else:
         assert theta_discrete_spectral(spec, t).value == math.fsum(np.exp(-folded_spectrum(spec) * t))
-    assert theta_discrete_spectral(spec, t).terms == spec.vertex_count
+    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+    assert theta_discrete_spectral(spec, t).terms == sum(l // 2 + 1 for l in sides)
 
 
 # ---------------------------------------------------------------------------

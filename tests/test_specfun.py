@@ -261,7 +261,9 @@ def test_theta_spectral_caps_both_families(spec, cap):
     with pytest.raises(EnumerationCapError, match=f"exceeding the cap {limit}$"):
         theta_discrete_spectral(spec, 0.5, **kwargs)
     if cap is not None:
-        assert theta_discrete_spectral(spec, 0.5, cap=spec.vertex_count).terms == spec.vertex_count
+        sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
+        assert theta_discrete_spectral(spec, 0.5, cap=spec.vertex_count).terms \
+            == sum(l // 2 + 1 for l in sides)
 
 
 def test_theta_spectral_monotone_to_one():
