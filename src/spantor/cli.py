@@ -151,15 +151,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _digits(text: str) -> int:
-    """A --precision value: a non-negative integer, where 0 means float64."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type for an integer of at least ``low``, "a {kind} integer" in its error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -524,6 +526,8 @@ def cmd_specfun(args, sink, out) -> int:
             value, err = bessel_i_scaled(order, t), 1e-12
         elif name == "theta":
             t = _finite(rest[0])
+            if t < 0:
+                raise UsageError(f"expected a non-negative number, got {rest[0]!r}")
             if args.circulant is None and args.torus is None:
                 raise UsageError("theta needs --circulant or --torus")
             spec = _spec_from_args(args)
@@ -576,9 +580,10 @@ def build_parser() -> _Parser:
     common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--tol", type=_tolerance,
                         help="target tolerance for quadrature-backed values")
-    common.add_argument("--precision", type=_digits, metavar="DIGITS",
+    common.add_argument("--precision", type=_int_at_least(0, "non-negative"),
+                        metavar="DIGITS",
                         help="decimal digits for high-precision paths (0 = float64)")
-    common.add_argument("--max-vertices", type=int,
+    common.add_argument("--max-vertices", type=_int_at_least(1, "positive"),
                         help="cap on enumerated eigenvalues / dense matrices")
     common.add_argument("--no-header", action="store_true",
                         help="suppress the timestamp and column header")

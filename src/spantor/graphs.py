@@ -124,6 +124,11 @@ class CirculantSpec:
     def vertex_count(self) -> int:
         return self.n
 
+    @property
+    def sides(self) -> tuple[int, ...]:
+        """(n,): the one side whose sin^2 table every eigenvalue reads."""
+        return (self.n,)
+
 
 @dataclass(frozen=True)
 class TorusSpec:
@@ -353,9 +358,8 @@ def spectrum(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> np.ndarray:
     relative accuracy.  Raises EnumerationCapError above ``cap`` vertices.
     """
     values, _ = _half_spectrum(spec, cap)
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    folded = [np.minimum(np.arange(l), l - np.arange(l)) for l in sides]  # min(r, l - r)
-    return values.reshape([l // 2 + 1 for l in sides])[np.ix_(*folded)].ravel()
+    folded = [np.minimum(np.arange(l), l - np.arange(l)) for l in spec.sides]  # min(r, l - r)
+    return values.reshape([l // 2 + 1 for l in spec.sides])[np.ix_(*folded)].ravel()
 
 
 def _exact_parts(x: np.ndarray, parts: list[float]) -> float:
@@ -648,24 +652,38 @@ def _cycle_cover(beta: int, g: int) -> tuple[list[list[int]], list[list[int]], i
     return _block_laplacian([beta]), shift, g
 
 
-def _as_cover(spec: GraphSpec) -> tuple[list[list[int]], list[list[int]], int] | None:
-    """(B, W, L) for a graph that the cover route counts, else None.
+def _cover_shape(spec: GraphSpec) -> tuple[int, int] | None:
+    """(a, L) when the count takes ``spec`` as an L-fold cyclic cover of a graph on a vertices.
 
-    A torus is an L-fold cover of all but its largest side L with W = I.
-    C_N^{1,g} with g | N is the cycle cover of ``_cycle_cover`` when its
-    beta x beta determinant (beta = N / g) is smaller than the symbol route's
-    (g - 1) x (g - 1) one, that is when beta < g.
+    A torus is an L-fold cover of all but its largest side L.  C_N^{1,g} with
+    g | N is the cycle cover of ``_cycle_cover`` when its beta x beta
+    determinant (beta = N / g) is smaller than the symbol route's
+    (g - 1) x (g - 1) one, that is when beta < g.  None for any other
+    circulant, which the symbol route counts.
     """
     if isinstance(spec, TorusSpec):
-        sides = sorted(spec.sides)
-        L = sides.pop()
-        base = _block_laplacian(sides)
-        return base, _plus_identity([[0] * len(base) for _ in base], 1), L
+        L = max(spec.sides)
+        return spec.vertex_count // L, L
     n = spec.n
     g = min(spec.generators[-1], n - spec.generators[-1])
     if spec.d != 2 or n % g or n // g >= g:
         return None
-    return _cycle_cover(n // g, g)
+    return n // g, g
+
+
+def _as_cover(spec: GraphSpec) -> tuple[list[list[int]], list[list[int]], int] | None:
+    """(B, W, L) for a graph that the cover route counts (``_cover_shape``), else None.
+
+    A torus's twist W is the identity; a cycle cover's is the cycle's shift.
+    """
+    shape = _cover_shape(spec)
+    if shape is None:
+        return None
+    if isinstance(spec, CirculantSpec):
+        return _cycle_cover(*shape)
+    *sides, L = sorted(spec.sides)
+    base = _block_laplacian(sides)
+    return base, _plus_identity([[0] * len(base) for _ in base], 1), L
 
 
 def _cover_tree_count(base: list[list[int]], twist: list[list[int]], L: int) -> int:

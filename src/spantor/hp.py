@@ -12,13 +12,22 @@ circle.  The float lead term (spantor.asym) finds those roots with numpy;
 here each real root and one root of each conjugate pair is refined by Newton
 steps on Gaussian integers in fixed point (see _newton_bits for the guard
 bits) on the sparse symbol, one power of rho and one of 1/rho per generator,
-so one root routine serves every precision.  lc^2 and the |rho|^2 multiply
+so one root routine serves every precision.  Above 95 digits the steps run
+in stages of doubling precision, so that only the last stage's two steps
+pay for the full fixed-point width.  lc^2 and the |rho|^2 multiply
 into one fixed-point product, and one log gives the value.  It must agree
 with the float one within the float's computed error, which catches two
 starts that converged onto one root.  It is cached per (generators, dps),
 since every row of a table and every n of a residual sweep shares it.
 
-log det* is the log of the product of the nonzero Laplacian eigenvalues.  The
+log det* is the log of the product of the nonzero Laplacian eigenvalues,
+which is V tau by the matrix-tree theorem.  log_det_star_hp takes whichever
+of two routes _route_costs rates cheaper from the input alone.  Where the
+count's m x m matrix is small against the number of modes and the precision
+(m <= 4 from a few hundred to tens of thousands of vertices), it is the log
+of the exact integer V tau from graphs.spanning_tree_count_exact, rounded
+once.  Where the matrix is wide (m >= 7 at 60 digits) or tau is long
+against a low precision, it is the spectral product, whose
 half-range modes come from the one mode engine of the float path,
 graphs._half_spectrum, which here reads a fixed-point half table of
 sin^2(pi k / l) instead of the float table: the cosine recurrence
@@ -51,6 +60,8 @@ from .graphs import (
     CirculantSpec,
     GraphSpec,
     TorusSpec,
+    _check_cap,
+    _cover_shape,
     _half_spectrum,
     spanning_tree_count_exact,
 )
@@ -77,9 +88,14 @@ def lead_term_circulant_hp(gens: Sequence[int], dps: int) -> mp.mpf:
     return _lead_term_circulant_hp_cached(tuple(int(g) for g in gens), int(dps))
 
 
-# Newton iterations allowed per root; from a float start a simple root needs
-# about log2(dps / 15) + 2
+# Newton iterations allowed per stage of a root; from the last stage's root a
+# stage needs about two, and the first about log2(digits / 15) + 2 from a float start
 _NEWTON_STEPS = 100
+
+# the fewest digits of a Newton stage below the last.  Each stage ends with a
+# step that only confirms it, so below about 100 digits, where a step's cost
+# is mostly fixed, one more stage costs more than its cheaper steps save
+_FIRST_STAGE_DPS = 48
 
 
 def _newton_bits(dps: int, gens: tuple[int, ...], radius: float) -> int:
@@ -114,38 +130,54 @@ def _fixed_power(x: int, y: int, g: int, bits: int) -> tuple[int, int]:
     return rx, ry
 
 
-def _newton_root(x: int, y: int, gens: tuple[int, ...], bits: int,
-                 scale: int) -> tuple[int, int] | None:
-    """A root of f(z) = sum_g (2 - z^g - z^-g) from z = (x + iy) 2^-bits, in the same units.
+def _newton_root(start: complex, gens: tuple[int, ...], dps: int,
+                 radius: float) -> tuple[int, int] | None:
+    """A root of f(z) = sum_g (2 - z^g - z^-g) from ``start``, as x + iy in units of 2^-P.
 
     f has the roots of the deflated symbol polynomial Q away from z = 1, so
     the steps cost one power of z and one of 1/z per distinct generator
     instead of a dense evaluation of Q.  The Newton step f / f' is
-    -f z / h with h = sum_g g (z^g - z^-g).  Stops once |step|^2 scale <=
-    |z|^2, scale = 10^(2 (dps + 10)); None when the steps run out.
+    -f z / h with h = sum_g g (z^g - z^-g).  The root is refined in stages
+    of doubling digits, the last at dps and the first at 48 to 95 (dps
+    itself below 96), a stage at d digits in _newton_bits(d, gens, radius)
+    bits.  A step about doubles the correct digits, so a stage from the
+    last one's root takes about two steps, and only the last stage's run
+    at the full P = _newton_bits(dps, gens, radius).  A stage stops once
+    |step|^2 scale <= |z|^2, scale = 10^(2 (d + 10)); None when a stage's
+    steps run out.
     """
     multiplicity = Counter(gens)
-    constant = (2 * len(gens)) << bits
-    for _ in range(_NEWTON_STEPS):
-        norm = x * x + y * y
-        ux, uy = (x << 2 * bits) // norm, -((y << 2 * bits) // norm)
-        f_re, f_im, h_re, h_im = constant, 0, 0, 0
-        for g, m in multiplicity.items():
-            wx, wy = _fixed_power(x, y, g, bits)
-            vx, vy = _fixed_power(ux, uy, g, bits)
-            f_re -= m * (wx + vx)
-            f_im -= m * (wy + vy)
-            h_re += m * g * (wx - vx)
-            h_im += m * g * (wy - vy)
-        num_re, num_im = (f_re * x - f_im * y) >> bits, (f_re * y + f_im * x) >> bits
-        h_norm = h_re * h_re + h_im * h_im
-        # z - step = z + f z / h
-        sx = ((num_re * h_re + num_im * h_im) << bits) // h_norm
-        sy = ((num_im * h_re - num_re * h_im) << bits) // h_norm
-        x, y = x + sx, y + sy
-        if (sx * sx + sy * sy) * scale <= x * x + y * y:
-            return x, y
-    return None
+    stages = [dps]
+    while stages[0] >= 2 * _FIRST_STAGE_DPS:
+        stages.insert(0, -(-stages[0] // 2))
+    x, y, bits = int(math.ldexp(start.real, 64)), int(math.ldexp(start.imag, 64)), 64
+    for digits in stages:
+        shift = _newton_bits(digits, gens, radius) - bits
+        x, y, bits = x << shift, y << shift, bits + shift
+        scale = 10 ** (2 * (digits + 10))
+        constant = (2 * len(gens)) << bits
+        for _ in range(_NEWTON_STEPS):
+            norm = x * x + y * y
+            ux, uy = (x << 2 * bits) // norm, -((y << 2 * bits) // norm)
+            f_re, f_im, h_re, h_im = constant, 0, 0, 0
+            for g, m in multiplicity.items():
+                wx, wy = _fixed_power(x, y, g, bits)
+                vx, vy = _fixed_power(ux, uy, g, bits)
+                f_re -= m * (wx + vx)
+                f_im -= m * (wy + vy)
+                h_re += m * g * (wx - vx)
+                h_im += m * g * (wy - vy)
+            num_re, num_im = (f_re * x - f_im * y) >> bits, (f_re * y + f_im * x) >> bits
+            h_norm = h_re * h_re + h_im * h_im
+            # z - step = z + f z / h
+            sx = ((num_re * h_re + num_im * h_im) << bits) // h_norm
+            sy = ((num_im * h_re - num_re * h_im) << bits) // h_norm
+            x, y = x + sx, y + sy
+            if (sx * sx + sy * sy) * scale <= x * x + y * y:
+                break
+        else:
+            return None
+    return x, y
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +186,12 @@ def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
     # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
     # refine the one with Im rho > 0 and count its |rho|^2 twice
     starts = roots.outside[roots.outside.imag >= 0]
-    bits = _newton_bits(dps, gens, float(np.abs(starts).max(initial=1.0)))
-    scale = 10 ** (2 * (dps + 10))
+    radius = float(np.abs(starts).max(initial=1.0))
+    bits = _newton_bits(dps, gens, radius)
     # lc^2 prod |rho|^2 in fixed point, each factor >= 1 truncated once
     product = roots.coeffs[0] ** 2 << bits
     for start in starts:
-        root = _newton_root(int(math.ldexp(start.real, 64)) << (bits - 64),
-                            int(math.ldexp(start.imag, 64)) << (bits - 64), gens, bits, scale)
+        root = _newton_root(complex(start), gens, dps, radius)
         if root is None:
             raise AsymError(f"Newton steps from {start} did not converge for {gens}")
         x, y = root
@@ -243,8 +274,70 @@ def _rounded_product(values, bits: int) -> mp.mpf:
         return mp.mpf((man, exp))
 
 
+# the coefficients of _route_costs, in microseconds
+_COUNT_FIXED = 110.0
+_COUNT_ENTRY = 1.2
+_COUNT_PRODUCT = 0.044
+_COUNT_BIGINT = 0.33
+_SPECTRAL_FIXED = 150.0
+_SPECTRAL_MODE = 0.024
+_SPECTRAL_BIT = 0.0016
+
+
+def _route_costs(spec: GraphSpec, dps: int) -> tuple[float, float]:
+    """Estimated microseconds of log det* by the exact count and by the spectral product.
+
+    The count takes V_L of an m x m integer matrix (``_cover_shape``'s base,
+    or the symbol route's g_max - 1 with L = n) in about bitlen(L) matrix
+    products, then one Bareiss determinant whose entries grow to the bits of
+    tau, at most B = (V - 1) log2(degree) by the AM-GM bound on the
+    eigenvalues.  The spectral product multiplies one P-bit integer per
+    half-range mode, P = _guard_bits(dps, sides), after one table entry per
+    side index.  The coefficients are fitted to best-of-5 timings of both
+    routes on a 2-vCPU VM (CHANGES.md lists them); only their ratio
+    matters, and it decides between routes that cost within a few tens of
+    percent of each other.
+    """
+    V = spec.vertex_count
+    m, L = _cover_shape(spec) or (max(min(g, V - g) for g in spec.generators) - 1, V)
+    tau_bits = (V - 1) * math.log2(spec.degree)
+    count = (_COUNT_FIXED + m * m * (_COUNT_ENTRY + _COUNT_PRODUCT * m) * L.bit_length()
+             + _COUNT_BIGINT * m ** 3 * (tau_bits / 1000) ** 1.7)
+    modes = math.prod(l // 2 + 1 for l in spec.sides)
+    entries = sum(l // 2 + 1 for l in spec.sides)
+    spectral = (_SPECTRAL_FIXED + _SPECTRAL_MODE * modes
+                + _SPECTRAL_BIT * (modes + entries) * _guard_bits(dps, spec.sides))
+    return count, spectral
+
+
 def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP) -> mp.mpf:
-    """log of the product of the nonzero Laplacian eigenvalues of ``spec`` at dps digits.
+    """log of the product of the nonzero Laplacian eigenvalues of ``spec`` at dps + 10 digits.
+
+    By the matrix-tree theorem that product is V tau.  Where
+    ``_route_costs`` rates the exact count cheaper, the value is the log of
+    that integer (``_log_det_star_count``), elsewhere the spectral product
+    of ``_log_det_star_spectral``; the two agree to within an ulp.  Raises
+    EnumerationCapError above ``cap`` vertices, before either starts.
+    """
+    _check_cap(spec, cap)
+    count_cost, spectral_cost = _route_costs(spec, dps)
+    if count_cost < spectral_cost:
+        return _log_det_star_count(spec, dps)
+    return _log_det_star_spectral(spec, dps, cap)
+
+
+def _log_det_star_count(spec: GraphSpec, dps: int) -> mp.mpf:
+    """log(V tau) at dps + 10 digits: the log of an exact integer, rounded once."""
+    total = spec.vertex_count * spanning_tree_count_exact(spec, cap=spec.vertex_count)
+    with mp.workprec(total.bit_length()):
+        exact = mp.mpf(total)
+    with mp.workdps(dps + 10):
+        return +mp.log(exact)
+
+
+def _log_det_star_spectral(spec: GraphSpec, dps: int,
+                           cap: int = DEFAULT_EIGENVALUE_CAP) -> mp.mpf:
+    """log det* of ``spec`` at dps + 10 digits from the product of its eigenvalues.
 
     The half-range modes and their weights come from graphs._half_spectrum
     over the fixed-point sin^2 tables, so each eigenvalue is an exact integer
@@ -255,8 +348,7 @@ def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP
     bounds the tables' error; the products' rounding adds about V 2^-prec.
     Raises EnumerationCapError above ``cap`` vertices.
     """
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    bits = _guard_bits(dps, sides)
+    bits = _guard_bits(dps, spec.sides)
     lam, weights = _half_spectrum(spec, cap,
                                   lambda l: np.array(_sin2_table(l, bits), dtype=object))
     powers = np.log2(weights[1:]).astype(np.int64)  # every weight is a power of 2

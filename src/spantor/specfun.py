@@ -346,13 +346,12 @@ def theta_discrete_spectral(spec: GraphSpec, t: float,
 
     _check_cap(spec, cap)
     if isinstance(spec, CirculantSpec):
-        sides = (spec.n,)
         value = total(lambda: itertools.chain([(np.zeros(1), 1.0)], _half_blocks(spec)))
     else:
-        sides = spec.sides
         value = math.prod(total(lambda l=l: [(_sin2_half(l), _half_weights(l))])
-                          for l in sides)
-    return ThetaValue(t=t, value=value, tail_bound=0.0, terms=sum(l // 2 + 1 for l in sides))
+                          for l in spec.sides)
+    return ThetaValue(t=t, value=value, tail_bound=0.0,
+                      terms=sum(l // 2 + 1 for l in spec.sides))
 
 
 def _circulant_bessel_sum(spec: CirculantSpec, z: float, cutoff: int,

@@ -276,8 +276,10 @@ _TORUS = ["compare", "--family", "torus-constant", "--alpha", "2", "--beta", "1"
 _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta", "1"]
 
 
-# sizes below 1 reached math.log, math.isqrt or a division by zero, and an
-# invalid graph in specfun theta read as bad arguments
+# sizes below 1 reached math.log, math.isqrt or a division by zero, an
+# invalid graph in specfun theta read as bad arguments, a cap below 1 printed
+# blank cells or hit the cap, and a negative theta argument read as a
+# numerical failure
 @pytest.mark.parametrize("argv,code,message", [
     (_TORUS + ["--n", "0"], 1, "usage error: --n sizes must be positive, got 0"),
     (_TORUS + ["--n", "30,-3"], 1, "usage error: --n sizes must be positive, got -3"),
@@ -294,6 +296,16 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
      "invalid graph specification: sides must be positive integers: (0, 3)"),
     (["specfun", "theta", "0.5", "--circulant", "7", "2,3"], 1,
      "invalid graph specification: first generator must be 1, got 2"),
+    (_TORUS + ["--n", "5", "--max-vertices", "-1"], 1,
+     "usage error: argument --max-vertices: expected a positive integer, got '-1'"),
+    (["specfun", "theta", "0.5", "--circulant", "7", "1,2", "--max-vertices", "0"], 1,
+     "usage error: argument --max-vertices: expected a positive integer, got '0'"),
+    (["--max-vertices", "1e3", "count", "--torus", "3,3"], 1,
+     "usage error: argument --max-vertices: expected a positive integer, got '1e3'"),
+    (["specfun", "theta", "-1", "--torus", "3,3"], 1,
+     "usage error: expected a non-negative number, got '-1'"),
+    (["specfun", "theta", "-0.25", "--circulant", "7", "1,2"], 1,
+     "usage error: expected a non-negative number, got '-0.25'"),
 ])
 def test_invalid_sizes_and_graphs_exit_with_one_line(capsys, argv, code, message):
     assert cli.main(argv) == code

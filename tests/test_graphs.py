@@ -243,6 +243,18 @@ def test_count_takes_the_smaller_matrix():
     assert graphs._as_cover(CirculantSpec(30, (1, 5))) is None         # 6 > 4: symbol
     assert graphs._as_cover(CirculantSpec(30, (1, 7))) is None         # 7 does not divide 30
     assert graphs._as_cover(CirculantSpec(30, (1, 2, 15))) is None     # three generators
+    # the shape names the base and fold count that _as_cover builds
+    assert graphs._cover_shape(CirculantSpec(1000, (1, 800))) == (5, 200)
+    assert graphs._cover_shape(CirculantSpec(30, (1, 5))) is None
+    for sides in ((7, 3), (3, 7, 2), (1, 1), (5,)):
+        base, twist, L = graphs._as_cover(TorusSpec(sides))
+        assert graphs._cover_shape(TorusSpec(sides)) == (len(base), L) == (len(twist), max(sides))
+
+
+def test_both_families_name_their_sides():
+    # every eigenvalue reads one sin^2 table per side: n for a circulant
+    assert CirculantSpec(7, (1, 2)).sides == (7,)
+    assert TorusSpec([3, 4]).sides == (3, 4)
 
 
 def _unvalidated_circulant(n, gens):
@@ -1040,8 +1052,7 @@ def test_theta_spectral_equals_full_folded_sum(spec, t):
         _assert_torus_theta(spec, t)
     else:
         assert theta_discrete_spectral(spec, t).value == math.fsum(np.exp(-folded_spectrum(spec) * t))
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    assert theta_discrete_spectral(spec, t).terms == sum(l // 2 + 1 for l in sides)
+    assert theta_discrete_spectral(spec, t).terms == sum(l // 2 + 1 for l in spec.sides)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spantor import hp
 from spantor.asym import AsymError, lead_term_circulant
@@ -60,6 +60,15 @@ def _relative(value, oracle, digits):
         return abs(value - oracle) <= mp.mpf(10) ** -digits * abs(oracle)
 
 
+# the Newton stages double their digits up to dps, with the first at 48 to 95:
+# 95 and 96 are the last with one stage and the first with two, 191 and 192
+# the same for two and three, and 97 and 193 lie one digit past a doubling
+@example([4, 5], 95)
+@example([4, 5], 96)
+@example([3, 5], 97)
+@example([2, 5], 191)
+@example([12], 192)
+@example([2, 3, 4, 5], 193)
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 12), max_size=4), st.integers(15, 400))
 def test_newton_lead_matches_polyroots_oracle(extra, dps):
@@ -107,16 +116,18 @@ def test_newton_lead_without_roots_outside_the_circle(gens, lc):
 
 def test_newton_lead_wall_time_with_a_large_generator():
     # the steps evaluate the sparse symbol, one power per generator, in about
-    # 0.02 s on a 2-vCPU VM; a dense evaluation of Q (degree 598) in every
-    # step takes several times the bound
+    # 0.02 s on a 2-vCPU VM at 60 digits and 0.04 s at 95 to 97, one stage or
+    # two; a dense evaluation of Q (degree 598) in every step takes several
+    # times the bound
     gens = (1, 300)
     hp._symbol_roots(gens)  # numpy's roots, cached, are not the Newton steps
-    best = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        hp._lead_term_circulant_hp_cached.__wrapped__(gens, 60)
-        best = min(best, time.perf_counter() - start)
-    assert best < 0.1
+    for dps in (60, 95, 96, 97):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            hp._lead_term_circulant_hp_cached.__wrapped__(gens, dps)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.1, dps
 
 
 def test_hp_log_det_matches_float():
@@ -223,8 +234,7 @@ def _edge_case_spec(draw):
 @settings(max_examples=80, deadline=None)
 @given(_edge_case_spec(), st.integers(15, 250))
 def test_fixed_point_and_float_tables_give_one_half_spectrum(spec, dps):
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    bits = hp._guard_bits(dps, sides)
+    bits = hp._guard_bits(dps, spec.sides)
     values, weights = _half_spectrum(spec)
     fixed, fixed_weights = _half_spectrum(
         spec, table=lambda l: np.array(hp._sin2_table(l, bits), dtype=object))
@@ -327,13 +337,13 @@ def _bit_exact_spec(draw):
 @given(_bit_exact_spec(), st.integers(15, 300))
 def test_log_det_star_hp_equals_the_mpf_chain_route(spec, dps):
     # over hp's own tables, the mpf-times-int chains of the same modes give
-    # the same products and log bit for bit
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    bits = hp._guard_bits(dps, sides)
+    # the same products and log bit for bit (the spectral route itself, which
+    # log_det_star_hp skips where the count is cheaper)
+    bits = hp._guard_bits(dps, spec.sides)
     values, weights = _half_spectrum(
         spec, table=lambda l: np.array(hp._sin2_table(l, bits), dtype=object))
     oracle = log_det_star_from_modes(values, weights, bits, spec.vertex_count, dps)
-    assert hp.log_det_star_hp(spec, dps)._mpf_ == oracle._mpf_
+    assert hp._log_det_star_spectral(spec, dps)._mpf_ == oracle._mpf_
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,14 +351,13 @@ def test_log_det_star_hp_equals_the_mpf_chain_route(spec, dps):
 def test_log_det_star_hp_is_within_an_ulp_of_the_four_product_route(spec, dps):
     # the rotation tables err differently, and both stay far below the last
     # of the dps + 10 digits that log_det_star_hp returns
-    sides = (spec.n,) if isinstance(spec, CirculantSpec) else spec.sides
-    bits = hp._guard_bits(dps, sides)
+    bits = hp._guard_bits(dps, spec.sides)
     values, weights = _half_spectrum(
         spec, table=lambda l: np.array(sin2_table_four_products(l, bits), dtype=object))
     oracle = log_det_star_from_modes(values, weights, bits, spec.vertex_count, dps)
     with mp.workdps(dps + 10):
         ulp = mp.ldexp(1, mp.mag(oracle) - mp.mp.prec) if oracle else mp.mpf(0)
-        assert abs(hp.log_det_star_hp(spec, dps) - oracle) <= ulp
+        assert abs(hp._log_det_star_spectral(spec, dps) - oracle) <= ulp
 
 
 def test_log_det_star_hp_raises_above_the_cap():
@@ -359,10 +368,89 @@ def test_log_det_star_hp_raises_above_the_cap():
             hp.log_det_star_hp(spec, 30, cap=spec.vertex_count - 1)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other log det* route ran")
+
+
+# the high-precision benchmark's shapes above the tree-count limit,
+# circulants (1, g, 5) and tori with one growing side at 601 to 900 vertices
+# and 60 to 240 digits, where the count costs a sixth to nine tenths of the
+# spectral product, and longer m = 4 circulants where it still wins
+_COUNT_CHEAPER = [
+    (CirculantSpec(697, (1, 4, 5)), 60), (CirculantSpec(620, (1, 4, 5)), 200),
+    (CirculantSpec(601, (1, 4, 5)), 238), (CirculantSpec(650, (1, 2, 5)), 120),
+    (CirculantSpec(700, (1, 3, 5)), 90),
+    (TorusSpec((3, 208)), 231), (TorusSpec((2, 324)), 205), (TorusSpec((2, 435)), 62),
+    (TorusSpec((2, 2, 170)), 180), (TorusSpec((4, 200)), 120), (TorusSpec((3, 300)), 80),
+    (CirculantSpec(5000, (1, 2, 5)), 60), (CirculantSpec(20000, (1, 2, 5)), 240),
+]
+
+# where the count loses: a wide matrix (m = 7 to 36), a long tau at a low
+# precision, or a benchmark row below the tree-count limit at a low precision,
+# where the product of 31 modes costs two thirds of the count
+_SPECTRAL_CHEAPER = [
+    (CirculantSpec(60, (1, 2, 5)), 60), (CirculantSpec(66, (1, 3, 5)), 90),
+    (CirculantSpec(650, (1, 8)), 60), (CirculantSpec(650, (1, 24)), 60),
+    (CirculantSpec(650, (1, 24)), 240), (CirculantSpec(1000, (1, 40)), 60),
+    (CirculantSpec(1000, (1, 40)), 240), (CirculantSpec(20000, (1, 2, 5)), 60),
+    (TorusSpec((4, 4, 50)), 60), (TorusSpec((4, 4, 50)), 240), (TorusSpec((6, 6, 30)), 60),
+    (TorusSpec((6, 6, 30)), 240), (TorusSpec((16, 16)), 60), (TorusSpec((16, 16)), 240),
+]
+
+
+@pytest.mark.parametrize("spec, dps", _COUNT_CHEAPER)
+def test_log_det_star_hp_takes_the_count_where_it_is_cheaper(monkeypatch, spec, dps):
+    spectral = hp._log_det_star_spectral(spec, dps)
+    monkeypatch.setattr(hp, "_log_det_star_spectral", _refuse)
+    assert hp.log_det_star_hp(spec, dps)._mpf_ == spectral._mpf_
+
+
+@pytest.mark.parametrize("spec, dps", _SPECTRAL_CHEAPER)
+def test_log_det_star_hp_takes_the_spectral_product_where_the_count_loses(
+        monkeypatch, spec, dps):
+    spectral = hp._log_det_star_spectral(spec, dps)
+    monkeypatch.setattr(hp, "spanning_tree_count_exact", _refuse)
+    assert hp.log_det_star_hp(spec, dps)._mpf_ == spectral._mpf_
+
+
+@st.composite
+def _count_route_spec(draw):
+    """Shapes whose count matrix is small, on both sides of the route choice."""
+    if draw(st.booleans()):
+        n = draw(st.integers(13, 3000))
+        steps = draw(st.lists(st.integers(2, 6), max_size=2))
+        return CirculantSpec(n, tuple(sorted({1, *(n - g if draw(st.booleans()) else g
+                                                  for g in steps)})))
+    sides = list(draw(st.sampled_from([(), (1,), (2,), (3,), (4,), (2, 2), (1, 3)])))
+    sides.insert(draw(st.integers(0, len(sides))), draw(st.integers(1, 1500)))
+    return TorusSpec(tuple(sides))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_count_route_spec(), st.integers(15, 300))
+def test_count_route_is_within_an_ulp_of_the_spectral_route(spec, dps):
+    # two engines that share no code: the exact count's log, rounded once,
+    # and the fixed-point product, whose error stays far below the last digit
+    count = hp._log_det_star_count(spec, dps)
+    spectral = hp._log_det_star_spectral(spec, dps)
+    with mp.workdps(dps + 10):
+        ulp = mp.ldexp(1, mp.mag(spectral) - mp.mp.prec) if spectral else mp.mpf(0)
+        assert abs(count - spectral) <= ulp
+
+
+def test_log_det_star_hp_refuses_above_the_cap_before_any_work(monkeypatch):
+    for name in ("spanning_tree_count_exact", "_half_spectrum", "_sin2_table"):
+        monkeypatch.setattr(hp, name, _refuse)
+    for spec, _ in _COUNT_CHEAPER[:1] + _SPECTRAL_CHEAPER[:1]:
+        with pytest.raises(EnumerationCapError):
+            hp.log_det_star_hp(spec, 60, cap=spec.vertex_count - 1)
+
+
 def _agrees_with_count(value, spec, digits):
     # log det* = log(V tau) by the matrix-tree theorem, and the count comes
     # from the Chebyshev engine in graphs, which shares no code with hp's
-    # spectral product
+    # spectral product; the callers pass that product, not log_det_star_hp,
+    # which takes the count itself on these shapes
     count = spanning_tree_count_exact(spec, cap=10**5)
     with mp.workdps(digits + 20):
         ref = mp.log(spec.vertex_count * mp.mpf(count))
@@ -386,7 +474,7 @@ def _agrees_with_count(value, spec, digits):
 ])
 def test_circulant_log_det_matches_exact_count_at_large_n(n, gens, dps):
     spec = CirculantSpec(n, gens)
-    assert _agrees_with_count(hp.log_det_star_hp(spec, dps), spec, dps + 9)
+    assert _agrees_with_count(hp._log_det_star_spectral(spec, dps), spec, dps + 9)
 
 
 @st.composite
@@ -404,7 +492,7 @@ def _large_circulant_case(draw):
 def test_circulant_log_det_matches_exact_count_random(case, dps):
     n, gens = case
     spec = CirculantSpec(n, gens)
-    assert _agrees_with_count(hp.log_det_star_hp(spec, dps), spec, dps + 9)
+    assert _agrees_with_count(hp._log_det_star_spectral(spec, dps), spec, dps + 9)
 
 
 @pytest.mark.parametrize("sides", [*itertools.permutations((1, 2, 5000)),
@@ -412,7 +500,7 @@ def test_circulant_log_det_matches_exact_count_random(case, dps):
                                    (4, 5000), (2, 2, 2500)])
 def test_torus_log_det_matches_exact_count_with_a_long_side(sides):
     for dps in (15, 300):
-        assert _agrees_with_count(hp.log_det_star_hp(TorusSpec(sides), dps),
+        assert _agrees_with_count(hp._log_det_star_spectral(TorusSpec(sides), dps),
                                   TorusSpec(sides), dps + 9)
 
 
