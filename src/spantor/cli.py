@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -71,6 +72,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in exponent form (-1e-3) is an argument, not an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # exit 1 on usage problems, not argparse's 2
         raise UsageError(message)
 

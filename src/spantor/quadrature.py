@@ -1,19 +1,6 @@
-"""Quadrature for the Mellin-style and periodic integrals of the asymptotics.
-
-Two entry points, both trapezoid rules over whole vectorised grids that
-halve their step and reuse their nodes; for integrands analytic in a strip
-around the line of integration they converge geometrically
-(Trefethen-Weideman):
-
-* integrate_mellin    -- improper integrals int_0^inf g(t) dt/t.  Each half
-  line of u = log t, above and below u = log(split), is mapped onto the
-  real s axis by u = log(split) +- softplus(s), where both of its ends decay.
-  An integrand that takes different forms below and above the split (a
-  theta split) is one call.
-* integrate_periodic_mean -- int_0^1 f for f analytic with period 1.
-
-Sums are fixed-order (math.fsum of per-grid sums), so repeated runs give
-bitwise-identical results.
+"""Trapezoid rules on vectorised grids that halve their step and reuse their
+nodes: Mellin integrals on one line in log t, and means of periodic functions.
+Sums are fixed-order, so repeated runs give bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -48,18 +35,18 @@ class IntegralResult:
     evaluations: int
 
 
-# the Mellin rule: its first step in s, the halvings it may take after it,
-# the half-width of its first grid, and the reach |s| of either half line,
-# which keeps t within split e^{+-640}
+# the Mellin rule: its first step in u = log t, the halvings it may take
+# after it, the half-width of its first grid, and its reach |u|
 _MELLIN_STEP = 0.5
 _MELLIN_HALVINGS = 6
 _MELLIN_START = 8.0
 _MELLIN_REACH = 640.0
-# the least size below which a term counts as negligible.  Near the split
-# the Jacobian sigmoid(s) alone falls below it at s = -_MELLIN_REACH / 2, so an
-# integrand up to e^320 there still decays within the reach; a smaller tol
-# would need an integrand below about 1e-123 to beat the 8 ulps of rounding
-# in the error estimate
+# the least size below which a term counts as negligible.  An end that decays
+# like t^{-1/2} (or t^{1/2} towards 0) from order 1 falls below it within the
+# reach; c_3's far end decays like t^{-3/2} and reaches it near u = 213.  With
+# no floor, a tol too small to meet would fail on decay instead of on the
+# tolerance: the terms would need to fall below about 1e-123 to beat the 8
+# ulps of rounding in the error estimate
 _MELLIN_TINY = math.exp(-_MELLIN_REACH / 2)
 
 
@@ -90,99 +77,72 @@ def _end_tail(last: np.ndarray, ratio: float) -> float:
     return outer * r / (1.0 - r)
 
 
-def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
-                     split: float = 1.0) -> IntegralResult:
+def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10) -> IntegralResult:
     """int_0^inf g(t) dt/t for g vanishing at 0 and decaying at infinity.
 
-    ``g`` maps a float array of t to an array of values.  Each half line of
-    u = log t is mapped by u = log(split) + softplus(s) (t > split) or
-    u = log(split) - softplus(s) (t < split), so dt/t = sigmoid(s) ds and
-    both ends of either line decay in s; the nodes of the lower line stay
-    below ``split`` and those of the upper line do not, so g may change
-    form there.  One trapezoid rule in s
-    sums both lines, one call of g per grid: the first grid has step 1/2,
-    and each end grows until its two outermost terms fall below 0.05 tol
-    (or e^-320, when that is larger);
-    then the step halves, adding only the midpoints, until two sums agree
-    within tol.  The terms beyond each end are added as the geometric tail
-    of the two outermost, so the truncation errs at second order.  For g
-    analytic near the positive axis the rule converges geometrically in
-    1/h (Trefethen-Weideman).  The first grid spans t from about
-    split e^-8 to split e^8, and g must not be negligible on all of it,
-    or the ends never grow and the value reads 0.  The error estimate is
-    the last move plus the end tails plus 8 ulps of the sum of |terms|.
-    Raises QuadratureError when an end does not decay within
-    |s| <= _MELLIN_REACH or the error exceeds max(tol, 10 tol |value|).
+    ``g`` maps a float array of t to an array.  One trapezoid rule in
+    u = log t sums g(e^u) du at the nodes t = e^{jh}, one call of g per
+    grid.  The first grid has h = 1/2 on |u| <= 8; each end grows until its
+    two outermost terms are at most max(0.05 tol, e^-320); then h halves,
+    adding only the midpoints, until two sums agree within tol.  Each end
+    adds the geometric tail of its two outermost terms, so the truncation
+    errs at second order.  For g analytic near the positive axis the rule
+    converges geometrically in 1/h (Trefethen-Weideman).  g must not be
+    negligible on all of the first grid, or the value reads 0.  The error
+    estimate is the last move plus the tails plus 8 ulps of h sum |terms|.
+    Raises QuadratureError when g is not finite on a grid, an end does not
+    decay within |u| <= _MELLIN_REACH, or the error exceeds
+    max(tol, 10 tol |value|).
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not split > 0:
-        raise ValueError(f"split must be positive, got {split}")
-    u0 = math.log(split)
-    below = math.nextafter(split, 0.0)
     tiny = max(0.05 * tol, _MELLIN_TINY)
     h = _MELLIN_STEP
     sums: list[float] = []
     scale = 0.0
     evaluations = 0
 
-    def terms(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g(t) dt/t per ds at nodes s of the upper and the lower half line, in one call."""
+    def terms(u: np.ndarray) -> np.ndarray:
+        """g(t) at the nodes t = e^u, and add them to the count of evaluations."""
         nonlocal evaluations
-        s = np.concatenate([upper, lower])
-        shift = np.logaddexp(0.0, s)
-        shift[upper.size:] *= -1.0
-        t = np.exp(u0 + shift)
-        np.maximum(t[:upper.size], split, out=t[:upper.size])
-        np.minimum(t[upper.size:], below, out=t[upper.size:])
-        f = np.asarray(g(t), dtype=float) / (1.0 + np.exp(-s))
-        evaluations += s.size
+        f = np.asarray(g(np.exp(u)), dtype=float)
+        evaluations += u.size
         if not np.isfinite(f).all():
             raise QuadratureError("Mellin integrand is not finite on the grid",
                                   partial=IntegralResult(math.nan, math.inf, evaluations))
-        return f[:upper.size], f[upper.size:]
+        return f
 
-    def add(*parts: np.ndarray) -> None:
+    def add(f: np.ndarray) -> None:
         """Add the terms of one grid to the sums."""
         nonlocal scale
-        f = np.concatenate(parts)
         sums.append(float(np.sum(f)))
         scale += float(np.sum(np.abs(f)))
 
-    # coarse grids j h, j = -lo..hi, per line: they start where sigmoid(s)
-    # alone falls below tiny near the split and at s = _MELLIN_START beyond it
-    lo, hi = math.ceil(-math.log(tiny) / h), int(_MELLIN_START / h)
-    lines = [[lo, hi], [lo, hi]]
-    grid = h * np.arange(-lo, hi + 1, dtype=float)
-    coarse = list(terms(grid, grid))
+    # the coarse grid j h, j = -lo..hi
+    lo = hi = int(_MELLIN_START / h)
+    coarse = terms(h * np.arange(-lo, hi + 1, dtype=float))
     while True:
-        growth = [[_end_growth(f[:2], tiny, max(16, lo + hi)),
-                   _end_growth(f[:-3:-1], tiny, max(16, lo + hi))]
-                  for f, (lo, hi) in zip(coarse, lines)]
-        if not any(map(any, growth)):
+        width = max(16, lo + hi)
+        down, up = _end_growth(coarse[:2], tiny, width), _end_growth(coarse[:-3:-1], tiny, width)
+        if not down and not up:
             break
-        for (lo, hi), (down, up) in zip(lines, growth):
-            if max(lo + down, hi + up) * h > _MELLIN_REACH:
-                where = "near the split" if lo + down > hi + up else "at its far end"
-                raise QuadratureError(
-                    f"Mellin integrand does not decay {where} within |s| <= {_MELLIN_REACH:g}",
-                    partial=IntegralResult(math.nan, math.inf, evaluations))
-        new = [np.concatenate([np.arange(-lo - down, -lo), np.arange(hi + 1, hi + up + 1)]) * h
-               for (lo, hi), (down, up) in zip(lines, growth)]
-        for i, f in enumerate(terms(*new)):
-            (lo, hi), (down, up) = lines[i], growth[i]
-            coarse[i] = np.concatenate([f[:down], coarse[i], f[down:]])
-            lines[i] = [lo + down, hi + up]
+        if max(lo + down, hi + up) * h > _MELLIN_REACH:
+            where = "towards t = 0" if lo + down > hi + up else "towards t = inf"
+            raise QuadratureError(
+                f"Mellin integrand does not decay {where} within |log t| <= {_MELLIN_REACH:g}",
+                partial=IntegralResult(math.nan, math.inf, evaluations))
+        f = terms(h * np.concatenate([np.arange(-lo - down, -lo), np.arange(hi + 1, hi + up + 1)]))
+        coarse = np.concatenate([f[:down], coarse, f[down:]])
+        lo, hi = lo + down, hi + up
     # drop the coarse nodes beyond the second tiny term from either end, so the
     # finer grids do not fill a stretch where g has long vanished
-    for i, f in enumerate(coarse):
-        big = np.flatnonzero(np.abs(f) > tiny)
-        first, last = (big[0], big[-1]) if big.size else (lines[i][0],) * 2
-        first, last = max(0, first - 2), min(f.size - 1, last + 2)
-        coarse[i] = f[first:last + 1]
-        lines[i] = [lines[i][0] - first, last - lines[i][0]]
-    add(*coarse)
-    ends = [pair for f in coarse for pair in (f[:2], f[:-3:-1])]
+    big = np.flatnonzero(np.abs(coarse) > tiny)
+    first, last = (big[0], big[-1]) if big.size else (lo, lo)
+    first, last = max(0, first - 2), min(coarse.size - 1, last + 2)
+    coarse = coarse[first:last + 1]
+    lo, hi = lo - first, last - lo
+    add(coarse)
+    ends = (coarse[:2], coarse[:-3:-1])
 
     def value_at(step: float) -> tuple[float, float]:
         """(the trapezoid sum with step ``step`` plus its end tails, the tails' size)."""
@@ -194,7 +154,7 @@ def integrate_mellin(g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10,
     for level in range(_MELLIN_HALVINGS):
         h *= 0.5
         m = 2 << level
-        add(*terms(*[h * np.arange(1 - lo * m, hi * m, 2, dtype=float) for lo, hi in lines]))
+        add(terms(h * np.arange(1 - lo * m, hi * m, 2, dtype=float)))
         new_value, tail = value_at(h)
         move = abs(new_value - value)
         value = new_value

@@ -795,7 +795,9 @@ def zeta_prime_zero_theta_split(sides, split: float = 1.0, tol: float = 1e-9) ->
 
     with Gamma'(1) = -euler_gamma and c the split point; the result is
     split-invariant (c = 1 and c = c_Gamma are the natural choices).  The
-    two integrals are one integrate_mellin call cut at c.
+    cut at c is a substitution, two integrate_mellin calls at tol/2:
+    int_0^c A dt/t = int_0^inf (s/(1+s)) A(c/(1+s)) ds/s and
+    int_c^inf B dt/t = int_0^inf (s/(1+s)) B(c(1+s)) ds/s.
     """
     sides = _torus_sides(sides)
     r = len(sides)
@@ -803,19 +805,16 @@ def zeta_prime_zero_theta_split(sides, split: float = 1.0, tol: float = 1e-9) ->
         raise ValueError(f"split must be positive, got {split}")
     det = math.prod(sides)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape)
-        below = t < split
-        if below.any():
-            out[below] = theta_real_torus_minus_leading(sides, t[below])
-        if not below.all():
-            out[~below] = theta_real_torus(sides, t[~below]) - 1.0
-        return out
+    def below(s: np.ndarray) -> np.ndarray:
+        return s / (1.0 + s) * theta_real_torus_minus_leading(sides, split / (1.0 + s))
 
-    body = integrate_mellin(integrand, tol, split)
+    def above(s: np.ndarray) -> np.ndarray:
+        return s / (1.0 + s) * (theta_real_torus(sides, split * (1.0 + s)) - 1.0)
+
+    body = integrate_mellin(below, 0.5 * tol).value + integrate_mellin(above, 0.5 * tol).value
     middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)
               - math.log(split) - EULER_GAMMA)
-    return body.value + middle
+    return body + middle
 
 
 def _tail_integral(a: float, h: float, r: int, s: float, sign: float) -> float:

@@ -224,8 +224,8 @@ def test_mellin_modes_match_mpmath_and_the_oracle(q, lam):
 
 
 def test_c_3_wall_time():
-    # one trapezoid grid of about 800 nodes, about a millisecond on a 2-vCPU
-    # VM; the adaptive Gauss panels it replaced took about 20 ms
+    # one trapezoid line of about 360 nodes, under a millisecond on a 2-vCPU
+    # VM; the adaptive Gauss panels of an earlier rule took about 20 ms
     best = math.inf
     for _ in range(5):
         asym._c_d_cached.cache_clear()

@@ -278,8 +278,8 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
 
 # sizes below 1 reached math.log, math.isqrt or a division by zero, an
 # invalid graph in specfun theta read as bad arguments, a cap below 1 printed
-# blank cells or hit the cap, and a negative theta argument read as a
-# numerical failure
+# blank cells or hit the cap, a negative theta argument read as a numerical
+# failure, and a negative number in exponent form read as an unknown option
 @pytest.mark.parametrize("argv,code,message", [
     (_TORUS + ["--n", "0"], 1, "usage error: --n sizes must be positive, got 0"),
     (_TORUS + ["--n", "30,-3"], 1, "usage error: --n sizes must be positive, got -3"),
@@ -306,6 +306,9 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
      "usage error: expected a non-negative number, got '-1'"),
     (["specfun", "theta", "-0.25", "--circulant", "7", "1,2"], 1,
      "usage error: expected a non-negative number, got '-0.25'"),
+    (["specfun", "theta", "-1e-3", "--torus", "3,3"], 1,
+     "usage error: expected a non-negative number, got '-1e-3'"),
+    (["specfun", "zeta", "-1.5e0"], 2, "numerical failure: need s > 1, got -1.5"),
 ])
 def test_invalid_sizes_and_graphs_exit_with_one_line(capsys, argv, code, message):
     assert cli.main(argv) == code

@@ -1,8 +1,8 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spantor import quadrature
 from spantor.quadrature import QuadratureError, integrate_mellin, integrate_periodic_mean
@@ -52,12 +52,6 @@ def test_slow_tail_x_equals_2():
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("split", [0.5, 1.0, 5.0])
-def test_split_invariance(split):
-    res = integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), split=split)
-    assert res.value == pytest.approx(math.log(2.0), abs=2e-10)
-
-
 def test_error_honesty():
     for g in (lambda t: np.exp(-t) - np.exp(-3.0 * t),
               scaled_i0_with_shift(2.5),
@@ -68,8 +62,10 @@ def test_error_honesty():
 
 
 def test_nonconvergent_tail_detected():
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="towards t = inf"):
         integrate_mellin(lambda t: t / (1.0 + t))  # -> 1, dt/t tail diverges
+    with pytest.raises(QuadratureError, match="towards t = 0"):
+        integrate_mellin(lambda t: 1.0 / (1.0 + t))
 
 
 def test_mellin_calls_g_once_per_grid_and_refuses_non_finite_values():
@@ -86,15 +82,6 @@ def test_mellin_calls_g_once_per_grid_and_refuses_non_finite_values():
         integrate_mellin(lambda t: np.where(t < 5.0, np.exp(-t), np.nan) - np.exp(-2.0 * t))
 
 
-def test_integrand_switching_at_the_split():
-    # t below the split c and e^{-t} above it: int_0^c dt + int_c^inf e^{-t} dt/t = c + E_1(c)
-    for split in (0.5, 1.0, 2.0):
-        res = integrate_mellin(lambda t: np.where(t < split, t, np.exp(-t)), split=split)
-        exact = split + float(mp.e1(split))
-        assert res.error_estimate <= 1e-10
-        assert abs(res.value - exact) <= res.error_estimate + 4 * math.ulp(exact)
-
-
 def test_unmeetable_tolerance_raises():
     with pytest.raises(QuadratureError, match="tolerance not met") as caught:
         integrate_mellin(scaled_i0_with_shift(2.0), tol=1e-17)
@@ -102,10 +89,31 @@ def test_unmeetable_tolerance_raises():
 
 
 def test_rejects_nonpositive_tol_and_split():
-    for kwargs in ({"tol": 0.0}, {"tol": -1e-10}, {"tol": math.nan},
-                   {"split": 0.0}, {"split": -1.0}):
+    for tol in (0.0, -1e-10, math.nan):
         with pytest.raises(ValueError):
-            integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), **kwargs)
+            integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), tol=tol)
+    # one line in log t has no cut to place
+    with pytest.raises(TypeError):
+        integrate_mellin(lambda t: np.exp(-t) - np.exp(-2.0 * t), split=1.0)
+
+
+def test_c_3_integral_takes_at_most_400_nodes():
+    # the Mellin integral behind c_d(3) at the default tol takes 355 nodes
+    res = integrate_mellin(lambda t: np.exp(-t) - bessel_i_scaled(0, 2.0 * t) ** 3)
+    assert res.evaluations <= 400
+    assert res.value == pytest.approx(1.6733893029701967, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 50.0), st.floats(2.0, 20.0))
+@example(1.0, 2.0)
+@example(50.0, 20.0)
+def test_error_estimate_bounds_closed_forms(x, y):
+    # Frullani: int (e^-t - e^-xt) dt/t = log x; the Bessel shift:
+    # int (e^-t - e^-yt I_0(2t)) dt/t = arccosh(y/2)
+    for res, exact in ((integrate_mellin(lambda t: np.exp(-t) - np.exp(-x * t)), math.log(x)),
+                       (integrate_mellin(scaled_i0_with_shift(y)), math.acosh(y / 2.0))):
+        assert abs(res.value - exact) <= res.error_estimate + 4 * math.ulp(exact)
 
 
 # ---------------------------------------------------------------------------
