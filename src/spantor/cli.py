@@ -189,6 +189,14 @@ def _finite(text: str) -> float:
     return x
 
 
+def _non_negative(text: str) -> float:
+    """_finite(text), refusing a negative number as a usage error."""
+    x = _finite(text)
+    if x < 0:
+        raise UsageError(f"expected a non-negative number, got {text!r}")
+    return x
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(_finite(x) for x in text.split(",") if x != "")
@@ -528,12 +536,10 @@ def cmd_specfun(args, sink, out) -> int:
     rest = args.args
     try:
         if name == "bessel":
-            order, t = int(rest[0]), _finite(rest[1])
+            order, t = int(rest[0]), _non_negative(rest[1])
             value, err = bessel_i_scaled(order, t), 1e-12
         elif name == "theta":
-            t = _finite(rest[0])
-            if t < 0:
-                raise UsageError(f"expected a non-negative number, got {rest[0]!r}")
+            t = _non_negative(rest[0])
             if args.circulant is None and args.torus is None:
                 raise UsageError("theta needs --circulant or --torus")
             spec = _spec_from_args(args)
@@ -544,7 +550,10 @@ def cmd_specfun(args, sink, out) -> int:
         elif name == "eta":
             value, err = _eta_with_bound(_finite(rest[0]))
         elif name == "zeta":
-            value, err = riemann_zeta_real(_finite(rest[0])), 1e-13
+            s = _finite(rest[0])
+            if s <= 1:
+                raise UsageError(f"need s > 1, got {rest[0]!r}")
+            value, err = riemann_zeta_real(s), 1e-13
         elif name == "lead":
             lead = lead_term_circulant(_parse_int_list(rest[0]), tol=args.tol)
             value, err = lead.value, lead.error_estimate

@@ -31,19 +31,20 @@ math.fsum of the parts, the full spectrum's math.fsum bit for bit.  A
 torus's log det* sums one closed-form term per half-range mode of all but
 its largest side, by the Chebyshev identity below, in the same exact way.
 
-Spanning-tree counts are exact arbitrary-precision integers, each one integer
-determinant of V_L(x) = 2 T_L(x / 2) at a small integer matrix, which one
-Lucas doubling routine (``_lucas``) evaluates in O(log L) matrix products.
-By the Chebyshev identity prod_k (t - 2 cos((phi + 2 pi k) / L)) =
-V_L(t) - 2 cos(phi):
+Spanning-tree counts are exact arbitrary-precision integers, each the
+determinant of multiplication by V_L(x) = 2 T_L(x / 2), x in a commutative
+ring of small dimension m, which ``_lucas`` evaluates in O(log L) ring
+products of about m^2 multiplications.  By the Chebyshev identity
+prod_k (t - 2 cos((phi + 2 pi k) / L)) = V_L(t) - 2 cos(phi):
 
 * a torus is an L-fold cyclic cover of all but its largest side L, and
   C_N^{1,g} with g | N a g-fold twisted cover of the (N / g)-cycle; the
-  matrix is the base graph's Laplacian shifted by 2;
+  ring is the group ring of the base's sides, x the base Laplacian plus 2;
 * any other circulant is written in x = z + 1/z, where its symbol is
-  (x - 2) R(x) with deg R = g_max - 1; the matrix is R's companion matrix.
+  (x - 2) R(x) with deg R = g_max - 1; the ring is Z[y] modulo R's monic
+  integer form.
 
-The count takes whichever of the two matrices is smaller.
+The count takes whichever of the two rings is smaller.
 """
 
 from __future__ import annotations
@@ -494,30 +495,19 @@ def log_det_star(spec: GraphSpec, cap: int = DEFAULT_EIGENVALUE_CAP) -> float:
 
 def _bareiss_determinant(m: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination over Z."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if i is None:
                 return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            mik = row[k]
+            row[k + 1:] = [(pivot * u - mik * v) // prev for u, v in zip(row[k + 1:], tail)]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[-1][-1] if m else 1
 
 
 def _symbol_poly(gens: Sequence[int]) -> list[int]:
@@ -543,79 +533,97 @@ def _deflate(coeffs: list[int], root: int) -> list[int]:
     return out
 
 
-def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    columns = list(zip(*y))
-    return [[sum(map(operator.mul, row, col)) for col in columns] for row in x]
+def _plus(x: list[int], c: int) -> list[int]:
+    """x + c for a ring element x: a list of ints with the unit at index 0."""
+    return [v + c if i == 0 else v for i, v in enumerate(x)]
 
 
-def _plus_identity(x: list[list[int]], c: int) -> list[list[int]]:
-    return [[v + c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x)]
+def _lucas(x: list[int], L: int, product, c: int = 1) -> list[int]:
+    """c^L V_L(x / c) for an element x of a commutative ring that ``product`` multiplies.
 
-
-def _lucas(x: list[list[int]], L: int, c: int = 1) -> list[list[int]]:
-    """c^L V_L(x / c) for a square integer matrix x, where V_k(t) = 2 T_k(t / 2).
-
-    V_k(s + 1/s) = s^k + s^-k, so W_k = c^k V_k(x / c) obeys
-    W_2k = W_k^2 - 2 c^2k I and W_2k+1 = W_k W_k+1 - c^2k x; the bits of L,
-    highest first, take (W_k, W_k+1) to (W_2k, W_2k+1) or (W_2k+1, W_2k+2).
+    V_k(s + 1/s) = s^k + s^-k, so W_k = c^k V_k(x / c) obeys W_2k = W_k^2 - 2 c^2k
+    and W_2k+1 = W_k W_k+1 - c^2k x; the bits of L, highest first, take
+    (W_k, W_k+1) to (W_2k, W_2k+1) or (W_2k+1, W_2k+2).
     """
-    w, w_next = _plus_identity([[0] * len(x) for _ in x], 2), x
-    k = 0
+    w, w_next, k = _plus([0] * len(x), 2), x, 0
     for bit in bin(L)[2:]:
         scale = c ** (2 * k)
-        cross = [[u - scale * v for u, v in zip(urow, vrow)]
-                 for urow, vrow in zip(_matmul(w, w_next), x)]
+        cross = [u - scale * v for u, v in zip(product(w, w_next), x)]
         if bit == "1":
-            w, w_next = cross, _plus_identity(_matmul(w_next, w_next), -2 * scale * c * c)
-            k = 2 * k + 1
+            w, w_next = cross, _plus(product(w_next, w_next), -2 * scale * c * c)
         else:
-            w, w_next = _plus_identity(_matmul(w, w), -2 * scale), cross
-            k = 2 * k
+            w, w_next = _plus(product(w, w), -2 * scale), cross
+        k = 2 * k + int(bit)
     return w
 
 
 def _symbol_in_x(gens: Sequence[int]) -> list[int]:
-    """S(x), highest degree first, with S(z + 1/z) = sum_g (2 - z^g - z^-g).
+    """S(x), highest degree first, with S(z + 1/z) = sum_g (2 - V_g(x)).
 
-    The symbol's palindromic coefficients p give S = p_0 + sum_j p_j V_j(x),
-    with V_0 = 2, V_1 = x and V_j+1 = x V_j - V_j-1 (lowest degree first).
+    V_g(z + 1/z) = z^g + z^-g: V_0 = 2, V_1 = x, V_j+1 = x V_j - V_j-1.
     """
-    p = _symbol_poly(gens)
-    g_max = len(p) // 2
-    s = [p[g_max]] + [0] * g_max
-    v_prev, v = [2], [0, 1]
-    for j in range(1, g_max + 1):
-        for i, c in enumerate(v):
-            s[i] += p[g_max + j] * c
-        v_next = [0] + v
-        for i, c in enumerate(v_prev):
-            v_next[i] -= c
-        v_prev, v = v, v_next
+    v = [[2], [0, 1]]
+    while len(v) <= max(gens):
+        v.append([a - b for a, b in itertools.zip_longest([0] + v[-1], v[-2], fillvalue=0)])
+    s = [2 * len(gens)] + [0] * (len(v) - 1)
+    for g in gens:
+        for i, c in enumerate(v[g]):
+            s[i] -= c
     return s[::-1]
 
 
+def _poly_ring(monic: list[int]):
+    """(product, regular) of Z[y]/(p), p = y^m + sum_i monic[i] y^i, coefficients lowest first.
+
+    A product takes m^2 products, then about m^2 more to fold coefficients
+    k = 2m - 2..m back by y^k = -y^(k - m) sum_i monic[i] y^i.  Row j of
+    regular(e) is y^j e: the transpose of the matrix of multiplication by e.
+    """
+    m = len(monic)
+
+    def product(u: list[int], v: list[int]) -> list[int]:
+        full = [0] * (2 * m - 1)
+        for i, c in enumerate(u):
+            for k, d in enumerate(v, i):
+                full[k] += c * d
+        for k in range(2 * m - 2, m - 1, -1):
+            top = full.pop()
+            for i, c in enumerate(monic, k - m):
+                full[i] -= top * c
+        return full
+
+    def regular(e: list[int]) -> list[list[int]]:
+        rows = []
+        for _ in range(m):
+            rows.append(e)
+            e = [(e[i - 1] if i else 0) - e[-1] * c for i, c in enumerate(monic)]
+        return rows
+
+    return product, regular
+
+
 def _circulant_tree_count(spec: CirculantSpec) -> int:
-    """tau = n |lc|^n |det(W_n - 2 lc^n I)| / (|lc|^(n m) |R(2)|): the symbol route.
+    """tau = n |lc|^n |N(W_n - 2 lc^n)| / (|lc|^(n m) |R(2)|): the symbol route.
 
     In x = z + 1/z the eigenvalue at omega^j is S(x_j) = (x_j - 2) R(x_j),
     x_j = 2 cos(2 pi j / n), where R has degree m = g_max - 1 and leading
     coefficient lc = -(multiplicity of g_max).  prod_{j != 0} |x_j - 2| = n^2,
-    and prod_j (x_j - r) = +-(V_n(r) - 2) for each root r of R.  With C the
-    companion matrix of the monic integer form lc^(m-1) R(y / lc), whose roots
-    are lc r, W_n = lc^n V_n(C / lc) has the eigenvalues lc^n V_n(r).
+    and prod_j (x_j - r) = +-(V_n(r) - 2) for each root r of R.  The monic
+    integer form p(y) = lc^(m-1) R(y / lc) has the roots lc r, so in
+    ``_poly_ring`` W_n = lc^n V_n(y / lc) has eigenvalues lc^n V_n(r), and
+    N, the determinant of multiplication, multiplies them.
     """
     n = spec.n
     # a step g in (n/2, n) is the step n - g taken backwards: the same edges,
     # and a symbol polynomial of degree n - g instead of g
     gens = [min(g, n - g) for g in spec.generators]
     r = _deflate(_symbol_in_x(gens), 2)[::-1]
-    m = len(r) - 1
-    lc = r[m]
+    m, lc = len(r) - 1, r[-1]
     monic = [r[i] * lc ** (m - 1 - i) for i in range(m)]
-    companion = [[(i == j + 1) - (monic[i] if j == m - 1 else 0) for j in range(m)]
-                 for i in range(m)]
+    y = [int(i == 1) for i in range(m)] if m > 1 else [-c for c in monic]  # y mod p
     power = lc ** n
-    det = _bareiss_determinant(_plus_identity(_lucas(companion, n, lc), -2 * power))
+    product, regular = _poly_ring(monic)
+    det = _bareiss_determinant(regular(_plus(_lucas(y, n, product, lc), -2 * power)))
     numerator = n * abs(power) * abs(det)
     denominator = abs(lc) ** (n * m) * abs(sum(c * 2 ** i for i, c in enumerate(r)))
     tau, remainder = divmod(numerator, denominator)
@@ -624,84 +632,76 @@ def _circulant_tree_count(spec: CirculantSpec) -> int:
     return tau
 
 
-def _block_laplacian(sides: Sequence[int]) -> list[list[int]]:
-    """Laplacian of the torus on ``sides``: the Kronecker sum of 2I - S - S^T.
+def _group_ring(sides: Sequence[int]):
+    """(product, regular) of Z[G], G = Z/l_1 x ... x Z/l_k, on lists over G in mixed radix.
 
-    S is the cyclic shift on Z/l, so a side 1 contributes 0 (its self loop
-    drops out) and a side 2 the doubled edge 2I - 2S.
+    The last side runs fastest and the identity is at index 0.  Row g of
+    regular(e), the matrix of multiplication by e, is e[g - h] over h, one
+    gather through a table of differences; (u v)[g] is u times that of v.
     """
-    x = [[0]]
+    table = [[0]]  # table[g][h] = g - h
     for l in sides:
-        cycle = [[(2 if i == j else 0) - (j == (i + 1) % l) - (i == (j + 1) % l)
-                  for j in range(l)] for i in range(l)]
-        a = len(x)
-        x = [[(x[u][v] if i == j else 0) + (cycle[i][j] if u == v else 0)
-              for v in range(a) for j in range(l)]
-             for u in range(a) for i in range(l)]
-    return x
+        table = [[d * l + (i - j) % l for d in row for j in range(l)]
+                 for row in table for i in range(l)]
+    # an itemgetter of one index returns the entry, not a tuple
+    gathers = [operator.itemgetter(*row) for row in table] if len(table) > 1 else [list]
+
+    def product(u: list[int], v: list[int]) -> list[int]:
+        return [sum(map(operator.mul, u, gather(v))) for gather in gathers]
+
+    def regular(e: list[int]) -> list[list[int]]:
+        return [list(gather(e)) for gather in gathers]
+
+    return product, regular
 
 
-def _cycle_cover(beta: int, g: int) -> tuple[list[list[int]], list[list[int]], int]:
-    """C_{beta g}^{1,g} as a g-fold cyclic cover of the beta-cycle: (B, W, g).
+def _as_cover(spec: GraphSpec) -> tuple[tuple[int, ...], int, int] | None:
+    """(sides, t, L) when the count takes ``spec`` as an L-fold cover of G's Cayley graph.
 
-    Vertex r + g s lies in layer r over base vertex s.  Step g moves s, so B
-    is the beta-cycle's Laplacian; step 1 moves r, and at the wrap from layer
-    g - 1 to layer 0 it also moves s, so W is the cycle's shift.
-    """
-    shift = [[int(j == (i + 1) % beta) for j in range(beta)] for i in range(beta)]
-    return _block_laplacian([beta]), shift, g
-
-
-def _cover_shape(spec: GraphSpec) -> tuple[int, int] | None:
-    """(a, L) when the count takes ``spec`` as an L-fold cyclic cover of a graph on a vertices.
-
-    A torus is an L-fold cover of all but its largest side L.  C_N^{1,g} with
-    g | N is the cycle cover of ``_cycle_cover`` when its beta x beta
-    determinant (beta = N / g) is smaller than the symbol route's
-    (g - 1) x (g - 1) one, that is when beta < g.  None for any other
-    circulant, which the symbol route counts.
+    A torus covers all but its largest side L with twist t = 0.  In
+    C_N^{1,g}, g | N, vertex r + g s lies in layer r over vertex s of the
+    beta-cycle, beta = N / g: step g moves s, and step 1 moves r and, from
+    layer g - 1 to layer 0, s too, so t = 1.  That cover is taken when its
+    ring is the smaller, beta < g.  None for any other circulant.
     """
     if isinstance(spec, TorusSpec):
-        L = max(spec.sides)
-        return spec.vertex_count // L, L
+        *sides, L = sorted(spec.sides)
+        return tuple(sides), 0, L
     n = spec.n
     g = min(spec.generators[-1], n - spec.generators[-1])
     if spec.d != 2 or n % g or n // g >= g:
         return None
-    return n // g, g
+    return (n // g,), 1, g
 
 
-def _as_cover(spec: GraphSpec) -> tuple[list[list[int]], list[list[int]], int] | None:
-    """(B, W, L) for a graph that the cover route counts (``_cover_shape``), else None.
+def _cover_shape(spec: GraphSpec) -> tuple[int, int] | None:
+    """(a, L): the base's vertex count and the fold count of ``_as_cover``, or None."""
+    return (cover := _as_cover(spec)) and (math.prod(cover[0]), cover[2])
 
-    A torus's twist W is the identity; a cycle cover's is the cycle's shift.
+
+def _cover_tree_count(sides: Sequence[int], t: int, L: int) -> int:
+    """tau = L N(V_L(2 + B) - w - 1/w + J) / a^2 for an L-fold cyclic cover.
+
+    The base, on a vertices, has the Laplacian B = sum_i (2 - s_i - 1/s_i)
+    in ``_group_ring``, s_i the generator of side i (a side 1 adds 0, its
+    self loop, and a side 2 the doubled edge 2 - 2 s_i).  Layer r joins
+    layer r + 1 through the identity and layer L - 1 joins layer 0 through
+    the twist w at index t, so on a character with B = b and w = omega the
+    L eigenvalues multiply to V_L(2 + b) - omega - 1/omega.  Only the zero
+    mode (b = 0, omega = 1) vanishes; its other L - 1 multiply to L^2, and
+    J = sum_g g replaces the zero by a.  The norm N, the product over the
+    characters, is the determinant of multiplication.
     """
-    shape = _cover_shape(spec)
-    if shape is None:
-        return None
-    if isinstance(spec, CirculantSpec):
-        return _cycle_cover(*shape)
-    *sides, L = sorted(spec.sides)
-    base = _block_laplacian(sides)
-    return base, _plus_identity([[0] * len(base) for _ in base], 1), L
-
-
-def _cover_tree_count(base: list[list[int]], twist: list[list[int]], L: int) -> int:
-    """tau = L det(V_L(2I + B) - W - W^T + J) / a^2 for an L-fold cyclic cover.
-
-    The cover has L layers of a base graph with Laplacian B on a vertices;
-    layer r joins layer r + 1 through the identity, and layer L - 1 joins
-    layer 0 through a permutation W that commutes with B.  On a common
-    eigenvector with B = b and W = w the layers form a cycle twisted by w,
-    whose L eigenvalues multiply to V_L(2 + b) - w - 1/w.  Only the zero mode
-    (b = 0, w = 1) vanishes there; its other L - 1 eigenvalues multiply to L^2,
-    and adding J (all ones) replaces the zero by a.
-    """
-    a = len(base)
-    v = _lucas(_plus_identity(base, 2), L)
-    m = [[x - t - u + 1 for x, t, u in zip(vrow, trow, urow)]
-         for vrow, trow, urow in zip(v, twist, zip(*twist))]
-    tau, remainder = divmod(L * _bareiss_determinant(m), a * a)
+    product, regular = _group_ring(sides)
+    a = math.prod(sides)
+    x, stride = _plus([0] * a, 2 + 2 * len(sides)), a
+    for l in sides:
+        stride //= l
+        x[1 % l * stride] -= 1
+        x[(l - 1) % l * stride] -= 1
+    w = [int(g == t) for g in range(a)]  # row 0 of regular(w) is w[-h] over h: 1/w
+    v = [c - p - q + 1 for c, p, q in zip(_lucas(x, L, product), w, regular(w)[0])]
+    tau, remainder = divmod(L * _bareiss_determinant(regular(v)), a * a)
     if remainder:
         raise GraphSpecError(f"cover determinant is not divisible by {a * a}")
     return tau
@@ -710,13 +710,13 @@ def _cover_tree_count(base: list[list[int]], twist: list[list[int]], L: int) -> 
 def spanning_tree_count_exact(spec: GraphSpec, cap: int = DEFAULT_DETERMINANT_CAP) -> int:
     """Matrix-tree count, exact over arbitrary-precision integers.
 
-    Every count is one integer determinant of a Chebyshev polynomial V_L of a
-    small matrix, evaluated by ``_lucas``; no V x V matrix is formed.  A torus,
-    and C_N^{1,g} with g | N and N / g < g, are cyclic covers of a small base
-    graph (``_cover_tree_count``); any other circulant goes through its
-    symbol polynomial in x = z + 1/z (``_circulant_tree_count``), a
-    determinant of size g_max - 1.  Raises GraphSpecError for a disconnected
-    graph and EnumerationCapError above ``cap`` vertices.
+    One determinant of multiplication by V_L at an element of a small ring
+    (``_lucas``); no V x V matrix is formed.  A torus, and C_N^{1,g} with
+    g | N and N / g < g, are cyclic covers, counted in the group ring of
+    their base (``_cover_tree_count``); any other circulant in the ring of
+    its symbol, of dimension g_max - 1 (``_circulant_tree_count``).  Raises
+    GraphSpecError for a disconnected graph and EnumerationCapError above
+    ``cap`` vertices.
     """
     if _zero_modes(spec) != 1:
         raise GraphSpecError(f"graph {spec} is disconnected")

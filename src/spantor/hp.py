@@ -23,10 +23,10 @@ since every row of a table and every n of a residual sweep shares it.
 log det* is the log of the product of the nonzero Laplacian eigenvalues,
 which is V tau by the matrix-tree theorem.  log_det_star_hp takes whichever
 of two routes _route_costs rates cheaper from the input alone.  Where the
-count's m x m matrix is small against the number of modes and the precision
-(m <= 4 from a few hundred to tens of thousands of vertices), it is the log
-of the exact integer V tau from graphs.spanning_tree_count_exact, rounded
-once.  Where the matrix is wide (m >= 7 at 60 digits) or tau is long
+count's m-dimensional ring is small against the number of modes and the
+precision (m <= 4 from about 60 to tens of thousands of vertices), it is
+the log of the exact integer V tau from graphs.spanning_tree_count_exact,
+rounded once.  Where the ring is wide (m >= 7 at 60 digits) or tau is long
 against a low precision, it is the spectral product, whose
 half-range modes come from the one mode engine of the float path,
 graphs._half_spectrum, which here reads a fixed-point half table of
@@ -275,10 +275,9 @@ def _rounded_product(values, bits: int) -> mp.mpf:
 
 
 # the coefficients of _route_costs, in microseconds
-_COUNT_FIXED = 110.0
-_COUNT_ENTRY = 1.2
-_COUNT_PRODUCT = 0.044
-_COUNT_BIGINT = 0.33
+_COUNT_FIXED = 72.0
+_COUNT_ENTRY = 0.5
+_COUNT_BIGINT = 0.27
 _SPECTRAL_FIXED = 150.0
 _SPECTRAL_MODE = 0.024
 _SPECTRAL_BIT = 0.0016
@@ -287,21 +286,22 @@ _SPECTRAL_BIT = 0.0016
 def _route_costs(spec: GraphSpec, dps: int) -> tuple[float, float]:
     """Estimated microseconds of log det* by the exact count and by the spectral product.
 
-    The count takes V_L of an m x m integer matrix (``_cover_shape``'s base,
-    or the symbol route's g_max - 1 with L = n) in about bitlen(L) matrix
-    products, then one Bareiss determinant whose entries grow to the bits of
-    tau, at most B = (V - 1) log2(degree) by the AM-GM bound on the
-    eigenvalues.  The spectral product multiplies one P-bit integer per
-    half-range mode, P = _guard_bits(dps, sides), after one table entry per
-    side index.  The coefficients are fitted to best-of-5 timings of both
-    routes on a 2-vCPU VM (CHANGES.md lists them); only their ratio
-    matters, and it decides between routes that cost within a few tens of
-    percent of each other.
+    The count takes V_L at an element of an m-dimensional ring
+    (``_cover_shape``'s base, or the symbol route's g_max - 1 with L = n) in
+    about bitlen(L) ring products of m^2 multiplications each, then one
+    Bareiss determinant of the m x m regular representation, whose entries
+    grow to the bits of tau, at most B = (V - 1) log2(degree) by the AM-GM
+    bound on the eigenvalues.  The spectral product multiplies one P-bit
+    integer per half-range mode, P = _guard_bits(dps, sides), after one
+    table entry per side index.  The coefficients are fitted to best-of-5
+    timings of both routes on a 2-vCPU VM (CHANGES.md lists them); only
+    their ratio matters, and it decides between routes that cost within a
+    few tens of percent of each other.
     """
     V = spec.vertex_count
     m, L = _cover_shape(spec) or (max(min(g, V - g) for g in spec.generators) - 1, V)
     tau_bits = (V - 1) * math.log2(spec.degree)
-    count = (_COUNT_FIXED + m * m * (_COUNT_ENTRY + _COUNT_PRODUCT * m) * L.bit_length()
+    count = (_COUNT_FIXED + _COUNT_ENTRY * m * m * L.bit_length()
              + _COUNT_BIGINT * m ** 3 * (tau_bits / 1000) ** 1.7)
     modes = math.prod(l // 2 + 1 for l in spec.sides)
     entries = sum(l // 2 + 1 for l in spec.sides)

@@ -278,8 +278,9 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
 
 # sizes below 1 reached math.log, math.isqrt or a division by zero, an
 # invalid graph in specfun theta read as bad arguments, a cap below 1 printed
-# blank cells or hit the cap, a negative theta argument read as a numerical
-# failure, and a negative number in exponent form read as an unknown option
+# blank cells or hit the cap, a negative theta or bessel argument and a zeta
+# argument of at most 1 read as numerical failures, and a negative number in
+# exponent form read as an unknown option
 @pytest.mark.parametrize("argv,code,message", [
     (_TORUS + ["--n", "0"], 1, "usage error: --n sizes must be positive, got 0"),
     (_TORUS + ["--n", "30,-3"], 1, "usage error: --n sizes must be positive, got -3"),
@@ -308,7 +309,11 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
      "usage error: expected a non-negative number, got '-0.25'"),
     (["specfun", "theta", "-1e-3", "--torus", "3,3"], 1,
      "usage error: expected a non-negative number, got '-1e-3'"),
-    (["specfun", "zeta", "-1.5e0"], 2, "numerical failure: need s > 1, got -1.5"),
+    (["specfun", "zeta", "-1.5e0"], 1, "usage error: need s > 1, got '-1.5e0'"),
+    (["specfun", "zeta", "-1.5"], 1, "usage error: need s > 1, got '-1.5'"),
+    (["specfun", "zeta", "1"], 1, "usage error: need s > 1, got '1'"),
+    (["specfun", "zeta", "0.5"], 1, "usage error: need s > 1, got '0.5'"),
+    (["specfun", "bessel", "0", "-1"], 1, "usage error: expected a non-negative number, got '-1'"),
 ])
 def test_invalid_sizes_and_graphs_exit_with_one_line(capsys, argv, code, message):
     assert cli.main(argv) == code
@@ -649,8 +654,9 @@ def test_theta_runs_at_the_vertex_cap(capsys):
 
 
 def test_exit_numerical(capsys):
-    assert cli.main(["specfun", "zeta", "0.5"]) == 2
-    capsys.readouterr()
+    # a tolerance below the computed error bound; zeta at s <= 1 is a usage error
+    assert cli.main(["specfun", "zeta-prime-zero", "3", "--tol", "1e-300"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_specfun_cd_1_is_exactly_zero(capsys):

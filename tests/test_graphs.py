@@ -216,8 +216,9 @@ def test_mirrored_generators():
 @pytest.mark.parametrize("g", [2, 3])
 def test_cycle_cover_route(beta, g):
     # beta = 2 is g = N/2, where each vertex has a doubled edge to its opposite
+    # the g-fold cover of the beta-cycle in Z[Z/beta], twisted by the generator 1
     spec = CirculantSpec(beta * g, (1, g))
-    assert graphs._cover_tree_count(*graphs._cycle_cover(beta, g)) == dense_tree_count(spec)
+    assert graphs._cover_tree_count((beta,), 1, g) == dense_tree_count(spec)
 
 
 def test_product_form_equals_the_exact_count():
@@ -234,21 +235,71 @@ def test_cover_and_symbol_routes_agree():
             if n % g == 0:
                 spec = CirculantSpec(n, (1, g))
                 assert graphs._circulant_tree_count(spec) \
-                    == graphs._cover_tree_count(*graphs._cycle_cover(n // g, g)), (n, g)
+                    == graphs._cover_tree_count((n // g,), 1, g), (n, g)
 
 
 def test_count_takes_the_smaller_matrix():
-    assert graphs._as_cover(CirculantSpec(1000, (1, 200)))[2] == 200   # 5 x 5 cover
-    assert graphs._as_cover(CirculantSpec(1000, (1, 800)))[2] == 200   # mirrored step
+    # the cover's group ring Z[Z/5], twisted by the generator 1, against Z[y]/(p) of dimension 199
+    assert graphs._as_cover(CirculantSpec(1000, (1, 200))) == ((5,), 1, 200)
+    assert graphs._as_cover(CirculantSpec(1000, (1, 800))) == ((5,), 1, 200)   # mirrored step
     assert graphs._as_cover(CirculantSpec(30, (1, 5))) is None         # 6 > 4: symbol
     assert graphs._as_cover(CirculantSpec(30, (1, 7))) is None         # 7 does not divide 30
     assert graphs._as_cover(CirculantSpec(30, (1, 2, 15))) is None     # three generators
-    # the shape names the base and fold count that _as_cover builds
+    # the shape names the ring's dimension and the fold count that _as_cover takes
     assert graphs._cover_shape(CirculantSpec(1000, (1, 800))) == (5, 200)
     assert graphs._cover_shape(CirculantSpec(30, (1, 5))) is None
     for sides in ((7, 3), (3, 7, 2), (1, 1), (5,)):
         base, twist, L = graphs._as_cover(TorusSpec(sides))
-        assert graphs._cover_shape(TorusSpec(sides)) == (len(base), L) == (len(twist), max(sides))
+        _, regular = graphs._group_ring(base)
+        dimension = len(regular([0] * math.prod(base)))
+        assert graphs._cover_shape(TorusSpec(sides)) == (dimension, L) \
+            == (TorusSpec(sides).vertex_count // max(sides), max(sides))
+        assert twist == 0  # a torus's layers wrap through the identity
+
+
+def _matrix_product(x, y):
+    return [[sum(a * b for a, b in zip(row, column)) for column in zip(*y)] for row in x]
+
+
+@st.composite
+def _ring_elements(draw):
+    """(product, regular, u, v): a symbol ring of a random Gamma or a group ring, two elements."""
+    if draw(st.booleans()):
+        gens = (1, *sorted(draw(st.lists(st.integers(1, 12), max_size=3))))
+        r = graphs._deflate(graphs._symbol_in_x(gens), 2)[::-1]
+        m, lc = len(r) - 1, r[-1]
+        product, regular = graphs._poly_ring([r[i] * lc ** (m - 1 - i) for i in range(m)])
+    else:
+        sides = draw(st.lists(st.integers(1, 60), max_size=3)
+                     .filter(lambda sides: math.prod(sides) <= 60))
+        product, regular = graphs._group_ring(sides)
+        m = math.prod(sides)
+    element = st.lists(st.integers(-2**70, 2**70), min_size=m, max_size=m)
+    return product, regular, draw(element), draw(element)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ring_elements())
+def test_ring_product_is_the_product_of_regular_representations(ring):
+    product, regular, u, v = ring
+    assert regular(product(u, v)) == _matrix_product(regular(u), regular(v))
+    unit = [int(i == 0) for i in range(len(u))]
+    assert regular(unit) == [[int(i == j) for j in range(len(u))] for i in range(len(u))]
+    assert product(u, unit) == u
+
+
+@pytest.mark.parametrize("spec, cover", [
+    (CirculantSpec(7, (1,)), None),          # R constant: the ring Z[y]/(p) has m = 0
+    (CirculantSpec(8, (1, 1)), None),        # m = 0 with lc = -2
+    (CirculantSpec(9, (1, 2)), None),        # m = 1: y is the integer -monic[0]
+    (TorusSpec((9, 1)), ((1,), 0, 9)),       # a base side 1: its self loop drops out
+    (TorusSpec((2, 9)), ((2,), 0, 9)),       # a base side 2: the doubled edge 2 - 2 s
+    (CirculantSpec(10, (1, 5)), ((2,), 1, 5)),   # beta = 2: the twist is its own inverse
+    (TorusSpec((9,)), ((), 0, 9)),           # one side: the group ring of the trivial group
+])
+def test_ring_edge_cases_match_dense_oracle(spec, cover):
+    assert graphs._as_cover(spec) == cover
+    assert spanning_tree_count_exact(spec) == dense_tree_count(spec)
 
 
 def test_both_families_name_their_sides():
@@ -269,8 +320,9 @@ def test_disconnected_circulant_raises_before_algebra(monkeypatch):
     def no_algebra(*args):
         raise AssertionError("algebra ran on a disconnected graph")
 
-    monkeypatch.setattr(graphs, "_lucas", no_algebra)
-    monkeypatch.setattr(graphs, "_circulant_tree_count", no_algebra)
+    for name in ("_lucas", "_poly_ring", "_group_ring", "_circulant_tree_count",
+                 "_cover_tree_count", "_bareiss_determinant"):
+        monkeypatch.setattr(graphs, name, no_algebra)
     for n, gens in [(6, (2, 4)), (9, (3,)), (10**6, (2, 6, 10))]:
         with pytest.raises(GraphSpecError, match="disconnected"):
             spanning_tree_count_exact(_unvalidated_circulant(n, gens), cap=n)

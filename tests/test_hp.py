@@ -374,8 +374,10 @@ def _refuse(*args, **kwargs):
 
 # the high-precision benchmark's shapes above the tree-count limit,
 # circulants (1, g, 5) and tori with one growing side at 601 to 900 vertices
-# and 60 to 240 digits, where the count costs a sixth to nine tenths of the
-# spectral product, and longer m = 4 circulants where it still wins
+# and 60 to 240 digits, where the count costs a seventh to a half of the
+# spectral product, longer m = 4 circulants where it still wins, and the
+# benchmark's rows below the limit, where the count of 60-66 vertices costs
+# a half to nine tenths of the product of 31 modes even at low precision
 _COUNT_CHEAPER = [
     (CirculantSpec(697, (1, 4, 5)), 60), (CirculantSpec(620, (1, 4, 5)), 200),
     (CirculantSpec(601, (1, 4, 5)), 238), (CirculantSpec(650, (1, 2, 5)), 120),
@@ -383,13 +385,12 @@ _COUNT_CHEAPER = [
     (TorusSpec((3, 208)), 231), (TorusSpec((2, 324)), 205), (TorusSpec((2, 435)), 62),
     (TorusSpec((2, 2, 170)), 180), (TorusSpec((4, 200)), 120), (TorusSpec((3, 300)), 80),
     (CirculantSpec(5000, (1, 2, 5)), 60), (CirculantSpec(20000, (1, 2, 5)), 240),
+    (CirculantSpec(60, (1, 2, 5)), 60), (CirculantSpec(66, (1, 3, 5)), 90),
 ]
 
-# where the count loses: a wide matrix (m = 7 to 36), a long tau at a low
-# precision, or a benchmark row below the tree-count limit at a low precision,
-# where the product of 31 modes costs two thirds of the count
+# where the count loses: a wide ring (m = 7 to 299) or a long tau at a low precision
 _SPECTRAL_CHEAPER = [
-    (CirculantSpec(60, (1, 2, 5)), 60), (CirculantSpec(66, (1, 3, 5)), 90),
+    (TorusSpec((7, 7, 7)), 60), (CirculantSpec(2000, (1, 300)), 90),
     (CirculantSpec(650, (1, 8)), 60), (CirculantSpec(650, (1, 24)), 60),
     (CirculantSpec(650, (1, 24)), 240), (CirculantSpec(1000, (1, 40)), 60),
     (CirculantSpec(1000, (1, 40)), 240), (CirculantSpec(20000, (1, 2, 5)), 60),
