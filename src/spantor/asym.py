@@ -2,21 +2,22 @@
 
 The per-vertex growth constant I of a circulant spanning-tree count is the
 Mahler measure of the symbol polynomial z^g (2d - sum_g (z^g + z^-g)): with
-the double root at z = 1 divided out exactly, I = log|lc| + sum log|rho| over
-the roots rho outside the unit circle.  The roots come from numpy, and the
-value carries an a-posteriori error bound from the residual of each root.
-By Jensen's formula the same constant is
-
-  log 4 + int_0^1 log(sum_g sin^2(pi g w)) dw = int_0^1 log S(w) dw,
-
-S(w) = sum_g sin^2(pi g w) / sin^2(pi w) >= 1, a positive trigonometric
-polynomial, since int_0^1 log sin^2(pi w) dw = -2 log 2.  log S is analytic
-and periodic, so one trapezoid rule converges to it geometrically, and its
-N-point sum is the finite spectral sum of C_N^Gamma.  That rule runs as a
-runtime guard (about a millisecond for small generators): a disagreement
-beyond both error estimates raises AsymError.  The paper's Mellin-Bessel
-integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t, a third
-route to the same constant, lives in the tests as an oracle.  The
+the double root at z = 1 divided out, I = log|lc| + sum log|rho| over the
+roots rho outside the unit circle, where |lc| is the multiplicity of the
+largest generator.  On the circle, y = cos theta, the symbol is
+S = sum_g 2 (1 - T_g(y)), and S / (2 (1 - y)) is an integer Chebyshev
+series of degree g_max - 1, a sum of Fejer kernels.  Its roots y are the
+eigenvalues of a colleague matrix half the size of the polynomial's
+companion, and each gives one outside root z = y + sqrt(y - 1) sqrt(y + 1).
+One Newton step on the sparse symbol polishes them, and the value
+carries an a-posteriori error bound from the residual of each root.  The
+identity log det* C_N = N I + 2 log N - log c_Gamma + R_N with
+R_N = 2 sum_{|rho| > 1} log|1 - rho^-N| holds at every N, so at two N near
+4 g_max it checks the roots against the float spectral sum of C_N: a
+disagreement beyond both error bounds raises AsymError.  The paper's
+Mellin-Bessel integral int_0^inf (e^{-t} - e^{-2dt} I_0^Gamma(2t,...,2t)) dt/t,
+Jensen's periodic mean of log S and numpy's roots of the polynomial, three
+more routes to the same constant, live in the tests as oracles.  The
 high-precision lead term (spantor.hp) refines the same roots by Newton steps.
 
 Torus lead terms are sums of one integral per A-block mode lambda,
@@ -43,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,9 +54,7 @@ from .graphs import (
     EnumerationCapError,
     DEFAULT_EIGENVALUE_CAP,
     log_det_star,
-    _deflate,
     _half_spectrum,
-    _symbol_poly,
 )
 from .quadrature import IntegralResult, QuadratureError, integrate_mellin, integrate_periodic_mean
 from .specfun import _eta_with_bound, _zeta_euler_maclaurin, bessel_i_scaled, catalan_constant
@@ -151,6 +150,8 @@ def _report(n: int, predicted, components: dict[str, float], spec, cap: int,
 # Lead terms
 # ---------------------------------------------------------------------------
 
+_EPS = sys.float_info.epsilon
+
 
 def _arccosh1p(y):
     """arccosh(1 + y) for 0 <= y < 1e154 as log1p(y + sqrt(y (y + 2))).
@@ -181,103 +182,160 @@ def _sin2pi(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymbolRoots:
-    """Roots of the deflated symbol polynomial Q and the Mahler measure they give.
+    """Roots of the deflated symbol polynomial Q outside the unit circle, and the Mahler measure.
 
-    ``coeffs`` are Q's integer coefficients, highest degree first; ``outside``
-    holds the D/2 roots with |rho| > 1, as numpy complex values.
+    ``multiplicity`` is that of the largest generator, |lc| of Q;
+    ``outside`` holds the g_max - 1 roots with |rho| > 1 as numpy complex
+    values, the real ones with imaginary part 0 and the others in exact
+    conjugate pairs.
     """
 
-    coeffs: tuple[int, ...]
+    multiplicity: int
     outside: np.ndarray
     value: float
     error_estimate: float
 
 
-@lru_cache(maxsize=None)
-def _symbol_roots(gens: tuple[int, ...]) -> SymbolRoots:
-    """Mahler measure log|lc| + sum_{|rho| > 1} log|rho| of Q from numpy roots.
+def _colleague_roots(gens: tuple[int, ...]) -> np.ndarray:
+    """The roots y of S / (2 (1 - y)) = sum_k c_k T_k(y), k = 0..m = g_max - 1 >= 1.
 
-    Q = symbol / (z - 1)^2 is palindromic with no root on the unit circle, so
-    its D roots pair as rho, 1/rho and exactly D/2 lie outside.  A Newton
-    step |Q(rho)| / |Q'(rho)| bounds each root's error, with |Q(rho)| widened
-    by the rounding bound 2D eps Q~(|rho|) of its evaluation (Q~ has the
-    absolute coefficients); log|rho| moves by that over |rho|.  A root within
-    its own bound of the circle could be on either side, and raises.
+    (1 - T_g(y)) / (1 - y) = g + 2 sum_{0<k<g} (g - k) T_k(y), so
+    c_0 = sum_g g and c_k = 2 sum_{g>k} (g - k).  With y T_0 = T_1 and
+    y T_k = (T_{k-1} + T_{k+1}) / 2, y (T_0, .., T_{m-1}) is A times that
+    vector plus T_m in its last entry, halved unless m = 1; at a root
+    T_m = -sum_{k<m} c_k T_k / c_m moves into A's last row.  The roots are
+    the eigenvalues of this colleague matrix A (Good 1961).
     """
-    coeffs = tuple(_deflate(_deflate(_symbol_poly(gens), 1), 1))
-    degree = len(coeffs) - 1
-    eps = sys.float_info.epsilon
-    q = np.array(coeffs, dtype=float)
-    roots = np.roots(q)
-    radii = np.abs(roots)
-    shift = ((np.abs(np.polyval(q, roots)) + 2 * degree * eps * np.polyval(np.abs(q), radii))
-             / np.abs(np.polyval(np.polyder(q), roots)))
-    outside = radii > 1.0
-    if np.any(np.abs(radii - 1.0) <= shift) or 2 * np.count_nonzero(outside) != degree:
-        raise AsymError(f"roots of the symbol of {gens} do not pair across the unit "
-                        f"circle: {np.count_nonzero(outside)} of {degree} outside")
-    value = math.log(abs(coeffs[0])) + math.fsum(np.log(radii[outside]))
-    error = math.fsum(shift[outside] / radii[outside]) + 4 * eps * abs(value)
-    return SymbolRoots(coeffs=coeffs, outside=roots[outside], value=value,
-                       error_estimate=error)
+    m = gens[-1] - 1
+    c = np.array([sum(gens)] + [2 * sum(g - k for g in gens if g > k) for k in range(1, m + 1)],
+                 dtype=float)
+    a = np.zeros((m, m))
+    i = np.arange(1, m)
+    a[i, i - 1] = a[i - 1, i] = 0.5
+    if m > 1:
+        a[0, 1] = 1.0
+    a[-1] -= c[:-1] / (c[-1] if m == 1 else 2.0 * c[-1])
+    return np.linalg.eigvals(a)
 
 
-def _log_symbol_ratio(gens: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """w -> log S(w), S = sum_g sin^2(pi g w) / sin^2(pi w), with S(0) = sum_g g^2.
+def _sparse_symbol(z: np.ndarray, gens: tuple[int, ...]):
+    """(f, h, rounding) at each z: f = sum_g (2 - z^g - z^-g), h = sum_g g (z^g - z^-g) = -z f'(z).
 
-    ``gens`` starts with 1, whose term is the denominator itself.
+    z^g is exp(g log z), within (2 g |log z| + 2) eps of its value
+    relative, and the 2d terms add 2d roundings; ``rounding`` bounds f's.
     """
-    at_zero = float(sum(g * g for g in gens))
-
-    def log_s(w: np.ndarray) -> np.ndarray:
-        denominator = _sin2pi(w)
-        numerator = denominator + sum(_sin2pi(g * w) for g in gens[1:])
-        ratio = np.full(w.shape, at_zero)
-        np.divide(numerator, denominator, out=ratio, where=denominator > 0.0)
-        return np.log(ratio)
-
-    return log_s
+    distinct = sorted(set(gens))
+    g = np.array(distinct, dtype=float)
+    times = np.array([gens.count(x) for x in distinct], dtype=float)
+    w = np.log(z)
+    up = np.exp(np.outer(w, g))
+    down = 1.0 / up
+    f = 2.0 * len(gens) - ((up + down) * times).sum(axis=1)
+    h = ((up - down) * (times * g)).sum(axis=1)
+    units = 2.0 * np.outer(np.abs(w), g) + 2 * len(gens) + 4
+    return f, h, _EPS * ((np.abs(up) + np.abs(down)) * units * times).sum(axis=1)
 
 
 @lru_cache(maxsize=None)
-def _lead_term_circulant_cached(gens: tuple[int, ...], tol: float) -> LeadTerm:
+def _symbol_roots(gens: tuple[int, ...]) -> SymbolRoots:
+    """Mahler measure log|lc| + sum_{|rho| > 1} log|rho| of Q from the colleague roots.
+
+    Each root y maps to z = y + sqrt(y - 1) sqrt(y + 1), inverted if it
+    falls inside the circle.  LAPACK returns the real eigenvalues of a real
+    matrix with imaginary part 0 and the others in exact conjugate pairs, so
+    one z of each pair takes one Newton step z + f z / h on the sparse
+    symbol, which restores the accuracy lost near y = 1, and its conjugate
+    mirrors it; a real z stays real.  The residual at the polished root
+    bounds its relative error by (|f| + rounding) / |h|, which log|z| moves
+    by.  A root within its bound of the circle could be on either side, and
+    one whose bound exceeds 2^-20 has not converged; either raises.
+    """
+    multiplicity = gens.count(gens[-1])
+    if gens[-1] == 1:  # Q is the constant lc: no root
+        value = math.log(multiplicity)
+        return SymbolRoots(multiplicity, np.zeros(0, dtype=complex), value, 4 * _EPS * value)
+    y = _colleague_roots(gens).astype(complex)
+    y = y[y.imag >= 0]
+    real = y.imag == 0
+    z = y + np.sqrt(y - 1.0) * np.sqrt(y + 1.0)
+    z = np.where(np.abs(z) < 1.0, 1.0 / z, z)
+    f, h, _ = _sparse_symbol(z, gens)
+    z += f * z / h
+    z[real] = z[real].real
+    f, h, rounding = _sparse_symbol(z, gens)
+    shift = (np.abs(f) + rounding) / np.abs(h)
+    radii = np.abs(z)
+    if not np.all(shift <= 2.0 ** -20) or np.any(radii - 1.0 <= shift * radii):
+        raise AsymError(f"roots of the symbol of {gens} did not converge off the unit "
+                        f"circle: largest relative bound {shift.max():.2e}")
+    twice = np.where(real, 1.0, 2.0)
+    value = math.log(multiplicity) + math.fsum(twice * np.log(radii))
+    error = math.fsum(twice * (shift + _EPS)) + 4 * _EPS * abs(value)
+    return SymbolRoots(multiplicity=multiplicity, outside=np.concatenate([z, z[~real].conj()]),
+                       value=value, error_estimate=error)
+
+
+def _identity_lead(gens: tuple[int, ...], roots: SymbolRoots, n: int) -> tuple[float, float]:
+    """(I, bound) from log det* C_n = n I + 2 log n - log c_Gamma + R_n at one n.
+
+    R_n = 2 sum log|1 - x|, x = rho^-n, over the outside roots, and
+    log det* is the float spectral sum.  Each of its n - 1 logs is within
+    (d + 5 + |log lambda|) eps, and 16 / n^2 <= lambda <= 4d.  Each
+    log|1 - x| at the computed root is within
+    ((2 n |log rho| + 4) |x| + 2) eps / |1 - x| + eps |log|1 - x||, and a
+    root's error moves it by n |x| / |1 - x| times that of log|rho|, so the
+    roots' error bound moves R_n / n by at most 2 max |x| / |1 - x| times
+    it.  The last term is the rounding of the final sum and division.
+    """
+    spec = CirculantSpec(n, gens)
+    log_det = log_det_star(spec)
+    w = np.log(roots.outside)
+    x = np.exp(-n * w)
+    gap = np.abs(1.0 - x)
+    logs = np.log(gap)
+    remainder = 2.0 * math.fsum(logs)
+    known = 2.0 * math.log(n) - math.log(spec.c_gamma)
+    value = (log_det - known - remainder) / n
+    d = len(gens)
+    sums = math.fsum([n * (d + 6 + math.log(4 * d * n * n)),
+                      2.0 * math.fsum((((2 * n * np.abs(w) + 4) * np.abs(x) + 2) / gap
+                                       + np.abs(logs)).tolist()),
+                      4.0 * (abs(log_det) + abs(known) + abs(remainder))])
+    ratio = float((np.abs(x) / gap).max(initial=0.0))
+    return value, 2.0 * ratio * roots.error_estimate + _EPS * sums / n + 4 * _EPS * abs(value)
+
+
+@lru_cache(maxsize=None)
+def _lead_term_circulant_cached(gens: tuple[int, ...]) -> LeadTerm:
     roots = _symbol_roots(gens)
-    # S has degree g_max - 1, so a first grid of at least 4 g_max nodes
-    # cannot alias it
-    start = 1 << (4 * gens[-1] - 1).bit_length()
-    guard = integrate_periodic_mean(_log_symbol_ratio(gens), tol, start)
-    allowed = roots.error_estimate + guard.error_estimate + 50 * tol
-    if abs(roots.value - guard.value) > allowed:
-        raise AsymError(
-            f"lead-term routes disagree for {gens}: "
-            f"roots {roots.value!r} vs log-sin {guard.value!r} "
-            f"(allowed {allowed:.2e})"
-        )
+    # two sizes make a coincidental pass unlikely; both keep g_max below n/2
+    for n in (4 * gens[-1] + 3, 4 * gens[-1] + 4):
+        check, check_error = _identity_lead(gens, roots, n)
+        allowed = roots.error_estimate + check_error
+        if not abs(roots.value - check) <= allowed:
+            raise AsymError(f"lead-term routes disagree for {gens} at n = {n}: "
+                            f"roots {roots.value!r} vs identity {check!r} "
+                            f"(allowed {allowed:.2e})")
     if gens == (1,):
         # the cycle lead term is arccosh(1) = 0 exactly
         return LeadTerm(value=0.0, method=ARCCOSH_CLOSED_FORM, error_estimate=1e-16,
-                        cross_check=guard.value, cross_check_error=guard.error_estimate)
-    return LeadTerm(
-        value=roots.value,
-        method=MAHLER_ROOTS,
-        error_estimate=roots.error_estimate,
-        cross_check=guard.value,
-        cross_check_error=guard.error_estimate,
-    )
+                        cross_check=check, cross_check_error=check_error)
+    return LeadTerm(value=roots.value, method=MAHLER_ROOTS, error_estimate=roots.error_estimate,
+                    cross_check=check, cross_check_error=check_error)
 
 
-def lead_term_circulant(generators: Sequence[int], tol: float = 1e-10) -> LeadTerm:
+def lead_term_circulant(generators: Sequence[int]) -> LeadTerm:
     """Growth constant I_d^Gamma as the Mahler measure of the symbol polynomial.
 
-    The value comes from numpy roots with its computed error bound; the
-    periodic mean of log S at ``tol`` is recorded as cross_check with its
-    error, and a disagreement beyond the two error estimates plus 50 tol
-    raises AsymError.
+    The value comes from the polished colleague roots with their computed
+    error bound.  The exact identity at n = 4 g_max + 4 is recorded as
+    cross_check with its bound; at that n or at 4 g_max + 3, a disagreement
+    beyond the two bounds raises AsymError.
     """
     gens = tuple(int(g) for g in generators)
     if not gens or gens[0] != 1 or any(g < 1 for g in gens) or list(gens) != sorted(gens):
         raise AsymError(f"generator set must be sorted and start with 1: {generators}")
-    return _lead_term_circulant_cached(gens, float(tol))
+    return _lead_term_circulant_cached(gens)
 
 
 def _mode_lead(lam: float, q: int, tol: float) -> LeadTerm:
@@ -342,7 +400,6 @@ def gamma_half_integer(d: int) -> float:
 # Epstein zeta of a diagonal real torus, by reduction along its largest side
 # ---------------------------------------------------------------------------
 
-_EPS = sys.float_info.epsilon
 # lines and Bessel-K terms are summed until their bound falls about e^{-45}
 # below the value, whose scaled form is at least 2
 _REACH = 45.0
@@ -623,8 +680,7 @@ def epstein_zeta_prime_zero(sides: Sequence[float], tol: float = 1e-9) -> float:
 
 
 def predict_circulant(n: int, generators: Sequence[int],
-                      cap: int = DEFAULT_EIGENVALUE_CAP,
-                      tol: float = 1e-10) -> AsymptoticReport:
+                      cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
     """Asymptotic prediction n*I + 2 log n - log c_Gamma for log det*.
 
     The exact value and residual are filled in when the spectrum has at
@@ -632,7 +688,7 @@ def predict_circulant(n: int, generators: Sequence[int],
     e^{predicted_log_det} / n.
     """
     spec = CirculantSpec(n, tuple(generators))
-    lead = lead_term_circulant(spec.generators, tol=tol)
+    lead = lead_term_circulant(spec.generators)
     components = {
         "lead": n * lead.value,
         "two_log_n": 2.0 * math.log(n),

@@ -283,37 +283,47 @@ def _an_value(rule: str, const: int, n: int) -> int:
     return const
 
 
-def _compare_row(rep, family: str, params: str, spec, args) -> dict:
-    """One compare row from a float (asym) or mpf (hp) report."""
+def _compare_row(rep, family: str, params: str, count) -> dict:
+    """One compare row from a float (asym) or mpf (hp) report and the row's tree count."""
     row = {key: None if value is None else float(value)
            for key, value in (("exact_log_det", rep.exact_log_det),
                               ("predicted_log_det", rep.predicted_log_det),
                               ("residual", rep.residual))}
     row.update(family=family, n=rep.n, params=params)
-    row["tree_count"] = _tree_count_or_blank(spec, args)
+    row["tree_count"] = count
     return row
+
+
+# An hp row counts its tree count first and hands it to log_det_star_hp, whose
+# count route then takes it instead of counting again.  A float row counts
+# after its prediction, so a prediction's error still comes first.
 
 
 def _compare_row_circulant(n, gens, args) -> dict:
     spec = CirculantSpec(n, gens)
     if args.precision:
-        rep = hp.predict_circulant_hp(n, gens, args.precision, cap=args.max_vertices)
+        count = _tree_count_or_blank(spec, args)
+        rep = hp.predict_circulant_hp(n, gens, args.precision, cap=args.max_vertices, tau=count)
     else:
-        rep = predict_circulant(n, gens, cap=args.max_vertices, tol=args.tol)
-    return _compare_row(rep, "circulant", "gens=" + ",".join(str(g) for g in gens), spec, args)
+        rep = predict_circulant(n, gens, cap=args.max_vertices)
+        count = _tree_count_or_blank(spec, args)
+    return _compare_row(rep, "circulant", "gens=" + ",".join(str(g) for g in gens), count)
 
 
 def _compare_row_torus_constant(n, alpha, beta, args) -> dict:
     params = ("alpha=" + ",".join(map(str, alpha))
               + ";beta=" + ",".join(map(str, beta)))
+    sides = tuple(alpha) + tuple(b * n for b in beta)
     if args.precision:
         if len(beta) != 1:
             raise UsageError("--precision supports torus-constant only with one growing side")
-        rep = hp.predict_torus_constant_hp(n, alpha, beta, args.precision, cap=args.max_vertices)
+        count = _tree_count_or_blank(TorusSpec(sides), args)
+        rep = hp.predict_torus_constant_hp(n, alpha, beta, args.precision, cap=args.max_vertices,
+                                           tau=count)
     else:
         rep = predict_torus_constant(n, alpha, beta, cap=args.max_vertices, tol=args.tol)
-    spec = TorusSpec(tuple(alpha) + tuple(b * n for b in beta))
-    return _compare_row(rep, "torus-constant", params, spec, args)
+        count = _tree_count_or_blank(TorusSpec(sides), args)
+    return _compare_row(rep, "torus-constant", params, count)
 
 
 def _compare_row_torus_sublinear(n, alpha, beta, rule, const, args) -> dict:
@@ -323,7 +333,7 @@ def _compare_row_torus_sublinear(n, alpha, beta, rule, const, args) -> dict:
               + f";an={rule}" + (f":{const}" if rule == "constant" else ""))
     rep = predict_torus_sublinear(n, a_n, alpha, beta, cap=args.max_vertices, tol=args.tol)
     spec = TorusSpec(tuple(a * a_n for a in alpha) + tuple(b * n for b in beta))
-    return _compare_row(rep, "torus-sublinear", params, spec, args)
+    return _compare_row(rep, "torus-sublinear", params, _tree_count_or_blank(spec, args))
 
 
 def _tree_count_or_blank(spec, args):
@@ -555,13 +565,16 @@ def cmd_specfun(args, sink, out) -> int:
                 raise UsageError(f"need s > 1, got {rest[0]!r}")
             value, err = riemann_zeta_real(s), 1e-13
         elif name == "lead":
-            lead = lead_term_circulant(_parse_int_list(rest[0]), tol=args.tol)
+            lead = lead_term_circulant(_parse_int_list(rest[0]))
             value, err = lead.value, lead.error_estimate
         elif name == "cd":
             lead = c_d(int(rest[0]), tol=args.tol)
             value, err = lead.value, lead.error_estimate
         elif name == "epstein":
-            ev = epstein_zeta_sum(_parse_float_list(rest[0]), _finite(rest[1]))
+            sides, s = _parse_float_list(rest[0]), _finite(rest[1])
+            if s <= 0.5 * len(sides):
+                raise UsageError(f"need s > r/2 = {0.5 * len(sides)}, got {rest[1]!r}")
+            ev = epstein_zeta_sum(sides, s)
             value, err = ev.value, ev.tail_bound
         elif name == "zeta-prime-zero":
             value = epstein_zeta_prime_zero(_parse_float_list(rest[0]), tol=args.tol)

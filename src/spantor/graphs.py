@@ -510,18 +510,6 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if m else 1
 
 
-def _symbol_poly(gens: Sequence[int]) -> list[int]:
-    """Integer coefficients (highest degree first) of z^g (2d - sum (z^g_i + z^-g_i))."""
-    gens = tuple(int(g) for g in gens)
-    g_max = max(gens)
-    coeffs = [0] * (2 * g_max + 1)
-    coeffs[g_max] = 2 * len(gens)
-    for g in gens:
-        coeffs[g_max + g] -= 1
-        coeffs[g_max - g] -= 1
-    return coeffs[::-1]
-
-
 def _deflate(coeffs: list[int], root: int) -> list[int]:
     """Exact synthetic division by (z - root), highest degree first; the remainder must vanish."""
     out = [coeffs[0]]

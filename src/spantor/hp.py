@@ -8,8 +8,9 @@ run here at adaptive mpmath precision.
 The circulant lead term is the Mahler measure of the symbol polynomial
 z^g (2d - sum_gamma (z^gamma + z^-gamma)) with its double root at z = 1
 divided out: log|lc| plus the sum of log|rho| over the roots outside the unit
-circle.  The float lead term (spantor.asym) finds those roots with numpy;
-here each real root and one root of each conjugate pair is refined by Newton
+circle.  The float lead term (spantor.asym) finds those roots from the
+colleague matrix of the symbol's Chebyshev series and polishes them; here
+each real root and one root of each conjugate pair is refined by Newton
 steps on Gaussian integers in fixed point (see _newton_bits for the guard
 bits) on the sparse symbol, one power of rho and one of 1/rho per generator,
 so one root routine serves every precision.  Above 95 digits the steps run
@@ -183,13 +184,13 @@ def _newton_root(start: complex, gens: tuple[int, ...], dps: int,
 @lru_cache(maxsize=None)
 def _lead_term_circulant_hp_cached(gens: tuple[int, ...], dps: int) -> mp.mpf:
     roots = _symbol_roots(gens)
-    # numpy returns complex roots in exact conjugate pairs, and |rho| = |conj rho|:
+    # the float roots come in exact conjugate pairs, and |rho| = |conj rho|:
     # refine the one with Im rho > 0 and count its |rho|^2 twice
     starts = roots.outside[roots.outside.imag >= 0]
     radius = float(np.abs(starts).max(initial=1.0))
     bits = _newton_bits(dps, gens, radius)
     # lc^2 prod |rho|^2 in fixed point, each factor >= 1 truncated once
-    product = roots.coeffs[0] ** 2 << bits
+    product = roots.multiplicity ** 2 << bits
     for start in starts:
         root = _newton_root(complex(start), gens, dps, radius)
         if root is None:
@@ -310,25 +311,34 @@ def _route_costs(spec: GraphSpec, dps: int) -> tuple[float, float]:
     return count, spectral
 
 
-def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP) -> mp.mpf:
+def log_det_star_hp(spec: GraphSpec, dps: int, cap: int = DEFAULT_EIGENVALUE_CAP,
+                    tau: int | None = None) -> mp.mpf:
     """log of the product of the nonzero Laplacian eigenvalues of ``spec`` at dps + 10 digits.
 
     By the matrix-tree theorem that product is V tau.  Where
     ``_route_costs`` rates the exact count cheaper, the value is the log of
     that integer (``_log_det_star_count``), elsewhere the spectral product
-    of ``_log_det_star_spectral``; the two agree to within an ulp.  Raises
-    EnumerationCapError above ``cap`` vertices, before either starts.
+    of ``_log_det_star_spectral``; the two agree to within an ulp.  A
+    caller that holds ``spec``'s tree count passes it as ``tau``, and the
+    count route then takes it instead of counting again; the route is chosen
+    as without it.  Raises EnumerationCapError above ``cap`` vertices,
+    before either starts.
     """
     _check_cap(spec, cap)
     count_cost, spectral_cost = _route_costs(spec, dps)
     if count_cost < spectral_cost:
-        return _log_det_star_count(spec, dps)
+        return _log_det_star_count(spec, dps, tau)
     return _log_det_star_spectral(spec, dps, cap)
 
 
-def _log_det_star_count(spec: GraphSpec, dps: int) -> mp.mpf:
-    """log(V tau) at dps + 10 digits: the log of an exact integer, rounded once."""
-    total = spec.vertex_count * spanning_tree_count_exact(spec, cap=spec.vertex_count)
+def _log_det_star_count(spec: GraphSpec, dps: int, tau: int | None = None) -> mp.mpf:
+    """log(V tau) at dps + 10 digits: the log of an exact integer, rounded once.
+
+    tau is counted here unless the caller passes it.
+    """
+    if tau is None:
+        tau = spanning_tree_count_exact(spec, cap=spec.vertex_count)
+    total = spec.vertex_count * tau
     with mp.workprec(total.bit_length()):
         exact = mp.mpf(total)
     with mp.workdps(dps + 10):
@@ -363,26 +373,30 @@ def _log_det_star_spectral(spec: GraphSpec, dps: int,
 
 
 def predict_circulant_hp(n: int, gens: Sequence[int], dps: int,
-                         cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
+                         cap: int = DEFAULT_EIGENVALUE_CAP,
+                         tau: int | None = None) -> AsymptoticReport:
     """n I + 2 log n - log c_Gamma against the exact log det* of C_n^Gamma at dps digits.
 
     The mpf counterpart of asym.predict_circulant, with the lead term from
-    lead_term_circulant_hp at dps and the exact value from log_det_star_hp.
+    lead_term_circulant_hp at dps and the exact value from log_det_star_hp,
+    which takes the tree count ``tau`` when the caller has it.
     """
     spec = CirculantSpec(n, tuple(gens))
     lead = lead_term_circulant_hp(spec.generators, dps)
     with mp.workdps(dps):
         predicted = n * lead + 2 * mp.log(n) - mp.log(spec.c_gamma)
-        return _report(n, predicted, {}, spec, cap, lambda s, c: log_det_star_hp(s, dps, c))
+        return _report(n, predicted, {}, spec, cap, lambda s, c: log_det_star_hp(s, dps, c, tau))
 
 
 def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int], dps: int,
-                              cap: int = DEFAULT_EIGENVALUE_CAP) -> AsymptoticReport:
+                              cap: int = DEFAULT_EIGENVALUE_CAP,
+                              tau: int | None = None) -> AsymptoticReport:
     """The prediction of diag(alpha, beta n) with one growing side against log det*.
 
     The mpf counterpart of asym.predict_torus_constant, at dps + 10 digits.
     With a single growing side b n the per-mode lead integrals have the exact
     arccosh closed form, one per distinct mode, and zeta'_{R/bZ}(0) = -2 log b.
+    log_det_star_hp takes the tree count ``tau`` when the caller has it.
     Raises AsymError for more than one growing side.
     """
     if len(beta) != 1:
@@ -398,7 +412,7 @@ def predict_torus_constant_hp(n: int, alpha: Sequence[int], beta: Sequence[int],
         acosh = {lam: mp.acosh(1 + lam / 2) for lam in set(lams)}
         lead = n * b * mp.fsum(acosh[lam] for lam in lams)
         return _report(n, lead + 2 * mp.log(n) + 2 * mp.log(b), {}, spec, cap,
-                       lambda s, c: log_det_star_hp(s, dps, c))
+                       lambda s, c: log_det_star_hp(s, dps, c, tau))
 
 
 # ---------------------------------------------------------------------------

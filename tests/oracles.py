@@ -10,7 +10,9 @@ in mpmath one log per product of the eigenvalues along a torus's largest
 side, torus theta values multiply the sides' Bessel lattice sums in mpmath, the
 high-precision lead term is a tanh-sinh quadrature of the log-sin integral,
 mpmath polyroots of a symbol polynomial built here or mpc Newton steps from
-numpy roots of it, fixed-point sin^2 tables and mpf products follow their
+numpy roots of it, the float lead term also numpy's roots of that polynomial
+or Jensen's periodic mean of the log-sin ratio by a trapezoid rule written
+here, fixed-point sin^2 tables and mpf products follow their
 textbook four-product and mpf-chain forms, the float lead term is
 the paper's Mellin-Bessel integral over a d-dimensional Bessel function
 integrated here by its own windowed trapezoid or the log-sin integral by
@@ -453,6 +455,70 @@ def mahler_lead_mp(gens, dps: int) -> mp.mpf:
         return +total
 
 
+def mahler_lead_numpy(gens) -> tuple[float, float, np.ndarray]:
+    """(I, bound, outside roots) of the deflated symbol Q from numpy's companion-matrix roots.
+
+    np.roots on Q, of degree D = 2 g_max - 2, a dense D x D eigenproblem.
+    A Newton step |Q(rho)| / |Q'(rho)| bounds each root's error, with
+    |Q(rho)| widened by the rounding bound 2 D eps Q~(|rho|) of its
+    evaluation (Q~ has the absolute coefficients); log|rho| moves by that
+    over |rho|.  Raises ArithmeticError when the D roots do not split evenly
+    across the unit circle, each off it by more than its bound.
+    """
+    coeffs = _deflated_symbol(tuple(int(g) for g in gens))
+    degree = len(coeffs) - 1
+    eps = np.finfo(float).eps
+    q = np.array(coeffs, dtype=float)
+    roots = np.roots(q)
+    radii = np.abs(roots)
+    shift = ((np.abs(np.polyval(q, roots)) + 2 * degree * eps * np.polyval(np.abs(q), radii))
+             / np.abs(np.polyval(np.polyder(q), roots)))
+    outside = radii > 1.0
+    if np.any(np.abs(radii - 1.0) <= shift) or 2 * np.count_nonzero(outside) != degree:
+        raise ArithmeticError(f"numpy roots of the symbol of {gens} do not pair across the circle")
+    value = math.log(abs(coeffs[0])) + math.fsum(np.log(radii[outside]))
+    error = math.fsum(shift[outside] / radii[outside]) + 4 * eps * abs(value)
+    return value, error, roots[outside]
+
+
+def lead_term_periodic_mean(gens, tol: float = 1e-10) -> IntegralResult:
+    """I as Jensen's periodic mean int_0^1 log S(w) dw, S = sum_g sin^2(pi g w) / sin^2(pi w).
+
+    log S is analytic and periodic, with S(0) = sum_g g^2, so the trapezoid
+    rule on the nodes k / N converges geometrically.  S(w) = S(1 - w) halves
+    the nodes, and each sin^2(pi r / N) is read at min(r, N - r) of
+    r = g k mod N, so no argument loses accuracy near a zero.  N doubles from
+    the first power of 2 at least 4 g_max, which cannot alias S, of degree
+    g_max - 1, until two doublings in a row move the mean by at most
+    ``tol``; the error is the last move plus 8 ulps of the largest |log S|.
+    """
+    gens = tuple(int(g) for g in gens)
+
+    def mean(n: int) -> tuple[float, float]:
+        k = np.arange(1, n // 2 + 1)
+
+        def sin2(r):
+            r = r % n
+            return np.sin(np.pi * np.minimum(r, n - r) / n) ** 2
+
+        logs = np.log(sum(sin2(g * k) for g in gens) / sin2(k))
+        logs[-1] *= 0.5  # k = n/2 stands for itself alone
+        at_zero = math.log(sum(g * g for g in gens))
+        return (at_zero + 2.0 * math.fsum(logs)) / n, max(at_zero, float(np.abs(logs).max()))
+
+    n = 1 << (4 * max(gens) - 1).bit_length()
+    value, _ = mean(n)
+    agreed = 0
+    while agreed < 2:
+        n *= 2
+        if n > 1 << 24:
+            raise ArithmeticError(f"periodic mean of log S did not settle for {gens}")
+        new, scale = mean(n)
+        move, value = abs(new - value), new
+        agreed = agreed + 1 if move <= tol else 0
+    return IntegralResult(value, move + 8 * math.ulp(scale), n)
+
+
 def mahler_lead_newton_mpc(gens, dps: int) -> mp.mpf:
     """Mahler measure by mpc Newton steps on the sparse symbol from numpy root starts.
 
@@ -795,9 +861,15 @@ def zeta_prime_zero_theta_split(sides, split: float = 1.0, tol: float = 1e-9) ->
 
     with Gamma'(1) = -euler_gamma and c the split point; the result is
     split-invariant (c = 1 and c = c_Gamma are the natural choices).  The
-    cut at c is a substitution, two integrate_mellin calls at tol/2:
+    cut at c is a substitution, two integrate_mellin calls:
     int_0^c A dt/t = int_0^inf (s/(1+s)) A(c/(1+s)) ds/s and
-    int_c^inf B dt/t = int_0^inf (s/(1+s)) B(c(1+s)) ds/s.
+    int_c^inf B dt/t = int_0^inf (s/(1+s)) B(c(1+s)) ds/s, each to an
+    error estimate of at most tol/2, so the value is within ``tol``.
+    integrate_mellin may return an estimate up to 10 times what it was asked
+    for relative to the value, or raise on one that lands just above it (its
+    far tail adds to the last move), so each call that misses tol/2 is
+    asked again at a quarter of the last request, up to twice.  Raises
+    QuadratureError when the third misses too.
     """
     sides = _torus_sides(sides)
     r = len(sides)
@@ -811,7 +883,17 @@ def zeta_prime_zero_theta_split(sides, split: float = 1.0, tol: float = 1e-9) ->
     def above(s: np.ndarray) -> np.ndarray:
         return s / (1.0 + s) * (theta_real_torus(sides, split * (1.0 + s)) - 1.0)
 
-    body = integrate_mellin(below, 0.5 * tol).value + integrate_mellin(above, 0.5 * tol).value
+    def half(f) -> float:
+        for share in (0.5 * tol, 0.125 * tol, 0.03125 * tol):
+            try:
+                res = integrate_mellin(f, share)
+            except QuadratureError:
+                continue
+            if res.error_estimate <= 0.5 * tol:
+                return res.value
+        raise QuadratureError(f"theta split of {sides} missed tol/2 = {0.5 * tol:.3e}")
+
+    body = half(below) + half(above)
     middle = (-(2.0 / r) * det * (4.0 * math.pi) ** (-0.5 * r) * split ** (-0.5 * r)
               - math.log(split) - EULER_GAMMA)
     return body + middle

@@ -19,6 +19,7 @@ import pytest
 from spantor import cli, hp
 from spantor.asym import predict_torus_sublinear
 from spantor.cli import estimate_alpha
+from spantor.graphs import spanning_tree_count_exact
 
 from oracles import epstein_theta_mp, fibonacci, torus_mode_mellin
 
@@ -279,8 +280,8 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
 # sizes below 1 reached math.log, math.isqrt or a division by zero, an
 # invalid graph in specfun theta read as bad arguments, a cap below 1 printed
 # blank cells or hit the cap, a negative theta or bessel argument and a zeta
-# argument of at most 1 read as numerical failures, and a negative number in
-# exponent form read as an unknown option
+# argument of at most 1 and an epstein s of at most r/2 read as numerical
+# failures, and a negative number in exponent form read as an unknown option
 @pytest.mark.parametrize("argv,code,message", [
     (_TORUS + ["--n", "0"], 1, "usage error: --n sizes must be positive, got 0"),
     (_TORUS + ["--n", "30,-3"], 1, "usage error: --n sizes must be positive, got -3"),
@@ -314,6 +315,8 @@ _SUBLINEAR = ["compare", "--family", "torus-sublinear", "--alpha", "2", "--beta"
     (["specfun", "zeta", "1"], 1, "usage error: need s > 1, got '1'"),
     (["specfun", "zeta", "0.5"], 1, "usage error: need s > 1, got '0.5'"),
     (["specfun", "bessel", "0", "-1"], 1, "usage error: expected a non-negative number, got '-1'"),
+    (["specfun", "epstein", "1,1", "1.0"], 1, "usage error: need s > r/2 = 1.0, got '1.0'"),
+    (["specfun", "epstein", "2", "0.25"], 1, "usage error: need s > r/2 = 0.5, got '0.25'"),
 ])
 def test_invalid_sizes_and_graphs_exit_with_one_line(capsys, argv, code, message):
     assert cli.main(argv) == code
@@ -385,6 +388,26 @@ def test_compare_precision_golden_output(capsys, argv, expected):
     rc, out = run_cli(capsys, "--no-header", *argv)
     assert rc == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("argv, expected", _PRECISION_GOLDEN,
+                         ids=[str(i) for i in range(len(_PRECISION_GOLDEN))])
+def test_compare_precision_counts_each_tree_once(capsys, monkeypatch, argv, expected):
+    # a row at or below the tree-count limit prints tau, and an hp log det*
+    # that takes the count route reuses it: one count per such row, and one
+    # per larger row whose log det* takes the count route
+    calls = []
+
+    def counting(spec, cap):
+        calls.append(spec)
+        return spanning_tree_count_exact(spec, cap=cap)
+
+    monkeypatch.setattr(cli, "spanning_tree_count_exact", counting)
+    monkeypatch.setattr(hp, "spanning_tree_count_exact", counting)
+    rc, out = run_cli(capsys, "--no-header", *argv)
+    assert rc == 0
+    assert out == expected
+    assert len(calls) == len(set(calls))
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_newton_lead_wall_time_with_a_large_generator():
     # two; a dense evaluation of Q (degree 598) in every step takes several
     # times the bound
     gens = (1, 300)
-    hp._symbol_roots(gens)  # numpy's roots, cached, are not the Newton steps
+    hp._symbol_roots(gens)  # the float roots, cached, are not the Newton steps
     for dps in (60, 95, 96, 97):
         best = math.inf
         for _ in range(3):
